@@ -10,6 +10,9 @@
 #                        against results/BENCH_cluster.json
 #   make bench-baseline  regenerate results/BENCH_*.json via cmd/benchjson
 #                        and append to results/BENCH_history.jsonl
+#   make bench-e2e       the bench/ harness end to end (BENCHMARK.json's
+#                        command): five workloads, untraced pass, one JSON
+#                        document under .bench_build/
 #   make trace-check     fixed-seed Chrome trace vs committed golden bytes
 #   make trace-golden    rewrite the golden after an intentional format change
 #   make chaos-check     fault-injection suite: injector contracts, degradation
@@ -48,8 +51,9 @@
 GO ?= go
 
 # The hot-path micro-benchmarks tracked across PRs: the event loop
-# (freelist), Algorithm 1 decisions (prediction memo), the sweep runner
-# and the fleet simulator. bench-check runs each exactly once under the
+# (freelist), Algorithm 1 decisions (prediction memo), the per-completion
+# latency recorder (ring window), the sweep runner and the fleet
+# simulator. bench-check runs each exactly once under the
 # race detector — a correctness smoke, not a measurement — and then
 # times BenchmarkClusterFleet for real and gates it against the
 # committed baseline. The gate tolerance (benchjson defaults: 3x on
@@ -59,10 +63,10 @@ GO ?= go
 # catches a full relapse. bench-baseline produces the committed JSON
 # trajectories from a real timed run and appends each refresh to the
 # append-only results/BENCH_history.jsonl.
-HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|Sweep|Cluster)'
-HOT_PKGS  = ./internal/sim ./internal/manager ./internal/experiments ./internal/cluster
+HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|LatencyTrackerAdd|Sweep|Cluster)'
+HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/experiments ./internal/cluster
 
-.PHONY: build test race vet bench bench-check bench-baseline trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
+.PHONY: build test race vet bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
 
 build:
 	$(GO) build ./...
@@ -85,8 +89,15 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterFleet$$' -benchmem ./internal/cluster | $(GO) run ./cmd/benchjson -gate results/BENCH_cluster.json
 
 bench-baseline:
-	$(GO) test -run '^$$' -bench $(HOT_BENCH) -benchmem ./internal/sim ./internal/manager ./internal/experiments | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_sweep.json
+	$(GO) test -run '^$$' -bench $(HOT_BENCH) -benchmem ./internal/sim ./internal/manager ./internal/stats ./internal/experiments | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_sweep.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCluster' -benchmem ./internal/cluster | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_cluster.json
+
+# The end-to-end harness exactly as BENCHMARK.json's driver runs it:
+# every workload in fresh child processes, untraced, seed 1. The document
+# lands under .bench_build/ (git-ignored); compare two of them with
+# `bash bench/run.sh -compare a.json b.json`.
+bench-e2e:
+	bash bench/run.sh -seed 1 -trace 0 -out .bench_build/e2e.json
 
 # The Chrome trace exporter's bytes are a contract (Perfetto tooling,
 # diffable artifacts): a fixed-seed simulation must serialize identically

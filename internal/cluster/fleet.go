@@ -379,6 +379,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	sink := route
 	if cfg.Record != nil {
+		// The tap sees warmup arrivals too.
+		arrivals := int(rps * float64(cfg.Warmup+cfg.Duration))
+		cfg.Record.Reserve(len(cfg.Record.Records) + arrivals + arrivals/32 + 64)
 		sink = cfg.Record.RecordSink(sink)
 	}
 	var stopGen func()

@@ -590,8 +590,31 @@ func Run(cfg RunConfig) (*Result, error) {
 		cfg.Instrument(e, srv)
 	}
 
+	// Resolve the effective offered load up front: it sizes the latency
+	// and trace buffers and is what the result reports.
+	spec := cfg.Spec
+	if spec != nil && cfg.RPS > 0 {
+		spec = spec.ScaledTo(cfg.RPS)
+	}
+	rps := cfg.RPS
+	switch {
+	case cfg.Replay != nil:
+		if rps <= 0 {
+			rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
+		}
+	case spec != nil:
+		rps = spec.TotalRPS()
+	}
+
 	qos := cfg.App.QoS()
 	lat := stats.NewLatencyTracker(0, true)
+	lat.ReserveAll(reserveFor(rps * float64(cfg.Duration)))
+	// Requests are pooled exactly as in cluster.RunFleet: the sinks below
+	// are the end of every request's life (the manager's Complete hook,
+	// which releases its per-request state, runs first), so retired nodes
+	// recycle through the generator. Identical values either way — only
+	// allocation counts change.
+	pool := &workload.RequestPool{}
 	measuring := false
 	var samples []predict.Sample
 	droppedInWindow := 0
@@ -608,59 +631,56 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	violations := 0
 	srv.CompletedSink = func(en *sim.Engine, r *workload.Request) {
-		if !measuring {
-			return
+		if measuring {
+			lat.Add(float64(r.Sojourn()))
+			if r.Sojourn() > qos.Latency {
+				violations++
+			}
+			if c := int(r.SLOClass); c < len(classHist) {
+				classHist[c].Record(int64(float64(r.Sojourn()) * 1e9))
+			}
+			if cfg.CollectSamples {
+				// The request's Features backing is about to be recycled.
+				samples = append(samples, predict.Sample{
+					Level:    cpu.Level(r.ServedLevel),
+					Features: append([]float64(nil), r.Features...),
+					Service:  float64(r.ServiceTime()),
+				})
+			}
 		}
-		lat.Add(float64(r.Sojourn()))
-		if r.Sojourn() > qos.Latency {
-			violations++
-		}
-		if c := int(r.SLOClass); c < len(classHist) {
-			classHist[c].Record(int64(float64(r.Sojourn()) * 1e9))
-		}
-		if cfg.CollectSamples {
-			samples = append(samples, predict.Sample{
-				Level:    cpu.Level(r.ServedLevel),
-				Features: r.Features,
-				Service:  float64(r.ServiceTime()),
-			})
-		}
+		pool.Put(r)
 	}
 	srv.DroppedSink = func(en *sim.Engine, r *workload.Request) {
-		if !measuring {
-			return
+		if measuring {
+			droppedInWindow++
+			if c := int(r.SLOClass); c < len(classDropped) {
+				classDropped[c]++
+			}
 		}
-		droppedInWindow++
-		if c := int(r.SLOClass); c < len(classDropped) {
-			classDropped[c]++
-		}
+		pool.Put(r)
 	}
 
 	sink := srv.Submit
 	if cfg.Record != nil {
+		// The tap sees warmup arrivals too.
+		cfg.Record.Reserve(len(cfg.Record.Records) + reserveFor(rps*float64(cfg.Warmup+cfg.Duration)))
 		sink = cfg.Record.RecordSink(sink)
 	}
-	rps := cfg.RPS
 	var stopGen func()
 	switch {
 	case cfg.Replay != nil:
 		pl := workload.NewPlayer(cfg.Replay, sink)
+		pl.Pool = pool
 		pl.Start(e)
 		stopGen = pl.Stop
-		if rps <= 0 && cfg.Duration > 0 {
-			rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
-		}
-	case cfg.Spec != nil:
-		spec := cfg.Spec
-		if cfg.RPS > 0 {
-			spec = spec.ScaledTo(cfg.RPS)
-		}
+	case spec != nil:
 		cg := workload.NewCohortGenerator(spec, cfg.Seed, sink)
+		cg.Pool = pool
 		cg.Start(e)
 		stopGen = cg.Stop
-		rps = spec.TotalRPS()
 	default:
 		gen := workload.NewGenerator(cfg.App, cfg.RPS, cfg.Seed, sink)
+		gen.Pool = pool
 		gen.Start(e)
 		stopGen = gen.Stop
 	}
@@ -718,6 +738,15 @@ func Run(cfg RunConfig) (*Result, error) {
 		res.Classes = append(res.Classes, cr)
 	}
 	return res, nil
+}
+
+// reserveFor turns an expected event count (rate × horizon) into a buffer
+// capacity: 3 % + 64 of headroom covers the count's own spread (√n for
+// Poisson arrivals, a few times that for the bursty processes), so a
+// presized buffer does not regrow once near its end.
+func reserveFor(expect float64) int {
+	n := int(expect)
+	return n + n/32 + 64
 }
 
 // DropRate returns dropped/(dropped+completed) over the window.

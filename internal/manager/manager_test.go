@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retail/internal/cpu"
-	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/server"
 	"retail/internal/sim"
@@ -127,25 +126,5 @@ func TestObservableFeatures(t *testing.T) {
 	// The input is never mutated.
 	if r.Features[1] != 7 {
 		t.Fatal("ObservableFeatures mutated the request")
-	}
-}
-
-// TestReadiness pins the manager-side contract on the shared readiness
-// tracker: requests are keyed by ID, and forgetting a completed request
-// resets its state (the policy package's own tests cover the type; this
-// one keeps the adapter's usage honest).
-func TestReadiness(t *testing.T) {
-	rd := policy.NewReadiness()
-	r := &workload.Request{ID: 42}
-	if rd.IsReady(r.ID) {
-		t.Fatal("fresh request marked ready")
-	}
-	rd.MarkReady(r.ID)
-	if !rd.IsReady(r.ID) {
-		t.Fatal("MarkReady had no effect")
-	}
-	rd.Forget(r.ID)
-	if rd.IsReady(r.ID) {
-		t.Fatal("Forget had no effect")
 	}
 }

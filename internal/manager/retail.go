@@ -82,7 +82,6 @@ type ReTail struct {
 	cfg  ReTailConfig
 	srv  *server.Server
 	qos  workload.QoS
-	rd   *policy.Readiness
 	grid *cpu.Grid
 
 	model predict.Predictor
@@ -100,9 +99,12 @@ type ReTail struct {
 	// feature vector and the per-level predicted service times, keyed by
 	// (readiness, model generation): one decision does at most Q feature
 	// builds and each (level, request) pair is predicted once until the
-	// request's readiness flips or the model is retrained. Entries are
-	// recycled through predFree when requests complete, so steady state
-	// allocates nothing. See predictService for the inference-counting rule.
+	// request's readiness flips or the model is retrained. The entry also
+	// *is* the request's readiness record (the Ready hook sets it), so a
+	// request costs one map insert, one lookup per memo miss and one
+	// delete. Entries are recycled through predFree when requests
+	// complete, so steady state allocates nothing. See predictService for
+	// the inference-counting rule.
 	pred     map[uint64]*predEntry
 	predFree []*predEntry
 	modelGen uint64
@@ -180,7 +182,6 @@ func NewReTail(qos workload.QoS, cfg ReTailConfig) *ReTail {
 	m := &ReTail{
 		cfg:      cfg,
 		qos:      qos,
-		rd:       policy.NewReadiness(),
 		model:    cfg.Model,
 		pred:     map[uint64]*predEntry{},
 		headOnly: cfg.Params.Alg1.HeadOnly,
@@ -328,9 +329,11 @@ func (m *ReTail) monitorTick(now policy.Time) {
 	}
 }
 
-// predEntry is one request's prediction-memo slot: the observable feature
-// vector and the per-level predicted service times (NaN = not yet
-// computed), both valid for a specific (readiness, model generation) pair.
+// predEntry is one in-flight request's slot: whether its stage-1 feature
+// extraction has completed (an unready request's late features read as
+// zero), and the prediction memo — the observable feature vector and the
+// per-level predicted service times (NaN = not yet computed) — built for
+// that readiness under model generation modelGen.
 type predEntry struct {
 	modelGen uint64
 	ready    bool
@@ -338,17 +341,13 @@ type predEntry struct {
 	vals     []float64
 }
 
-// entryFor returns r's memo entry, (re)building the cached feature vector
-// and invalidating stale predictions when the request's readiness or the
-// model generation changed since the entry was filled.
-func (m *ReTail) entryFor(r *workload.Request) *predEntry {
-	ready := m.rd.IsReady(r.ID)
-	var ent *predEntry
+// lookup returns r's entry, creating an unready one with a stale memo on
+// first sight of the request.
+func (m *ReTail) lookup(r *workload.Request) *predEntry {
 	if m.lastEnt != nil && m.lastID == r.ID {
-		ent = m.lastEnt
-	} else {
-		ent = m.pred[r.ID]
+		return m.lastEnt
 	}
+	ent := m.pred[r.ID]
 	if ent == nil {
 		if n := len(m.predFree); n > 0 {
 			ent = m.predFree[n-1]
@@ -357,13 +356,31 @@ func (m *ReTail) entryFor(r *workload.Request) *predEntry {
 		} else {
 			ent = &predEntry{}
 		}
-		ent.modelGen = m.modelGen - 1 // force the rebuild below
+		ent.ready = false
+		ent.modelGen = m.modelGen - 1 // stale: the first entryFor builds
 		m.pred[r.ID] = ent
 	}
 	m.lastID, m.lastEnt = r.ID, ent
-	if ent.modelGen != m.modelGen || ent.ready != ready {
-		ent.modelGen, ent.ready = m.modelGen, ready
-		ent.feats = AppendObservableFeatures(ent.feats, m.cfg.Layout.Specs, r, ready, false)
+	return ent
+}
+
+// markReady records that r's application features are now observable and
+// marks the memo stale, since it was built (if at all) without them.
+func (m *ReTail) markReady(r *workload.Request) {
+	if ent := m.lookup(r); !ent.ready {
+		ent.ready = true
+		ent.modelGen = m.modelGen - 1
+	}
+}
+
+// entryFor returns r's memo entry, (re)building the cached feature vector
+// and invalidating stale predictions when the request's readiness or the
+// model generation changed since the entry was filled.
+func (m *ReTail) entryFor(r *workload.Request) *predEntry {
+	ent := m.lookup(r)
+	if ent.modelGen != m.modelGen {
+		ent.modelGen = m.modelGen
+		ent.feats = AppendObservableFeatures(ent.feats, m.cfg.Layout.Specs, r, ent.ready, false)
 		n := m.grid.Levels()
 		if cap(ent.vals) < n {
 			ent.vals = make([]float64, n)
@@ -376,9 +393,8 @@ func (m *ReTail) entryFor(r *workload.Request) *predEntry {
 	return ent
 }
 
-// forgetPrediction recycles r's memo entry once the request leaves the
-// system.
-func (m *ReTail) forgetPrediction(r *workload.Request) {
+// forget recycles r's entry once the request leaves the system.
+func (m *ReTail) forget(r *workload.Request) {
 	if ent, ok := m.pred[r.ID]; ok {
 		delete(m.pred, r.ID)
 		m.predFree = append(m.predFree, ent)
@@ -575,7 +591,7 @@ func (m *ReTail) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) b
 
 // Ready implements server.Hooks.
 func (m *ReTail) Ready(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	m.rd.MarkReady(r.ID)
+	m.markReady(r)
 	// Fresh application features can change the pipeline estimate.
 	if cur := w.Current(); cur != nil && cur != r {
 		m.decide(e, w, cur, w.ProgressFraction(e.Now()), nil)
@@ -607,8 +623,7 @@ func cleanSample(r *workload.Request) bool {
 // (re)training, feed the drift detector and the latency monitor.
 func (m *ReTail) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	m.mon.Observe(float64(e.Now()), float64(r.Sojourn()))
-	m.rd.Forget(r.ID)
-	m.forgetPrediction(r)
+	m.forget(r)
 	if cleanSample(r) {
 		actual := float64(r.ServiceTime())
 		lvl := cpu.Level(r.ServedLevel)

@@ -320,3 +320,49 @@ func (h *readyInterceptor) Start(e *sim.Engine, w *server.Worker, r *workload.Re
 func (h *readyInterceptor) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	h.inner.Complete(e, w, r)
 }
+
+// TestReTailReadinessLivesInMemoEntry pins the merged bookkeeping: one
+// ID-keyed entry per in-flight request carries both its readiness and its
+// prediction memo. A request marked Ready before anything predicted for it
+// still predicts with its late feature; a flip after a prediction
+// invalidates the memo; Complete's single delete forgets both.
+func TestReTailReadinessLivesInMemoEntry(t *testing.T) {
+	app := varApp{base: 10e-3, slope: 1e-3, spread: 20, lateness: 0.2, qos: workload.QoS{Latency: 100e-3, Percentile: 99}}
+	rig := newRig(t, app, 1)
+	m := NewReTail(app.QoS(), rig.retailConfig())
+	m.Attach(rig.e, rig.srv)
+	w := rig.srv.Workers()[0] // idle: the hooks below trigger no decision
+	lvl := rig.grid.MaxLevel()
+
+	early := &workload.Request{ID: 1, Features: []float64{7}}
+	m.Ready(rig.e, w, early)
+	if ent := m.entryFor(early); !ent.ready || ent.feats[0] != 7 {
+		t.Fatalf("ready-before-first-lookup: ready=%v feats=%v, want the late feature visible", ent.ready, ent.feats)
+	}
+	withFeature := m.predictService(lvl, early)
+
+	late := &workload.Request{ID: 2, Features: []float64{7}}
+	if ent := m.entryFor(late); ent.ready || ent.feats[0] != 0 {
+		t.Fatalf("unready request: ready=%v feats=%v, want the late feature masked", ent.ready, ent.feats)
+	}
+	masked := m.predictService(lvl, late)
+	if masked == withFeature {
+		t.Fatalf("masked and unmasked predictions agree (%v); the test cannot tell them apart", masked)
+	}
+	m.Ready(rig.e, w, late)
+	if got := m.predictService(lvl, late); got != withFeature {
+		t.Fatalf("prediction after the readiness flip = %v, want %v (memo not invalidated)", got, withFeature)
+	}
+
+	// A recycled ID starts unready again, and nothing is left behind.
+	early.End, late.End = 1, 1
+	m.Complete(rig.e, w, early)
+	m.Complete(rig.e, w, late)
+	if len(m.pred) != 0 {
+		t.Fatalf("%d entries survive completion", len(m.pred))
+	}
+	reused := &workload.Request{ID: 1, Features: []float64{7}}
+	if ent := m.entryFor(reused); ent.ready || ent.feats[0] != 0 {
+		t.Fatalf("recycled ID inherited readiness: ready=%v feats=%v", ent.ready, ent.feats)
+	}
+}

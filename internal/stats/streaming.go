@@ -57,11 +57,19 @@ func (r *Running) Max() float64 { return r.max }
 func (r *Running) Reset() { *r = Running{} }
 
 // LatencyTracker stores latency samples for percentile queries over a
-// sliding window, as the latency monitor needs (the paper samples tail
-// latency every 100 ms over the recent window), and cumulatively for
-// end-of-run reporting.
+// sliding window of the most recent windowCap samples, as the latency
+// monitor needs (the paper samples tail latency every 100 ms over the
+// recent window), and cumulatively for end-of-run reporting.
+//
+// The window is a ring: once full, Add overwrites the oldest sample in
+// place, so recording is O(1) and allocation-free however large the
+// window. The ring holds the same multiset of samples a shifted slice
+// would, in a rotated order; every reader takes order statistics, which
+// are permutation-invariant, so window percentiles are bit-identical to
+// the in-order form.
 type LatencyTracker struct {
-	window    []float64
+	window    []float64 // ring storage; len < windowCap until first full
+	head      int       // oldest sample, and the next overwritten, once full
 	windowCap int
 	all       []float64
 	keepAll   bool
@@ -84,11 +92,13 @@ func (t *LatencyTracker) Add(x float64) {
 	if t.keepAll {
 		t.all = append(t.all, x)
 	}
-	if len(t.window) == t.windowCap {
-		copy(t.window, t.window[1:])
-		t.window[len(t.window)-1] = x
-	} else {
+	if len(t.window) < t.windowCap {
 		t.window = append(t.window, x)
+		return
+	}
+	t.window[t.head] = x
+	if t.head++; t.head == t.windowCap {
+		t.head = 0
 	}
 }
 
@@ -111,7 +121,7 @@ func (t *LatencyTracker) WindowPercentile(p float64) (float64, bool) {
 }
 
 // ResetWindow clears the sliding window but keeps cumulative state.
-func (t *LatencyTracker) ResetWindow() { t.window = t.window[:0] }
+func (t *LatencyTracker) ResetWindow() { t.window, t.head = t.window[:0], 0 }
 
 // ReserveAll pre-grows the keepAll buffer to hold n samples, sparing the
 // append-doubling reallocations when the caller can estimate the sample

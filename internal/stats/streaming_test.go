@@ -153,3 +153,141 @@ func TestRunningInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// naiveWindow is the reference the ring is checked against: the last cap
+// samples, in arrival order, in a plain slice.
+type naiveWindow struct {
+	cap int
+	xs  []float64
+}
+
+func (w *naiveWindow) add(x float64) {
+	w.xs = append(w.xs, x)
+	if len(w.xs) > w.cap {
+		w.xs = w.xs[1:]
+	}
+}
+
+// checkRingAgainst compares every window reader of tr with the reference,
+// bit for bit.
+func checkRingAgainst(t *testing.T, tr *LatencyTracker, ref *naiveWindow, step int) {
+	t.Helper()
+	if tr.WindowCount() != len(ref.xs) {
+		t.Fatalf("step %d: WindowCount = %d, reference holds %d", step, tr.WindowCount(), len(ref.xs))
+	}
+	for _, p := range []float64{0, 25, 50, 95, 99, 100} {
+		got, ok := tr.WindowPercentile(p)
+		if ok != (len(ref.xs) > 0) {
+			t.Fatalf("step %d: WindowPercentile(%v) ok = %v with %d samples", step, p, ok, len(ref.xs))
+		}
+		if !ok {
+			continue
+		}
+		if want := Percentile(ref.xs, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: WindowPercentile(%v) = %v, reference %v", step, p, got, want)
+		}
+	}
+	qs := []float64{0, 0.5, 0.95, 0.99, 1}
+	got := tr.Quantiles(qs...)
+	for i, q := range qs {
+		want := 0.0
+		if len(ref.xs) > 0 {
+			want = Percentile(ref.xs, q*100)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("step %d: Quantiles(%v) = %v, reference %v", step, q, got[i], want)
+		}
+	}
+}
+
+// Property: the ring-buffered window answers WindowCount, WindowPercentile
+// and the non-keepAll Quantiles exactly as a slice of the last cap samples
+// does, across wrap-arounds and resets.
+func TestLatencyTrackerRingMatchesNaiveWindow(t *testing.T) {
+	for _, capN := range []int{1, 2, 7, 4096} {
+		rng := rand.New(rand.NewSource(int64(capN) * 977))
+		tr := NewLatencyTracker(capN, false)
+		ref := &naiveWindow{cap: capN}
+		reset := func() {
+			tr.ResetWindow()
+			ref.xs = ref.xs[:0]
+		}
+		step := 0
+		add := func(n int) {
+			for i := 0; i < n; i++ {
+				x := rng.ExpFloat64()
+				tr.Add(x)
+				ref.add(x)
+				step++
+				// Checking is O(cap); sample the big window, check every
+				// step of the small ones.
+				if capN <= 8 || step%509 == 0 {
+					checkRingAgainst(t, tr, ref, step)
+				}
+			}
+			checkRingAgainst(t, tr, ref, step)
+		}
+		// Reset while wrapped (head mid-ring), then refill past the cap.
+		add(3*capN + capN/2 + 1)
+		reset()
+		checkRingAgainst(t, tr, ref, step)
+		add(2*capN + 3)
+		// Reset while partly filled, and twice in a row.
+		reset()
+		add(capN/2 + 1)
+		reset()
+		reset()
+		checkRingAgainst(t, tr, ref, step)
+		// Random interleaving over several more wrap-arounds.
+		for round := 0; round < 12; round++ {
+			add(rng.Intn(capN+capN/2) + 1)
+			if rng.Intn(3) == 0 {
+				reset()
+				checkRingAgainst(t, tr, ref, step)
+			}
+		}
+		if tr.Count() != step {
+			t.Fatalf("cap %d: cumulative count %d after %d adds", capN, tr.Count(), step)
+		}
+	}
+}
+
+// benchTracker returns a tracker whose window is full, and whose keepAll
+// buffer (when on) has room for n more samples, so the timed Adds are the
+// steady state.
+func benchTracker(keepAll bool, n int) *LatencyTracker {
+	tr := NewLatencyTracker(0, keepAll)
+	tr.ReserveAll(4096 + n)
+	for i := 0; i < 4096; i++ {
+		tr.Add(float64(i))
+	}
+	return tr
+}
+
+func TestLatencyTrackerAddZeroAlloc(t *testing.T) {
+	for _, keepAll := range []bool{false, true} {
+		const runs = 1000
+		tr := benchTracker(keepAll, runs+1) // AllocsPerRun makes one warm-up call
+		if a := testing.AllocsPerRun(runs, func() { tr.Add(0.001) }); a != 0 {
+			t.Fatalf("keepAll=%v: Add allocates %v times per call on a full window", keepAll, a)
+		}
+	}
+}
+
+// BenchmarkLatencyTrackerAdd times one Add on a full 4096-sample window:
+// the per-completion cost every simulated request pays once per tracker.
+func BenchmarkLatencyTrackerAdd(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		keepAll bool
+	}{{"window", false}, {"keepAll", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := benchTracker(bc.keepAll, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Add(0.001)
+			}
+		})
+	}
+}

@@ -65,15 +65,19 @@ func (a *ReplayApp) Len() int { return len(a.samples) }
 
 // Generate implements App by sampling the trace with replacement.
 func (a *ReplayApp) Generate(rng *rand.Rand) *Request {
+	r := &Request{}
+	a.GenerateInto(r, rng)
+	return r
+}
+
+// GenerateInto implements InPlaceGenerator; the sample's features are
+// copied into the request's own backing.
+func (a *ReplayApp) GenerateInto(r *Request, rng *rand.Rand) {
 	s := a.samples[rng.Intn(len(a.samples))]
-	feats := make([]float64, len(s.Features))
-	copy(feats, s.Features)
-	return &Request{
-		App:         a.name,
-		Features:    feats,
-		ServiceBase: s.Service,
-		ComputeFrac: a.cf,
-	}
+	r.App = a.name
+	r.Features = append(r.Features[:0], s.Features...)
+	r.ServiceBase = s.Service
+	r.ComputeFrac = a.cf
 }
 
 // LoadReplayCSV reads samples from CSV with header

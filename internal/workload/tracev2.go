@@ -98,7 +98,16 @@ type Trace struct {
 	Records []TraceRecord
 
 	appIdx map[string]uint8
+	// arena is the tail of the current feature chunk: Add carves each
+	// record's Features copy out of it, so recording costs one allocation
+	// per featureChunk values instead of one per request.
+	arena []float64
 }
+
+// featureChunk is how many float64 feature values one arena chunk holds
+// (64 KB): large enough that chunk allocations vanish from the recording
+// path, small enough that a short trace wastes little.
+const featureChunk = 8192
 
 // NewTrace starts an empty recording for a spec at a run seed. The
 // caller stamps provenance (Trace.Header.Provenance) before writing;
@@ -124,6 +133,38 @@ func NewTrace(spec *Spec, seed int64) *Trace {
 	return t
 }
 
+// Reserve pre-grows Records to hold n records, sparing the
+// append-doubling reallocations when the caller can estimate the stream
+// length up front (rate × horizon). Capacity only — recorded requests are
+// untouched, and a longer stream still grows as before.
+func (t *Trace) Reserve(n int) {
+	if cap(t.Records) >= n {
+		return
+	}
+	grown := make([]TraceRecord, len(t.Records), n)
+	copy(grown, t.Records)
+	t.Records = grown
+}
+
+// copyFeatures returns a private copy of f carved from the arena (nil for
+// an empty vector, as a decoded record carries). The copy's capacity is
+// clipped so an append by a caller cannot reach the next record's values.
+func (t *Trace) copyFeatures(f []float64) []float64 {
+	if len(f) == 0 {
+		return nil
+	}
+	if len(f) > cap(t.arena)-len(t.arena) {
+		n := featureChunk
+		if len(f) > n {
+			n = len(f)
+		}
+		t.arena = make([]float64, 0, n)
+	}
+	start := len(t.arena)
+	t.arena = append(t.arena, f...)
+	return t.arena[start:len(t.arena):len(t.arena)]
+}
+
 // Add appends a request (called at arrival time, before the server
 // mutates it). Features are copied; the request may be pooled.
 func (t *Trace) Add(r *Request) {
@@ -140,7 +181,7 @@ func (t *Trace) Add(r *Request) {
 		Arrival:     r.Gen,
 		App:         idx,
 		Class:       r.SLOClass,
-		Features:    append([]float64(nil), r.Features...),
+		Features:    t.copyFeatures(r.Features),
 		ServiceBase: r.ServiceBase,
 		ComputeFrac: r.ComputeFrac,
 	})
