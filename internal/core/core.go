@@ -78,8 +78,12 @@ type Calibration struct {
 	ProfileAtMax []float64
 	// profileFeatures aligns with ProfileAtMax for threshold derivation.
 	profileFeatures [][]float64
-	// geminiModel memoizes the trained Gemini network.
+	// geminiOnce trains the Gemini network for geminiModel/geminiErr: the
+	// calibration is shared read-only by concurrently running sweep cells,
+	// and the first of them to ask must be the only one to train.
+	geminiOnce  sync.Once
 	geminiModel *predict.NNModel
+	geminiErr   error
 }
 
 // Calibrate profiles samplesPerLevel requests at every frequency level (the
@@ -282,30 +286,29 @@ func (c *Calibration) NewRubikParams(p policy.Params) *manager.Rubik {
 	return m
 }
 
-// GeminiModel trains (once, memoized) Gemini's network on request-arrival
-// features at max frequency. The structure defaults to Gemini's published
-// 5×128 when cfg is nil; the first call's configuration wins.
+// GeminiModel trains (once, memoized, safe for concurrent callers) Gemini's
+// network on request-arrival features at max frequency. The structure
+// defaults to Gemini's published 5×128 when cfg is nil; the first call's
+// configuration — and its error, if it fails — wins.
 func (c *Calibration) GeminiModel(cfg *nn.Config) (*predict.NNModel, error) {
-	if c.geminiModel != nil {
-		return c.geminiModel, nil
-	}
-	inputs := c.requestFeatureIndices()
-	if len(inputs) == 0 {
-		// Degenerate: no request features at all; feed the first feature
-		// (as zeros at inference time) so the model predicts a constant.
-		inputs = []int{0}
-	}
-	nncfg := nn.GeminiConfig(len(inputs))
-	if cfg != nil {
-		nncfg = *cfg
-		nncfg.InputDim = len(inputs)
-	}
-	model, err := predict.FitNN(c.Training, c.Platform.Grid, nncfg, c.Platform.Grid.MaxLevel(), inputs)
-	if err != nil {
-		return nil, fmt.Errorf("core: gemini NN fit: %w", err)
-	}
-	c.geminiModel = model
-	return model, nil
+	c.geminiOnce.Do(func() {
+		inputs := c.requestFeatureIndices()
+		if len(inputs) == 0 {
+			// Degenerate: no request features at all; feed the first feature
+			// (as zeros at inference time) so the model predicts a constant.
+			inputs = []int{0}
+		}
+		nncfg := nn.GeminiConfig(len(inputs))
+		if cfg != nil {
+			nncfg = *cfg
+			nncfg.InputDim = len(inputs)
+		}
+		c.geminiModel, c.geminiErr = predict.FitNN(c.Training, c.Platform.Grid, nncfg, c.Platform.Grid.MaxLevel(), inputs)
+		if c.geminiErr != nil {
+			c.geminiErr = fmt.Errorf("core: gemini NN fit: %w", c.geminiErr)
+		}
+	})
+	return c.geminiModel, c.geminiErr
 }
 
 // NewGemini wraps the (memoized) Gemini network in the two-step-DVFS,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"retail/internal/manager"
@@ -276,6 +277,46 @@ func TestNewGeminiAndAdrenalineConstruction(t *testing.T) {
 	}
 	if cal.NewPegasus().Name() != "pegasus" || cal.NewMaxFreq().Name() != "maxfreq" || cal.NewRubik().Name() != "rubik" {
 		t.Fatal("factory names")
+	}
+}
+
+// Parallel sweep cells ask one shared calibration for Gemini's network at the
+// same moment: all of them must get the one model the first asker trained
+// (each racing caller used to train and return its own), later
+// configurations must not retrain it, and a failed fit must stay failed.
+func TestGeminiModelTrainsOnceUnderConcurrency(t *testing.T) {
+	cal := calibrateOrDie(t, "xapian")
+	cfg := nn.TunedConfig(1, 1, 8, 5, 32)
+	models := make([]*predict.NNModel, 8)
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := cal.GeminiModel(&cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			models[i] = m
+		}()
+	}
+	wg.Wait()
+	for i, m := range models {
+		if m == nil || m != models[0] {
+			t.Fatalf("caller %d got model %p, caller 0 got %p: trained more than once", i, m, models[0])
+		}
+	}
+	other := nn.TunedConfig(1, 2, 16, 5, 32)
+	if m, _ := cal.GeminiModel(&other); m != models[0] {
+		t.Fatal("a later configuration retrained the network; the first call's must win")
+	}
+
+	bad := calibrateOrDie(t, "xapian")
+	if _, err := bad.GeminiModel(&nn.Config{HiddenLayers: -1}); err == nil {
+		t.Fatal("invalid network shape accepted")
+	}
+	if _, err := bad.GeminiModel(&cfg); err == nil {
+		t.Fatal("the first call's error was not memoized")
 	}
 }
 

@@ -111,7 +111,7 @@ func TestRubikRMSEAgainst(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Gemini
 
-func geminiFor(t *testing.T, rig *testRig, app varApp) *Gemini {
+func geminiFor(t testing.TB, rig *testRig, app varApp) *Gemini {
 	t.Helper()
 	nncfg := nn.TunedConfig(1, 1, 16, 40, 32)
 	model, err := predict.FitNN(rig.set, rig.grid, nncfg, rig.grid.MaxLevel(), []int{0})

@@ -90,8 +90,13 @@ func (r *testRig) retailConfig() ReTailConfig {
 }
 
 // submit injects a request with feature x at the current time.
-func (r *testRig) submit(x float64) *workload.Request {
+func (r *testRig) submit(x float64) *workload.Request { return r.submitID(0, x) }
+
+// submitID is submit for tests of per-request state, which managers key by
+// ID: the generators number requests, hand-built ones are all 0.
+func (r *testRig) submitID(id uint64, x float64) *workload.Request {
 	req := &workload.Request{
+		ID:          id,
 		App:         r.app.Name(),
 		Features:    []float64{x},
 		ServiceBase: sim.Duration(r.app.base + r.app.slope*x),

@@ -3,8 +3,22 @@
 // and the per-application hand-tuned variant ("NN-T"). The point of the
 // comparison is that NNs buy little accuracy over linear regression on
 // these workloads while costing orders of magnitude more training and
-// inference time, so the implementation favors clarity over speed — the
-// overhead gap is intrinsic, not an artifact.
+// inference time. That gap is intrinsic — 66 k parameters against a
+// handful — and must not be an artifact, so the implementation is not
+// wasteful: training is batch-major, allocation-free and spread over
+// GOMAXPROCS goroutines (train.go), a forward pass keeps four sums in
+// flight, and LR still wins by three (inference) to five (training) orders
+// of magnitude.
+//
+// Contract: speed never changes a result. Every sum is taken over the same
+// terms in the same order as the plain per-sample loops kept in ref_test.go,
+// so weights, Adam state and predictions are bit-identical to theirs at any
+// GOMAXPROCS (TestFitBitIdenticalToReference), and no simulated number
+// downstream of a Gemini prediction depends on the host's core count.
+//
+// A trained Network is shared read-only by parallel sweep cells and fleet
+// nodes, so it holds no inference state: Predict writes only to the
+// caller's Scratch.
 package nn
 
 import (
@@ -61,6 +75,9 @@ func newLayer(in, out int, rng *rand.Rand) *layer {
 	}
 	return l
 }
+
+// row returns neuron o's weights.
+func (l *layer) row(o int) []float64 { return l.w[o*l.in : (o+1)*l.in] }
 
 // Network is a trained (or in-training) MLP with standardized inputs and
 // output. The zero value is unusable; call New.
@@ -128,188 +145,74 @@ func (n *Network) standardize(x []float64, dst []float64) {
 	}
 }
 
-// forward runs one sample, storing pre-activation inputs per layer for
-// backprop when acts is non-nil.
-func (n *Network) forward(x []float64, acts [][]float64) float64 {
-	cur := x
+// Scratch is the working memory of one forward pass: the two activation
+// buffers consecutive layers alternate between. It belongs to the caller —
+// a trained Network is shared read-only by concurrently running simulations,
+// so nothing a prediction writes may live in it. The zero value is ready and
+// reusable across networks; a Scratch must not be used concurrently.
+type Scratch struct{ cur, next []float64 }
+
+// dot4 returns sₖ + Σᵢ a[i]·bₖ[i] for four vectors at once. Each sum is
+// accumulated in index order in its own register, so it is the float the
+// one-at-a-time loop produces while the four chains overlap in the pipeline.
+func dot4(a, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+func relu(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// forward runs one standardized sample held in cur (a Scratch buffer, as is
+// next), four neurons per pass over the input; a layer's last block repeats
+// its final neuron rather than branch on a remainder.
+func (n *Network) forward(cur, next []float64) float64 {
 	for li, l := range n.layers {
-		next := make([]float64, l.out)
-		for o := 0; o < l.out; o++ {
-			s := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, v := range cur {
-				s += row[i] * v
+		next = next[:l.out]
+		last := l.out - 1
+		for o := 0; o <= last; o += 4 {
+			o1, o2, o3 := min(o+1, last), min(o+2, last), min(o+3, last)
+			s0, s1, s2, s3 := dot4(cur, l.row(o), l.row(o1), l.row(o2), l.row(o3), l.b[o], l.b[o1], l.b[o2], l.b[o3])
+			if li < len(n.layers)-1 { // ReLU on hidden layers
+				s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
 			}
-			if li < len(n.layers)-1 && s < 0 {
-				s = 0 // ReLU on hidden layers
-			}
-			next[o] = s
+			next[o], next[o1], next[o2], next[o3] = s0, s1, s2, s3
 		}
-		if acts != nil {
-			acts[li] = cur
-		}
-		cur = next
+		cur, next = next, cur[:cap(cur)]
 	}
 	return cur[0]
 }
 
-// Fit trains the network on (features, targets) using minibatch Adam with
-// an MSE loss, standardizing inputs and target internally. It records the
-// wall-clock training time in TrainDuration.
-func (n *Network) Fit(features [][]float64, targets []float64) error {
-	if len(features) == 0 {
-		return errors.New("nn: no training samples")
-	}
-	if len(features) != len(targets) {
-		return errors.New("nn: sample/target count mismatch")
-	}
-	d := n.cfg.InputDim
-	for i, f := range features {
-		if len(f) != d {
-			return fmt.Errorf("nn: sample %d has %d features, want %d", i, len(f), d)
-		}
-	}
-	start := time.Now()
-	// Standardization statistics.
-	n.inMean = make([]float64, d)
-	n.inStd = make([]float64, d)
-	for _, f := range features {
-		for j, v := range f {
-			n.inMean[j] += v
-		}
-	}
-	for j := range n.inMean {
-		n.inMean[j] /= float64(len(features))
-	}
-	for _, f := range features {
-		for j, v := range f {
-			dv := v - n.inMean[j]
-			n.inStd[j] += dv * dv
-		}
-	}
-	for j := range n.inStd {
-		n.inStd[j] = math.Sqrt(n.inStd[j] / float64(len(features)))
-	}
-	n.outMean, n.outStd = 0, 0
-	for _, t := range targets {
-		n.outMean += t
-	}
-	n.outMean /= float64(len(targets))
-	for _, t := range targets {
-		dv := t - n.outMean
-		n.outStd += dv * dv
-	}
-	n.outStd = math.Sqrt(n.outStd / float64(len(targets)))
-	if n.outStd == 0 {
-		n.outStd = 1
-	}
-
-	xs := make([][]float64, len(features))
-	ys := make([]float64, len(targets))
-	for i, f := range features {
-		xs[i] = make([]float64, d)
-		n.standardize(f, xs[i])
-		ys[i] = (targets[i] - n.outMean) / n.outStd
-	}
-
-	rng := rand.New(rand.NewSource(n.cfg.Seed + 17))
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-	step := 0
-	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for off := 0; off < len(idx); off += n.cfg.BatchSize {
-			end := off + n.cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			batch := idx[off:end]
-			// Accumulate gradients over the batch.
-			gw := make([][]float64, len(n.layers))
-			gb := make([][]float64, len(n.layers))
-			for li, l := range n.layers {
-				gw[li] = make([]float64, len(l.w))
-				gb[li] = make([]float64, len(l.b))
-			}
-			acts := make([][]float64, len(n.layers))
-			for _, si := range batch {
-				pred := n.forward(xs[si], acts)
-				// dL/dpred for 0.5·MSE per sample.
-				delta := []float64{pred - ys[si]}
-				for li := len(n.layers) - 1; li >= 0; li-- {
-					l := n.layers[li]
-					in := acts[li]
-					nd := make([]float64, l.in)
-					for o := 0; o < l.out; o++ {
-						dO := delta[o]
-						if dO == 0 {
-							continue
-						}
-						row := l.w[o*l.in : (o+1)*l.in]
-						gb[li][o] += dO
-						grow := gw[li][o*l.in : (o+1)*l.in]
-						for i, v := range in {
-							grow[i] += dO * v
-							nd[i] += dO * row[i]
-						}
-					}
-					// ReLU derivative through the previous layer's output.
-					if li > 0 {
-						for i := range nd {
-							if in[i] <= 0 {
-								nd[i] = 0
-							}
-						}
-					}
-					delta = nd
-				}
-			}
-			// Adam update.
-			step++
-			bs := float64(len(batch))
-			bc1 := 1 - math.Pow(beta1, float64(step))
-			bc2 := 1 - math.Pow(beta2, float64(step))
-			lr := n.cfg.LearningRate
-			for li, l := range n.layers {
-				for i := range l.w {
-					g := gw[li][i] / bs
-					l.mw[i] = beta1*l.mw[i] + (1-beta1)*g
-					l.vw[i] = beta2*l.vw[i] + (1-beta2)*g*g
-					l.w[i] -= lr * (l.mw[i] / bc1) / (math.Sqrt(l.vw[i]/bc2) + eps)
-				}
-				for i := range l.b {
-					g := gb[li][i] / bs
-					l.mb[i] = beta1*l.mb[i] + (1-beta1)*g
-					l.vb[i] = beta2*l.vb[i] + (1-beta2)*g*g
-					l.b[i] -= lr * (l.mb[i] / bc1) / (math.Sqrt(l.vb[i]/bc2) + eps)
-				}
-			}
-		}
-	}
-	n.trained = true
-	n.TrainDuration = time.Since(start)
-	return nil
-}
-
-// Predict returns the network's output for one feature vector.
-func (n *Network) Predict(x []float64) (float64, error) {
+// Predict returns the network's output for one feature vector. It allocates
+// only while s grows to the network's width.
+func (n *Network) Predict(s *Scratch, x []float64) (float64, error) {
 	if !n.trained {
 		return 0, errors.New("nn: predict before Fit")
 	}
 	if len(x) != n.cfg.InputDim {
 		return 0, fmt.Errorf("nn: got %d features, want %d", len(x), n.cfg.InputDim)
 	}
-	std := make([]float64, len(x))
-	n.standardize(x, std)
-	return n.forward(std, nil)*n.outStd + n.outMean, nil
+	if w := max(n.cfg.InputDim, n.cfg.Neurons); cap(s.cur) < w || cap(s.next) < w {
+		s.cur, s.next = make([]float64, w), make([]float64, w)
+	}
+	cur := s.cur[:len(x)]
+	n.standardize(x, cur)
+	return n.forward(cur, s.next)*n.outStd + n.outMean, nil
 }
 
 // MustPredict is Predict for callers that have already validated inputs.
-func (n *Network) MustPredict(x []float64) float64 {
-	v, err := n.Predict(x)
+func (n *Network) MustPredict(s *Scratch, x []float64) float64 {
+	v, err := n.Predict(s, x)
 	if err != nil {
 		panic(err)
 	}

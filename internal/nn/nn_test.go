@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"retail/internal/linalg"
 	"retail/internal/stats"
 )
 
@@ -36,7 +38,7 @@ func TestParamCount(t *testing.T) {
 
 func TestPredictBeforeFit(t *testing.T) {
 	n, _ := New(Config{InputDim: 1, HiddenLayers: 1, Neurons: 4})
-	if _, err := n.Predict([]float64{1}); err == nil {
+	if _, err := n.Predict(&Scratch{}, []float64{1}); err == nil {
 		t.Fatal("predict before fit accepted")
 	}
 }
@@ -59,7 +61,7 @@ func TestPredictDimensionCheck(t *testing.T) {
 	if err := n.Fit([][]float64{{1, 2}, {2, 3}, {3, 4}}, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Predict([]float64{1}); err == nil {
+	if _, err := n.Predict(&Scratch{}, []float64{1}); err == nil {
 		t.Fatal("wrong-width predict accepted")
 	}
 }
@@ -79,7 +81,7 @@ func TestLearnsLinearFunction(t *testing.T) {
 	}
 	preds := make([]float64, len(xs))
 	for i := range xs {
-		preds[i] = n.MustPredict(xs[i])
+		preds[i] = n.MustPredict(&Scratch{}, xs[i])
 	}
 	r2, _ := stats.R2(ys, preds)
 	if r2 < 0.99 {
@@ -107,7 +109,7 @@ func TestLearnsConcaveFunction(t *testing.T) {
 	}
 	preds := make([]float64, len(xs))
 	for i := range xs {
-		preds[i] = n.MustPredict(xs[i])
+		preds[i] = n.MustPredict(&Scratch{}, xs[i])
 	}
 	r2, _ := stats.R2(ys, preds)
 	if r2 < 0.995 {
@@ -130,7 +132,7 @@ func TestMultiFeatureRegression(t *testing.T) {
 	}
 	preds := make([]float64, len(xs))
 	for i := range xs {
-		preds[i] = n.MustPredict(xs[i])
+		preds[i] = n.MustPredict(&Scratch{}, xs[i])
 	}
 	r2, _ := stats.R2(ys, preds)
 	if r2 < 0.98 {
@@ -152,7 +154,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if err := n.Fit(xs, ys); err != nil {
 			t.Fatal(err)
 		}
-		return n.MustPredict([]float64{0.5})
+		return n.MustPredict(&Scratch{}, []float64{0.5})
 	}
 	if a, b := mk(), mk(); a != b {
 		t.Fatalf("same seed gave different predictions: %v vs %v", a, b)
@@ -170,7 +172,7 @@ func TestConstantTargetDoesNotDivergence(t *testing.T) {
 	if err := n.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	got := n.MustPredict([]float64{25})
+	got := n.MustPredict(&Scratch{}, []float64{25})
 	if math.IsNaN(got) || math.Abs(got-7) > 0.5 {
 		t.Fatalf("constant target predicted %v, want ≈7", got)
 	}
@@ -190,7 +192,7 @@ func TestConstantFeatureColumnHandled(t *testing.T) {
 	if err := n.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	got := n.MustPredict([]float64{3, 0.5})
+	got := n.MustPredict(&Scratch{}, []float64{3, 0.5})
 	if math.IsNaN(got) {
 		t.Fatal("NaN prediction with constant feature column")
 	}
@@ -224,9 +226,11 @@ func TestTunedSmallerThanGemini(t *testing.T) {
 }
 
 // The paper's headline overhead claim: NN training is orders of magnitude
-// slower than linear regression (Table IV shows ≥300×). We check a weaker
-// but robust version: training the Gemini-size net on 1000 samples takes
-// at least 50× the time of an OLS fit on the same data.
+// slower than linear regression (Table IV shows ≥300×). Training the
+// Gemini-size net on 1000 samples must take at least 1000× an OLS fit of the
+// same data — on this implementation the ratio is near 10⁵, so the bound
+// holds under -race and on a loaded host, yet fails if either side's cost
+// stops being measured.
 func TestTrainingOverheadGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead comparison is slow")
@@ -244,45 +248,70 @@ func TestTrainingOverheadGap(t *testing.T) {
 	if err := n.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	if n.TrainDuration.Microseconds() < 1000 {
-		t.Fatalf("Gemini-size training suspiciously fast: %v", n.TrainDuration)
+	// OLS takes microseconds: the fastest of a few fits is the one a
+	// scheduler hiccup did not inflate.
+	var ols time.Duration
+	for i := 0; i < 7; i++ {
+		start := time.Now()
+		design, err := linalg.DesignMatrix(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := linalg.OLS(design, ys); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); i == 0 || d < ols {
+			ols = d
+		}
+	}
+	if ratio := float64(n.TrainDuration) / float64(ols); ratio < 1000 {
+		t.Fatalf("NN training %v is only %.0f× the OLS fit's %v, want ≥ 1000×", n.TrainDuration, ratio, ols)
+	} else {
+		t.Logf("NN training %v = %.0f× OLS %v", n.TrainDuration, ratio, ols)
 	}
 }
 
-func BenchmarkInferenceGemini(b *testing.B) {
+// benchData is a noisy one-feature line, the shape of a request-feature
+// calibration.
+func benchData(n int) (xs [][]float64, ys []float64) {
 	rng := rand.New(rand.NewSource(1))
-	xs := make([][]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64()}
-		ys[i] = xs[i][0] * 2
+	for i := 0; i < n; i++ {
+		x := rng.Float64() * 100
+		xs, ys = append(xs, []float64{x}), append(ys, 0.5*x+3+rng.NormFloat64())
 	}
+	return xs, ys
+}
+
+// BenchmarkNNFitGemini trains the published 5×128 shape on a
+// calibration-sized set for two epochs (a thirtieth of a real fit).
+func BenchmarkNNFitGemini(b *testing.B) {
+	xs, ys := benchData(1000)
 	cfg := GeminiConfig(1)
+	cfg.Epochs = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, _ := New(cfg)
+		if err := n.Fit(xs, ys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchInference(b *testing.B, cfg Config) {
+	xs, ys := benchData(200)
 	cfg.Epochs = 2
 	n, _ := New(cfg)
 	if err := n.Fit(xs, ys); err != nil {
 		b.Fatal(err)
 	}
+	var s Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.MustPredict(xs[i%len(xs)])
+		n.MustPredict(&s, xs[i%len(xs)])
 	}
 }
 
-func BenchmarkInferenceTuned(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([][]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64()}
-		ys[i] = xs[i][0] * 2
-	}
-	n, _ := New(TunedConfig(1, 1, 16, 2, 32))
-	if err := n.Fit(xs, ys); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.MustPredict(xs[i%len(xs)])
-	}
-}
+func BenchmarkInferenceGemini(b *testing.B) { benchInference(b, GeminiConfig(1)) }
+
+func BenchmarkInferenceTuned(b *testing.B) { benchInference(b, TunedConfig(1, 1, 16, 2, 32)) }

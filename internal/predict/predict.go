@@ -461,18 +461,39 @@ func FitNN(set *TrainingSet, grid *cpu.Grid, cfg nn.Config, refLevel cpu.Level, 
 	return m, nil
 }
 
-// Predict implements Predictor: the network's estimate at the reference
-// frequency, scaled by f_ref/f (latency ∝ 1/frequency assumption).
-func (m *NNModel) Predict(lvl cpu.Level, features []float64) float64 {
-	row := make([]float64, len(m.inputs))
-	for a, j := range m.inputs {
-		row[a] = features[j]
+// NNScratch is the working memory of NNModel.Base. It belongs to the
+// caller because a trained model is shared read-only by every sweep cell and
+// fleet node that uses it. The zero value is ready; not for concurrent use.
+type NNScratch struct {
+	row []float64
+	net nn.Scratch
+}
+
+// Base runs the network: its estimate of the service time at the reference
+// frequency, clamped at zero. It depends on the request alone, so a caller
+// asking about several frequencies runs it once and Scales the result.
+func (m *NNModel) Base(s *NNScratch, features []float64) float64 {
+	s.row = s.row[:0]
+	for _, j := range m.inputs {
+		s.row = append(s.row, features[j])
 	}
-	base := m.net.MustPredict(row)
+	base := m.net.MustPredict(&s.net, s.row)
 	if base < 0 {
 		base = 0
 	}
+	return base
+}
+
+// Scale takes a Base estimate to lvl by f_ref/f (the latency ∝ 1/frequency
+// assumption).
+func (m *NNModel) Scale(base float64, lvl cpu.Level) float64 {
 	return base * m.grid.Freq(m.refLevel) / m.grid.Freq(m.grid.Clamp(lvl))
+}
+
+// Predict implements Predictor: Base scaled to lvl, on a throwaway scratch.
+func (m *NNModel) Predict(lvl cpu.Level, features []float64) float64 {
+	var s NNScratch
+	return m.Scale(m.Base(&s, features), lvl)
 }
 
 // ---------------------------------------------------------------------------

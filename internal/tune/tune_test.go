@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"retail/internal/core"
+	"retail/internal/nn"
 	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/workload"
@@ -286,5 +287,37 @@ func TestTuneScoring(t *testing.T) {
 	}
 	if s := score(&core.Result{}); !(s > 0 && s > 1e300) {
 		t.Errorf("empty replay should score +Inf, got %v", s)
+	}
+}
+
+// Tuning gemini fans the candidates out over one shared calibration, and
+// every cell asks it for the network as it starts. Under -race this is the
+// check that they neither race on the memo nor train it per cell; the
+// ranking must not depend on which cell got there first.
+func TestTuneGeminiSharesOneNetwork(t *testing.T) {
+	trace, _, _ := twinFixture(t)
+	small := nn.TunedConfig(1, 2, 32, 30, 32) // slow enough that the cells overlap in training
+	cfg := Config{
+		Trace: trace, Manager: "gemini", GeminiNN: &small,
+		Spec: &Spec{
+			Version: SpecVersion, Name: "boost-sweep", Mode: "grid",
+			Axes: []Axis{{Field: "gemini.boost_frac", Values: []float64{0.6, 0.7, 0.8, 0.9}}},
+		},
+		Workers: 8, SamplesPerLevel: 400, Seed: fixtureSeed, Parallel: 4,
+	}
+	par, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par.Candidates) != 4 {
+		t.Fatalf("%d candidates, want 4", len(par.Candidates))
+	}
+	cfg.Parallel = 1
+	seq, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Render() != seq.Render() {
+		t.Fatal("gemini winners table differs between -parallel 4 and 1")
 	}
 }
