@@ -51,7 +51,8 @@
 GO ?= go
 
 # The hot-path micro-benchmarks tracked across PRs: the event loop
-# (freelist), Algorithm 1 decisions (prediction memo), the per-completion
+# (freelist; the calendar queue on the simulator's own bimodal event
+# population), Algorithm 1 decisions (prediction memo), the per-completion
 # latency recorder (ring window), Gemini's network (batch-major training,
 # forward pass, per-request inference memo), the sweep runner and the
 # fleet simulator. bench-check runs each exactly once under the
@@ -64,7 +65,7 @@ GO ?= go
 # catches a full relapse. bench-baseline produces the committed JSON
 # trajectories from a real timed run and appends each refresh to the
 # append-only results/BENCH_history.jsonl.
-HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFitGemini|InferenceGemini|Sweep|Cluster)'
+HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFitGemini|InferenceGemini|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
 HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/experiments ./internal/cluster
 
 .PHONY: build test race vet bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean

@@ -249,7 +249,12 @@ func TestLiveChaosHealth(t *testing.T) {
 				reg *telemetry.Registry
 				rep *LiveChaosReport
 			)
-			const attempts = 3
+			// A timing re-run waits first, longer each time (1 s, 2 s, 4 s,
+			// 4 s): the usual cause is another package's tests holding
+			// this host's few CPUs, and an immediate retry meets the same
+			// neighbour. The assertion itself is unchanged.
+			const attempts = 5
+			backoff := time.Second
 			for try := 1; ; try++ {
 				reg = telemetry.NewRegistry()
 				var err error
@@ -265,7 +270,9 @@ func TestLiveChaosHealth(t *testing.T) {
 				}
 				if tc.timing != nil && try < attempts {
 					if reason := tc.timing(rep); reason != "" {
-						t.Logf("attempt %d/%d: %s — wall-clock scheduling artifact, re-running the replay", try, attempts, reason)
+						t.Logf("attempt %d/%d: %s — wall-clock scheduling artifact, re-running the replay in %v", try, attempts, reason, backoff)
+						time.Sleep(backoff)
+						backoff = min(2*backoff, 4*time.Second)
 						continue
 					}
 				}

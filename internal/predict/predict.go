@@ -48,24 +48,36 @@ type Sample struct {
 type TrainingSet struct {
 	// mu serializes Clone against Add (and concurrent Clones of one
 	// shared calibration set, as the fleet fan-out performs). At/All stay
-	// lock-free: they read buffers that sharing freezes (see cow).
-	mu       sync.Mutex
-	perLevel map[cpu.Level][]Sample
-	// head[lvl] is the ring's oldest slot once the level is full; the
-	// logical (oldest-first) order is buf[head:], buf[:head]. Keeping a
-	// rotating head makes Add O(1) — the previous shift-down eviction
-	// copied the whole ring (with its pointer-bearing feature slices, so
-	// write barriers too) on every steady-state sample.
-	head map[cpu.Level]int
-	// cow marks levels whose buffer and feature backings are shared with
-	// another set via Clone. Shared arrays are immutable; the first Add
-	// to a shared level materializes a private deep copy. Calibration
-	// sets are cloned per node/run but most clones retrain only a few
-	// levels (many never), so lazy copying removes the dominant
-	// allocation of a fleet run without weakening isolation: samples
-	// added to any set are never visible to another.
-	cow map[cpu.Level]bool
-	cap int
+	// lock-free: they read buffers that sharing freezes (see levelRing.cow).
+	mu sync.Mutex
+	// rings is indexed by cpu.Level and grown on demand: Add runs once per
+	// completed request, and a slice index is the whole lookup.
+	rings []levelRing
+	cap   int
+}
+
+// levelRing is one level's samples.
+type levelRing struct {
+	buf []Sample
+	// head is the ring's oldest slot once the level is full; the logical
+	// (oldest-first) order is buf[head:], buf[:head]. A rotating head makes
+	// Add O(1) — shift-down eviction would copy the whole ring (with its
+	// pointer-bearing feature slices, so write barriers too) on every
+	// steady-state sample.
+	head int
+	// cow marks a buffer (and its feature backings) shared with another
+	// set via Clone. Shared arrays are immutable; the first Add to a shared
+	// level materializes a private deep copy. Calibration sets are cloned
+	// per node/run but most clones retrain only a few levels (many never),
+	// so lazy copying removes the dominant allocation of a fleet run
+	// without weakening isolation: samples added to any set are never
+	// visible to another.
+	cow bool
+}
+
+// ordered appends the ring's samples to dst, oldest first.
+func (r *levelRing) ordered(dst []Sample) []Sample {
+	return append(append(dst, r.buf[r.head:]...), r.buf[:r.head]...)
 }
 
 // NewTrainingSet returns a set keeping up to capPerLevel samples per
@@ -74,12 +86,15 @@ func NewTrainingSet(capPerLevel int) *TrainingSet {
 	if capPerLevel <= 0 {
 		capPerLevel = 1000
 	}
-	return &TrainingSet{
-		perLevel: map[cpu.Level][]Sample{},
-		head:     map[cpu.Level]int{},
-		cow:      map[cpu.Level]bool{},
-		cap:      capPerLevel,
+	return &TrainingSet{cap: capPerLevel}
+}
+
+// ring returns the level's ring, or nil if nothing was ever stored there.
+func (t *TrainingSet) ring(lvl cpu.Level) *levelRing {
+	if lvl < 0 || int(lvl) >= len(t.rings) {
+		return nil
 	}
+	return &t.rings[lvl]
 }
 
 // Add records a sample, evicting the oldest at that level when full. The
@@ -89,35 +104,39 @@ func NewTrainingSet(capPerLevel int) *TrainingSet {
 // sample's backing array, so steady-state training stays off the allocator.
 func (t *TrainingSet) Add(s Sample) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cow[s.Level] {
-		t.materialize(s.Level)
+	if int(s.Level) >= len(t.rings) {
+		t.rings = append(t.rings, make([]levelRing, int(s.Level)+1-len(t.rings))...)
 	}
-	buf := t.perLevel[s.Level]
-	if len(buf) == t.cap {
-		h := t.head[s.Level]
-		old := buf[h].Features[:0]
-		s.Features = append(old, s.Features...)
-		buf[h] = s
-		h++
-		if h == t.cap {
-			h = 0
+	r := &t.rings[s.Level]
+	if r.cow {
+		t.materialize(r)
+	}
+	if len(r.buf) == t.cap {
+		s.Features = append(r.buf[r.head].Features[:0], s.Features...)
+		r.buf[r.head] = s
+		if r.head++; r.head == t.cap {
+			r.head = 0
 		}
-		t.head[s.Level] = h
 	} else {
 		s.Features = append(make([]float64, 0, len(s.Features)), s.Features...)
-		t.perLevel[s.Level] = append(buf, s)
+		r.buf = append(r.buf, s)
 	}
+	t.mu.Unlock()
 }
 
 // CountAt returns the number of samples stored for a level.
-func (t *TrainingSet) CountAt(lvl cpu.Level) int { return len(t.perLevel[lvl]) }
+func (t *TrainingSet) CountAt(lvl cpu.Level) int {
+	if r := t.ring(lvl); r != nil {
+		return len(r.buf)
+	}
+	return 0
+}
 
 // Total returns the total sample count across levels.
 func (t *TrainingSet) Total() int {
 	n := 0
-	for _, b := range t.perLevel {
-		n += len(b)
+	for i := range t.rings {
+		n += len(t.rings[i].buf)
 	}
 	return n
 }
@@ -127,23 +146,22 @@ func (t *TrainingSet) Total() int {
 // it materializes the logical order — callers of At are (re)training paths,
 // which run orders of magnitude less often than Add.
 func (t *TrainingSet) At(lvl cpu.Level) []Sample {
-	buf := t.perLevel[lvl]
-	h := t.head[lvl]
-	if h == 0 {
-		return buf
+	r := t.ring(lvl)
+	if r == nil {
+		return nil
 	}
-	out := make([]Sample, 0, len(buf))
-	out = append(out, buf[h:]...)
-	return append(out, buf[:h]...)
+	if r.head == 0 {
+		return r.buf
+	}
+	return r.ordered(make([]Sample, 0, len(r.buf)))
 }
 
-// All returns every stored sample.
+// All returns every stored sample, by ascending level and oldest first
+// within a level.
 func (t *TrainingSet) All() []Sample {
 	out := make([]Sample, 0, t.Total())
-	for lvl, b := range t.perLevel {
-		h := t.head[lvl]
-		out = append(out, b[h:]...)
-		out = append(out, b[:h]...)
+	for i := range t.rings {
+		out = t.rings[i].ordered(out)
 	}
 	return out
 }
@@ -152,9 +170,7 @@ func (t *TrainingSet) All() []Sample {
 func (t *TrainingSet) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.perLevel = map[cpu.Level][]Sample{}
-	t.head = map[cpu.Level]int{}
-	t.cow = map[cpu.Level]bool{}
+	t.rings = nil
 }
 
 // materialize replaces one shared level with a private deep copy in
@@ -163,12 +179,8 @@ func (t *TrainingSet) Clear() {
 // flat backing per level, with each feature view capacity-capped to its
 // own span so a later in-place eviction cannot bleed into a neighbor.
 // Caller holds mu.
-func (t *TrainingSet) materialize(lvl cpu.Level) {
-	buf := t.perLevel[lvl]
-	h := t.head[lvl]
-	cp := make([]Sample, 0, t.cap)
-	cp = append(cp, buf[h:]...)
-	cp = append(cp, buf[:h]...)
+func (t *TrainingSet) materialize(r *levelRing) {
+	cp := r.ordered(make([]Sample, 0, t.cap))
 	total := 0
 	for i := range cp {
 		total += len(cp[i].Features)
@@ -179,9 +191,7 @@ func (t *TrainingSet) materialize(lvl cpu.Level) {
 		flat = append(flat, cp[i].Features...)
 		cp[i].Features = flat[n:len(flat):len(flat)]
 	}
-	t.perLevel[lvl] = cp
-	t.head[lvl] = 0
-	delete(t.cow, lvl)
+	*r = levelRing{buf: cp}
 }
 
 // Clone returns an independent copy; experiment harnesses clone the
@@ -194,16 +204,12 @@ func (t *TrainingSet) materialize(lvl cpu.Level) {
 func (t *TrainingSet) Clone() *TrainingSet {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := NewTrainingSet(t.cap)
-	for lvl, buf := range t.perLevel {
-		c.perLevel[lvl] = buf
-		if h := t.head[lvl]; h != 0 {
-			c.head[lvl] = h
-		}
-		c.cow[lvl] = true
-		t.cow[lvl] = true
+	for i := range t.rings {
+		// An empty ring shares nothing and must not pay materialize's
+		// full-capacity buffer on its first Add.
+		t.rings[i].cow = len(t.rings[i].buf) > 0
 	}
-	return c
+	return &TrainingSet{rings: append([]levelRing(nil), t.rings...), cap: t.cap}
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +75,154 @@ func TestTrainingSetDefaultCap(t *testing.T) {
 	}
 	if set.CountAt(0) != 1000 {
 		t.Fatalf("default cap = %d, want 1000 (the paper's N)", set.CountAt(0))
+	}
+}
+
+// naiveSet is TrainingSet's executable specification: one slice per level,
+// shift-down eviction, eager deep clone.
+type naiveSet struct {
+	cap int
+	lv  map[cpu.Level][]Sample
+}
+
+func (n *naiveSet) add(s Sample) {
+	s.Features = append([]float64(nil), s.Features...)
+	b := append(n.lv[s.Level], s)
+	if len(b) > n.cap {
+		b = b[1:]
+	}
+	n.lv[s.Level] = b
+}
+
+func (n *naiveSet) clone() *naiveSet {
+	c := &naiveSet{cap: n.cap, lv: map[cpu.Level][]Sample{}}
+	for _, s := range n.all() {
+		c.add(s)
+	}
+	return c
+}
+
+func (n *naiveSet) all() []Sample {
+	var out []Sample
+	for lvl := cpu.Level(0); len(out) < n.total(); lvl++ {
+		out = append(out, n.lv[lvl]...)
+	}
+	return out
+}
+
+func (n *naiveSet) total() int {
+	t := 0
+	for _, b := range n.lv {
+		t += len(b)
+	}
+	return t
+}
+
+func sameSamples(a, b []Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Level != b[i].Level || a[i].Service != b[i].Service || !slices.Equal(a[i].Features, b[i].Features) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTrainingSetMatchesNaiveModel drives a family of sets related by
+// Clone through random Add/Clone/Clear sequences, each mirrored on the
+// naive model, and compares every member's full contents after every
+// step: same samples in the same order per level, All() level-ascending,
+// and — because every member is re-checked after each mutation of any
+// other — clone isolation in both directions, before and after the rings
+// rotate. The caller's feature buffer is scribbled on after each Add, so
+// a set that aliased it would diverge from the model.
+func TestTrainingSetMatchesNaiveModel(t *testing.T) {
+	const maxLevel = 6
+	type pair struct {
+		set *TrainingSet
+		ref *naiveSet
+	}
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capPer := 1 + rng.Intn(5)
+		fam := []pair{{NewTrainingSet(capPer), &naiveSet{cap: capPer, lv: map[cpu.Level][]Sample{}}}}
+		scratch := make([]float64, 3)
+		for step := 0; step < 250; step++ {
+			p := fam[rng.Intn(len(fam))]
+			switch k := rng.Intn(20); {
+			case k < 15:
+				lvl := cpu.Level(rng.Intn(maxLevel))
+				if lvl == 2 {
+					lvl = 3 // a level nothing is ever stored at
+				}
+				feats := scratch[:rng.Intn(len(scratch)+1)]
+				for i := range feats {
+					feats[i] = rng.Float64()
+				}
+				s := Sample{Level: lvl, Features: feats, Service: rng.Float64()}
+				p.set.Add(s)
+				p.ref.add(s)
+				for i := range scratch {
+					scratch[i] = -1
+				}
+			case k < 19:
+				c := pair{p.set.Clone(), p.ref.clone()}
+				if len(fam) < 6 {
+					fam = append(fam, c)
+				} else {
+					fam[rng.Intn(len(fam))] = c
+				}
+			default:
+				p.set.Clear()
+				p.ref.lv = map[cpu.Level][]Sample{}
+			}
+			for i, m := range fam {
+				if got, want := m.set.All(), m.ref.all(); !sameSamples(got, want) || m.set.Total() != len(want) {
+					t.Fatalf("seed %d step %d member %d: All() = %v (Total %d), model has %v", seed, step, i, got, m.set.Total(), want)
+				}
+				for lvl := cpu.Level(-1); lvl <= maxLevel; lvl++ {
+					if got, want := m.set.At(lvl), m.ref.lv[lvl]; !sameSamples(got, want) || m.set.CountAt(lvl) != len(want) {
+						t.Fatalf("seed %d step %d member %d level %d: At = %v (CountAt %d), model has %v", seed, step, i, lvl, got, m.set.CountAt(lvl), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrainingSetConcurrentClones is the fleet fan-out's access pattern,
+// for the race detector: many goroutines clone one shared calibration set
+// (whose ring has rotated) and train their own copy, while the shared set
+// is only read.
+func TestTrainingSetConcurrentClones(t *testing.T) {
+	shared := NewTrainingSet(4)
+	for i := 0; i < 30; i++ {
+		shared.Add(Sample{Level: cpu.Level(i % 3), Features: []float64{float64(i)}, Service: float64(i)})
+	}
+	want := shared.All()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := shared.Clone()
+			if !sameSamples(c.All(), want) {
+				t.Errorf("goroutine %d: clone differs from the shared set", g)
+			}
+			for i := 0; i < 10; i++ {
+				c.Add(Sample{Level: cpu.Level(i % 4), Features: []float64{float64(g)}, Service: float64(g)})
+			}
+			if got := c.At(0); got[len(got)-1].Service != float64(g) {
+				t.Errorf("goroutine %d: own sample missing from its clone", g)
+			}
+			_ = shared.At(1)
+		}()
+	}
+	wg.Wait()
+	if !sameSamples(shared.All(), want) {
+		t.Error("a clone's samples leaked into the shared set")
 	}
 }
 

@@ -5,16 +5,18 @@ import (
 	"testing"
 )
 
-// BenchmarkQueue compares the three queue implementations head to head on
-// the shapes that matter: the sparse schedule→fire cycle, steady-state
-// churn while holding N pending events (the fleet simulator's regime), and
-// schedule→cancel. The winner of the hold-N columns is NewEngine's default.
+// BenchmarkQueue compares the calendar with the two reference queues head
+// to head: the sparse schedule→fire cycle, steady-state churn while
+// holding N pending events, schedule→cancel, and fleetShape — the only
+// case whose population has the simulator's two time scales. The hold-N
+// cases draw every gap from one exponential, which is why they once
+// crowned a width rule that degraded to a linear scan on real runs;
+// fleetShape is the one tracked in the Makefile's HOT_BENCH.
 func BenchmarkQueue(b *testing.B) {
-	for _, k := range QueueKinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
+	for _, k := range queueKinds {
+		b.Run(k.name, func(b *testing.B) {
 			b.Run("afterFire", func(b *testing.B) {
-				e := NewEngineWithQueue(k)
+				e := k.engine()
 				fn := func(*Engine) {}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -24,9 +26,8 @@ func BenchmarkQueue(b *testing.B) {
 				}
 			})
 			for _, hold := range []int{64, 1024, 32768} {
-				hold := hold
 				b.Run(holdName(hold), func(b *testing.B) {
-					e := NewEngineWithQueue(k)
+					e := k.engine()
 					rng := rand.New(rand.NewSource(1))
 					fn := func(*Engine) {}
 					for i := 0; i < hold; i++ {
@@ -45,8 +46,16 @@ func BenchmarkQueue(b *testing.B) {
 					}
 				})
 			}
+			b.Run("fleetShape", func(b *testing.B) {
+				e := k.engine()
+				s := newFleetShape(e, 1, shapeHolds[0].chains, nil)
+				s.run(e, 5000)
+				b.ReportAllocs()
+				b.ResetTimer()
+				s.run(e, b.N)
+			})
 			b.Run("scheduleCancel", func(b *testing.B) {
-				e := NewEngineWithQueue(k)
+				e := k.engine()
 				fn := func(*Engine) {}
 				b.ReportAllocs()
 				b.ResetTimer()

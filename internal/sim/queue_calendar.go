@@ -2,10 +2,19 @@ package sim
 
 // calendarQueue is a dynamic calendar queue (R. Brown, CACM 1988): an open
 // hash of unsorted buckets indexed by event time, scanned like the days of
-// a calendar. With the bucket width tracking the mean gap between pending
-// events, schedule and fire are O(1) amortized at any queue size — the
-// property that lets fleet sweeps hold tens of thousands of pending events
-// without the O(log n) sift of a binary heap.
+// a calendar. With the bucket width tracking the mean gap between the
+// events about to fire, schedule and fire are O(1) amortized at any queue
+// size — the property that lets fleet sweeps hold tens of thousands of
+// pending events without the O(log n) sift of a binary heap.
+//
+// The width is estimated from the head of the queue, not its whole span
+// (see estimateWidth): a simulator's population is bimodal — completions
+// and arrivals microseconds away, monitor ticks and the horizon seconds
+// away — and a width averaged over both puts every near-term event in one
+// bucket, turning each pop into a linear scan. Three triggers re-estimate
+// it: a size change (grow/shrink), a sparse calendar (repeated empty
+// years, see direct) and a crowded one (scans comparing more than a
+// handful of same-day events, see closeWindow).
 //
 // Exact-ordering contract: pop returns the global minimum by (At, seq).
 // Two events with equal At always compute the same absolute bucket number
@@ -35,12 +44,35 @@ type calendarQueue struct {
 	curAbs int64   // absolute bucket number the pop scan resumes from
 	lastAt Time    // At of the last popped event (scan floor after resize)
 	direct int     // consecutive pops that fell through to direct search
+
+	// Self-report, cumulative: bucket scans that found a minimum, the
+	// same-day events those scans compared, and calendar rebuilds. The
+	// crowded trigger works off the first two.
+	scans    uint64
+	compares uint64
+	rebuilds uint64
+	// The crowded trigger judges scans a window at a time. winEnd and
+	// winCmp are the scan count that closes the current window and the
+	// compare count that opened it; window is its length and prevMean the
+	// mean that caused the last re-estimate (see closeWindow).
+	winEnd   uint64
+	winCmp   uint64
+	window   uint64
+	prevMean float64
 }
 
 const (
 	minCalBuckets = 4
 	maxCalBuckets = 1 << 17
 	calWidthMin   = Time(1e-9)
+	// calSample bounds the head-of-queue sample the width is estimated
+	// from (Brown: 5 + n/10 events, at most 25).
+	calSample = 25
+	// calCrowded is the mean same-day compares per scan above which a
+	// window counts as crowded; a well-sized day holds about three events.
+	calCrowded   = 4
+	calWindow    = 16      // scans per crowded-trigger window before back-off
+	calWindowMax = 1 << 16 // and after: bounds how long a crowded regime can go unseen
 )
 
 func newCalendarQueue() *calendarQueue {
@@ -49,6 +81,8 @@ func newCalendarQueue() *calendarQueue {
 		mask:    minCalBuckets - 1,
 		w:       Millisecond, // the simulator's natural timescale; resizes re-estimate
 		invW:    1 / float64(Millisecond),
+		winEnd:  calWindow,
+		window:  calWindow,
 	}
 }
 
@@ -168,12 +202,14 @@ func (q *calendarQueue) popLE(until Time) *Event {
 		for i := 0; i < nb; i++ {
 			if bl := q.buckets[int(abs)&q.mask]; len(bl) > 0 {
 				var best, best2 *Event
+				day := 0
 				for _, ev := range bl {
 					// Same-year events only: a bucket also holds events one
 					// or more full calendar years ahead.
 					if ev.babs != abs {
 						continue
 					}
+					day++
 					if best == nil || eventLess(ev, best) {
 						best2, best = best, ev
 					} else if best2 == nil || eventLess(ev, best2) {
@@ -187,12 +223,17 @@ func (q *calendarQueue) popLE(until Time) *Event {
 					}
 					q.curAbs = abs
 					q.direct = 0
+					q.scans++
+					q.compares += uint64(day)
 					ev := q.take(best)
 					// The runner-up in this day is the new global minimum
 					// (same-year bucket members precede every later day), so
 					// the next pop skips the scan entirely. One scan, two
 					// pops.
 					q.min = best2
+					if q.scans >= q.winEnd {
+						q.closeWindow()
+					}
 					return ev
 				}
 			}
@@ -226,11 +267,13 @@ func (q *calendarQueue) popLE(until Time) *Event {
 	q.curAbs = best.babs
 	ev := q.take(best)
 	q.min = best2 // runner-up: the next pop's minimum, scan-free
-	if q.direct > 8 && q.n > 1 {
-		// Repeated direct searches mean the width no longer matches the
-		// event-time distribution; re-estimate it at the current size.
+	if q.direct > 8 {
+		// Repeated empty years mean the days are too narrow for the gaps
+		// at the head of the queue; re-estimate at the current size.
 		q.direct = 0
-		q.resize(q.mask + 1)
+		if w, ok := q.estimateWidth(); ok && w > q.w {
+			q.rebuild(q.mask+1, w)
+		}
 	}
 	return ev
 }
@@ -246,31 +289,98 @@ func (q *calendarQueue) take(ev *Event) *Event {
 	return ev
 }
 
-// resize rebuilds the calendar with nb buckets and a width re-estimated
-// from the live population (Brown's rule: ~3x the mean gap, so one bucket
-// holds a handful of events and one year spans the whole horizon).
-func (q *calendarQueue) resize(nb int) {
-	var lo, hi Time
-	seen := false
+// closeWindow ends one window of the crowded trigger. If its scans
+// averaged more than calCrowded same-day compares, the near-term events
+// have outgrown their days — n is steady, so neither size trigger will
+// fire — and the width is re-estimated at the current size. When the
+// previous re-estimate did not lower the mean by a quarter the window
+// doubles, and stays doubled through calm windows: equal-At ties share a
+// day at any width, so a burst of them (every node's monitor ticking at
+// one instant) or a standing pile must cost O(log pops) rebuilds, not one
+// per window. Only a re-estimate that helped resets it.
+func (q *calendarQueue) closeWindow() {
+	if mean := float64(q.compares-q.winCmp) / float64(q.window); mean > calCrowded {
+		if q.prevMean > 0 && mean > 0.75*q.prevMean {
+			q.window = min(2*q.window, calWindowMax)
+		} else {
+			q.window = calWindow
+		}
+		q.prevMean = mean
+		if w, ok := q.estimateWidth(); ok && w < q.w {
+			q.rebuild(q.mask+1, w)
+		}
+	}
+	q.winCmp = q.compares
+	q.winEnd = q.scans + q.window
+}
+
+// estimateWidth is Brown's rule: sample the earliest few pending events,
+// average the gaps between them, discard gaps more than twice that average
+// (the jump from the near-term cluster to the next timer) and make a day
+// three times the average of the rest. Equal-At ties need one amendment:
+// their zero gaps say nothing about spacing, so the discard threshold is
+// taken over the positive gaps only — else a few ten-way ties drag the
+// average down until every real gap looks like an outlier — while the
+// final average still counts them, which sizes a day for the events it
+// will hold. The sample is kept by bounded insertion into a small sorted
+// array during one pass over the buckets: no sort of the population and no
+// allocation. It reports false when the sample has no positive gap (fewer
+// than two events, or all at one instant).
+func (q *calendarQueue) estimateWidth() (Time, bool) {
+	var head [calSample]Time
+	k, m := min(q.n, 5+q.n/10, calSample), 0
 	for _, bl := range q.buckets {
 		for _, ev := range bl {
-			if !seen || ev.At < lo {
-				lo = ev.At
+			at, i := ev.At, m
+			if m < k {
+				m++
+			} else if at < head[k-1] {
+				i = k - 1
+			} else {
+				continue
 			}
-			if !seen || ev.At > hi {
-				hi = ev.At
+			for ; i > 0 && head[i-1] > at; i-- {
+				head[i] = head[i-1]
 			}
-			seen = true
+			head[i] = at
 		}
 	}
-	if seen && hi > lo && q.n > 1 {
-		w := Time(3 * float64(hi-lo) / float64(q.n))
-		if w < calWidthMin {
-			w = calWidthMin
+	positive := 0
+	for i := 1; i < m; i++ {
+		if head[i] > head[i-1] {
+			positive++
 		}
-		q.w = w
-		q.invW = 1 / float64(w)
 	}
+	if positive == 0 {
+		return 0, false
+	}
+	limit := 2 * float64(head[m-1]-head[0]) / float64(positive)
+	var sum float64
+	kept := 0
+	for i := 1; i < m; i++ {
+		if g := float64(head[i] - head[i-1]); g <= limit {
+			sum += g
+			kept++
+		}
+	}
+	return max(Time(3*sum/float64(kept)), calWidthMin), true
+}
+
+// resize rebuilds the calendar with nb buckets after a size change, taking
+// the occasion to re-estimate the width.
+func (q *calendarQueue) resize(nb int) {
+	w, ok := q.estimateWidth()
+	if !ok {
+		w = q.w
+	}
+	q.rebuild(nb, w)
+}
+
+// rebuild re-files every pending event into nb buckets of width w.
+func (q *calendarQueue) rebuild(nb int, w Time) {
+	q.rebuilds++
+	q.w = w
+	q.invW = 1 / float64(w)
 	old := q.buckets
 	q.buckets = make([][]*Event, nb)
 	q.mask = nb - 1

@@ -8,8 +8,10 @@ import (
 // ladderQueue is a two-tier ladder queue: a small sorted bottom rung that
 // pops are served from, fed in chunks from an unsorted overflow tier that
 // absorbs far-future inserts in O(1). It trades the calendar queue's
-// width estimation for periodic sort-and-split respawns; kept as the
-// benchmark competitor (see queue_bench_test.go).
+// width estimation for periodic sort-and-split respawns. Test-only: a
+// second ordering reference beside the heap, built on a different idea
+// from either it or the calendar, and the benchmark competitor (see
+// queue_bench_test.go).
 //
 // Invariant: every event in the overflow tier is strictly greater (by
 // (At, seq)) than every event in the bottom rung. push preserves it by

@@ -7,11 +7,10 @@
 // managers on identical request streams; every source of randomness is a
 // seeded *rand.Rand owned by the caller, never the global one.
 //
-// The queue behind the engine is pluggable (see QueueKind): a calendar
-// queue serves as the default hot-path structure, with the binary heap and
-// a ladder queue kept as reference implementations. Every queue obeys the
-// same exact-ordering contract, enforced by property tests that replay
-// identical schedules through all of them.
+// The queue behind the engine is a calendar queue (queue_calendar.go); its
+// exact-ordering contract is enforced by property tests that replay
+// identical schedules through it and through reference queues that live
+// in the test files.
 package sim
 
 import (
@@ -76,7 +75,7 @@ type Event struct {
 	At    Time
 	seq   uint64
 	index int   // position within the queue's container; -1 once popped, -2 once cancelled
-	babs  int64 // queue-private location tag (calendar: absolute bucket; ladder: tier)
+	babs  int64 // queue-private location tag (calendar: absolute bucket)
 	gen   uint64
 
 	Do   func(*Engine)
@@ -122,9 +121,10 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the pluggable priority structure behind the engine. Every
-// implementation must pop in exact (At, seq) order and support O(~1)
-// removal of an arbitrary pending node (Cancel).
+// eventQueue is the priority structure behind the engine: the calendar
+// queue in production, reference queues in tests. Every implementation
+// must pop in exact (At, seq) order and support O(~1) removal of an
+// arbitrary pending node (Cancel).
 type eventQueue interface {
 	// push inserts a node. The queue owns ev.index (and may use ev.babs)
 	// to remember the node's location until it is popped or removed.
@@ -138,37 +138,6 @@ type eventQueue interface {
 	remove(ev *Event)
 	// len returns the number of pending nodes.
 	len() int
-}
-
-// QueueKind selects the event-queue implementation behind an Engine.
-type QueueKind int
-
-const (
-	// QueueCalendar is a Brown-style dynamic calendar queue: O(1)
-	// amortized schedule/fire at any queue size. The default.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the original container/heap binary heap — the
-	// reference implementation the others are property-tested against.
-	QueueHeap
-	// QueueLadder is a two-tier ladder queue (sorted bottom rung fed
-	// from an unsorted overflow tier) kept for benchmarking.
-	QueueLadder
-)
-
-// QueueKinds lists every available queue implementation.
-func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap, QueueLadder} }
-
-// String names the queue kind.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueCalendar:
-		return "calendar"
-	case QueueHeap:
-		return "heap"
-	case QueueLadder:
-		return "ladder"
-	}
-	return fmt.Sprintf("QueueKind(%d)", int(k))
 }
 
 // Engine is the event loop. The zero value is not usable; call NewEngine.
@@ -191,27 +160,8 @@ type Engine struct {
 	Trace func(at Time, name string)
 }
 
-// NewEngine returns an empty engine at time zero backed by the default
-// queue (calendar — the benchmark winner; see queue_bench_test.go).
-func NewEngine() *Engine {
-	return NewEngineWithQueue(QueueCalendar)
-}
-
-// NewEngineWithQueue returns an empty engine backed by the given queue
-// implementation. All kinds obey the identical ordering contract; non-
-// default kinds exist for differential testing and benchmarking.
-func NewEngineWithQueue(k QueueKind) *Engine {
-	e := &Engine{}
-	switch k {
-	case QueueHeap:
-		e.q = &heapQueue{}
-	case QueueLadder:
-		e.q = newLadderQueue()
-	default:
-		e.q = newCalendarQueue()
-	}
-	return e
-}
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{q: newCalendarQueue()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

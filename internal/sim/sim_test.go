@@ -9,13 +9,10 @@ import (
 
 // forEachQueue runs one behavioral test against every queue implementation:
 // the engine's semantics contract is queue-independent, so the whole suite
-// executes once per QueueKind (the ISSUE-7 constructor switch).
+// executes once per queue kind (see queue_test.go).
 func forEachQueue(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
-	for _, k := range QueueKinds() {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			f(t, func() *Engine { return NewEngineWithQueue(k) })
-		})
+	for _, k := range queueKinds {
+		t.Run(k.name, func(t *testing.T) { f(t, k.engine) })
 	}
 }
 

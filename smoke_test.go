@@ -5,7 +5,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -69,6 +72,52 @@ func TestSmoke(t *testing.T) {
 			}
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", name)
+			}
+		})
+	}
+}
+
+// TestBenchHarness keeps bench/ — a separate module that `go test ./...`
+// does not reach, and the only accepted source of speed claims — inside
+// the tier-1 fence: it builds the harness the way bench/run.sh does and
+// runs each simulator workload at the test horizon. A refactor that breaks
+// an entry point the harness drives, or changes what a run computes from
+// one call to the next, fails here rather than at the benchmark driver.
+func TestBenchHarness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the bench harness")
+	}
+	bin := filepath.Join(t.TempDir(), "retail-bench")
+	build := exec.Command("go", "build", "-C", "bench", "-o", bin, ".")
+	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off", "GOTOOLCHAIN=local")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build -C bench: %v\n%s", err, out)
+	}
+	for _, w := range []string{"fleet-shallow", "node-deep", "tune-replay", "sweep-baselines"} {
+		t.Run(w, func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, "--workload", w, "-tiny", "--trace", "0")
+			cmd.Dir = t.TempDir() // anything the harness writes stays out of the tree
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s%s", w, err, out, stderr.Bytes())
+			}
+			lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+			var verdict struct {
+				Correct   *bool `json:"correct"`
+				Attempted int   `json:"attempted"`
+				Failed    int   `json:"failed"`
+			}
+			last := lines[len(lines)-1]
+			if err := json.Unmarshal(last, &verdict); err != nil || verdict.Correct == nil {
+				t.Fatalf("%s: last stdout line is not the harness's verdict (%v): %s", w, err, last)
+			}
+			if !*verdict.Correct || verdict.Attempted == 0 || verdict.Failed != 0 {
+				t.Fatalf("%s: %s\n%s%s", w, last, out, stderr.Bytes())
 			}
 		})
 	}
