@@ -54,8 +54,9 @@ GO ?= go
 # (freelist; the calendar queue on the simulator's own bimodal event
 # population), Algorithm 1 decisions (prediction memo), the per-completion
 # latency recorder (ring window), Gemini's network (batch-major training,
-# forward pass, per-request inference memo), the sweep runner and the
-# fleet simulator. bench-check runs each exactly once under the
+# forward pass, per-request inference memo), the live wire codec (each
+# direction beside the encoding/json call it stands in for), the sweep
+# runner and the fleet simulator. bench-check runs each exactly once under the
 # race detector — a correctness smoke, not a measurement — and then
 # times BenchmarkClusterFleet for real and gates it against the
 # committed baseline. The gate tolerance (benchjson defaults: 3x on
@@ -65,8 +66,8 @@ GO ?= go
 # catches a full relapse. bench-baseline produces the committed JSON
 # trajectories from a real timed run and appends each refresh to the
 # append-only results/BENCH_history.jsonl.
-HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFitGemini|InferenceGemini|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
-HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/experiments ./internal/cluster
+HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFitGemini|InferenceGemini|Wire(RequestDecode|ResponseEncode)|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
+HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/live ./internal/experiments ./internal/cluster
 
 .PHONY: build test race vet bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
 
@@ -91,7 +92,7 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterFleet$$' -benchmem ./internal/cluster | $(GO) run ./cmd/benchjson -gate results/BENCH_cluster.json
 
 bench-baseline:
-	$(GO) test -run '^$$' -bench $(HOT_BENCH) -benchmem ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/experiments | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_sweep.json
+	$(GO) test -run '^$$' -bench $(HOT_BENCH) -benchmem ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/live ./internal/experiments | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_sweep.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCluster' -benchmem ./internal/cluster | $(GO) run ./cmd/benchjson -history results/BENCH_history.jsonl > results/BENCH_cluster.json
 
 # The end-to-end harness exactly as BENCHMARK.json's driver runs it:

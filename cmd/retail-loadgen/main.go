@@ -12,9 +12,9 @@
 //	retail-loadgen -selfhost -spec slo-mix -record run.trace   # cohort schedule, recorded
 //	retail-loadgen -selfhost -replay run.trace                 # same wire schedule again
 //
-// -selfhost starts an in-process server with a no-op executor and
-// head-only decisions, making the transport — not the policy or the
-// (absent) work — the measured path. With -spec the send schedule is
+// -selfhost starts an in-process server with a no-op executor, so the
+// runtime itself — transport and policy, not the (absent) work — is the
+// measured path. With -spec the send schedule is
 // pre-drawn from the cohort spec (workload.RecordTrace), so -record and
 // a later -replay offer byte-identical request sequences; latency is
 // then reported per SLO class.
@@ -32,7 +32,6 @@ import (
 	"retail/internal/cpu"
 	"retail/internal/live"
 	"retail/internal/obs"
-	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/workload"
 )
@@ -133,7 +132,6 @@ func main() {
 			Predictor: flatPredictor(1e-6),
 			Backend:   live.NewMockBackend(grid),
 			Exec:      func(live.Request, cpu.Level) {},
-			Params:    policy.Params{Alg1: policy.Alg1Params{HeadOnly: true}},
 			AppName:   app.Name(),
 		})
 		if err != nil {

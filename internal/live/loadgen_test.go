@@ -10,10 +10,11 @@ import (
 	"retail/internal/workload"
 )
 
-// saturationServer is a live server tuned so the transport, not the
-// policy, is the bottleneck: no-op executor, constant predictor, QoS
-// loose enough that nothing is shed or deadline-dropped.
-func saturationServer(t *testing.T, workers int) *Server {
+// saturationServer is a live server with the application's work taken
+// out, so that the runtime itself is what a test exercises: no-op
+// executor, constant predictor, QoS loose enough that nothing is shed or
+// deadline-dropped.
+func saturationServer(t *testing.T, workers int, params policy.Params) *Server {
 	t.Helper()
 	grid := cpu.DefaultGrid()
 	srv, err := NewServer(ServerConfig{
@@ -23,12 +24,8 @@ func saturationServer(t *testing.T, workers int) *Server {
 		Predictor: constPredictor(1e-6),
 		Backend:   NewMockBackend(grid),
 		Exec:      func(Request, cpu.Level) {},
-		// Head-only decisions keep Alg1 O(levels) however deep the
-		// backlog; full-queue mode is O(queue) per decision, which under
-		// deliberate overload turns quadratic and measures the policy,
-		// not the transport this smoke targets.
-		Params:  policy.Params{Alg1: policy.Alg1Params{HeadOnly: true}},
-		AppName: "loadgen-smoke",
+		Params:    params,
+		AppName:   "loadgen-smoke",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +46,18 @@ func TestOpenLoopSaturation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation slows the path 5-10x; the smoke measures throughput")
 	}
-	srv := saturationServer(t, runtime.NumCPU())
+	// The one place the HeadOnly ablation is still used. Full-queue
+	// Algorithm 1 walks the whole queue per decision, so an open loop
+	// offered this close to capacity is metastable: a stall of some tens
+	// of milliseconds leaves a backlog whose decisions cost more than the
+	// gap between arrivals, and it never drains. With the real policy on
+	// a 2-vCPU host this smoke passed 15 runs in 17 alone, and 3 in 5
+	// next to the other packages' tests, as `go test ./...` runs it (2
+	// in 5 with the previous transport); the rest ended with most
+	// requests unanswered. Until the decide path stops being O(queue)
+	// (ROADMAP item 3), what this test loads to saturation is the
+	// transport.
+	srv := saturationServer(t, runtime.NumCPU(), policy.Params{Alg1: policy.Alg1Params{HeadOnly: true}})
 
 	res, err := RunLoad(LoadConfig{
 		Addr:     srv.Addr(),
@@ -84,7 +92,7 @@ func TestOpenLoopSaturation(t *testing.T) {
 // TestOpenLoopAccounting runs a small exact-count pass: modest rate, one
 // connection, and checks the ledger adds up and the report renders.
 func TestOpenLoopAccounting(t *testing.T) {
-	srv := saturationServer(t, 2)
+	srv := saturationServer(t, 2, policy.Params{})
 
 	res, err := RunLoad(LoadConfig{
 		Addr:     srv.Addr(),

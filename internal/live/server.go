@@ -2,9 +2,9 @@ package live
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime/pprof"
@@ -390,7 +390,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	io := &connIO{resp: make(chan Response, 64), gone: make(chan struct{})}
+	cio := &connIO{resp: make(chan Response, respQueue), gone: make(chan struct{})}
 	// Writer: the sole consumer of this connection's response channel.
 	// Running it apart from the read loop means the server accepts the
 	// next pipelined request while earlier ones are still executing;
@@ -399,39 +399,67 @@ func (s *Server) serveConn(conn net.Conn) {
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		enc := json.NewEncoder(conn)
-		for {
-			select {
-			case r := <-io.resp:
-				if err := enc.Encode(r); err != nil {
-					conn.Close() // unblock the reader; gone stops producers
-					return
-				}
-			case <-io.gone:
-				return
-			case <-s.stop:
-				return
-			}
+		if err := writeResponses(conn, cio.resp, cio.gone, s.stop); err != nil {
+			conn.Close() // unblock the reader; gone stops producers
 		}
 	}()
 	// Tear-down order matters: close gone first (releases the writer and
 	// any producer blocked on a full resp channel), then join the writer.
-	defer func() { close(io.gone); wwg.Wait() }()
-	dec := json.NewDecoder(conn)
+	defer func() { close(cio.gone); wwg.Wait() }()
+	rr := newRequestReader(conn)
 	for {
 		q, _ := s.reqPool.Get().(*queuedReq)
 		if q == nil {
 			q = &queuedReq{}
 		}
-		// Reset before decode: json reuses the Features backing array and
-		// leaves absent fields untouched.
-		q.req.ID, q.req.GenNs, q.req.Features, q.req.Class = 0, 0, q.req.Features[:0], 0
-		if err := dec.Decode(&q.req); err != nil {
+		if err := rr.next(&q.req); err != nil {
 			s.reqPool.Put(q)
 			return
 		}
-		q.recv, q.out = time.Now(), io
+		q.recv, q.out = time.Now(), cio
 		s.enqueue(q)
+	}
+}
+
+const (
+	// respQueue is the depth of a connection's response channel: how far
+	// the workers may run ahead of a peer that is slow to read before
+	// they block on it (or on gone).
+	respQueue = 64
+	// respFlushBytes bounds what the writer gathers into one write.
+	respFlushBytes = 16 << 10
+)
+
+// writeResponses is a connection's writer loop: it encodes every response
+// that is already queued into one buffer and writes the buffer when resp
+// runs empty or the buffer reaches respFlushBytes. Nothing waits on a
+// timer — a lone response is written at once, and gathering happens only
+// while the workers are ahead of the socket, which is when one write(2)
+// per response costs the most. Responses leave in channel order. It
+// returns w's error, or nil once gone or stop closes.
+func writeResponses(w io.Writer, resp <-chan Response, gone, stop <-chan struct{}) error {
+	var buf []byte
+	for {
+		select {
+		case r := <-resp:
+			buf = appendResponse(buf[:0], &r)
+		gather:
+			for len(buf) < respFlushBytes {
+				select {
+				case r = <-resp:
+					buf = appendResponse(buf, &r)
+				default:
+					break gather
+				}
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		case <-gone:
+			return nil
+		case <-stop:
+			return nil
+		}
 	}
 }
 
