@@ -117,7 +117,7 @@ trace-golden:
 # shedding paths, fixed-seed live replays of the built-in plans, and the
 # simulator chaos matrix compared byte-for-byte against its golden.
 # chaos-golden rewrites the committed matrix after an intentional change.
-CHAOS_TESTS = 'TestInjector|TestFault|TestPlan|TestCorrupting|TestApplyLevel|TestSysfsBackendReconcile|TestShed|TestClientRetries|TestDeadlineDrop|TestServerExecFault|TestChaos|TestLiveChaos'
+CHAOS_TESTS = 'TestInjector|TestFault|TestPlan|TestCorrupting|TestApplyLevel|TestSysfsBackendReconcile|TestShed|TestClientRetries|TestDeadlineDrop|TestServerExecFault|TestRunLoadServerGone|TestChaos|TestLiveChaos'
 chaos-check:
 	$(GO) test -count=1 -run $(CHAOS_TESTS) ./internal/fault ./internal/live ./internal/experiments
 

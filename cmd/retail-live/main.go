@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"retail/internal/core"
-	"retail/internal/cpu"
 	"retail/internal/fault"
 	"retail/internal/live"
 	"retail/internal/obs"
@@ -114,7 +113,7 @@ func main() {
 		Addr:         *listen,
 		Workers:      *workers,
 		QoS:          app.QoS(),
-		Predictor:    scaled{cal.Model, *scale},
+		Predictor:    live.ScaledPredictor{Inner: cal.Model, Scale: *scale},
 		Backend:      backend,
 		Exec:         live.DemoExecutor(app, mock, *scale),
 		Metrics:      reg,
@@ -162,46 +161,41 @@ func main() {
 		defer ms.Close()
 		log.Printf("metrics on http://%s/metrics (health: /healthz, trace: /debug/trace, fleet: /debug/fleet, profiles: /debug/pprof/)", ms.Addr())
 	}
+	var res *live.LoadResult
 	if *rps == 0 {
 		// Serve-only: no built-in client — an external generator (e.g.
 		// retail-loadgen) drives the runtime over the wire.
 		log.Printf("serving on %s (policy %s) for %v — drive it with: retail-loadgen -addr %s -app %s",
 			srv.Addr(), srv.Policy(), *duration, srv.Addr(), app.Name())
 		time.Sleep(*duration)
-		fmt.Printf(`policy      %s
-decisions   %d frequency decisions, %d DVFS writes, %d coalesced
+	} else {
+		log.Printf("serving on %s (policy %s); loading at %.0f RPS for %v", srv.Addr(), srv.Policy(), *rps, *duration)
+		// The plan's windows are on the canonical clock; the schedule is
+		// drawn in wall seconds.
+		res, err = live.RunLoad(live.LoadConfig{
+			Addr:         srv.Addr(),
+			Trace:        live.PoissonTrace(app, *rps, *duration, 7, plan.Scaled(*scale)),
+			MaxRetries:   3,
+			RetryBackoff: time.Duration(float64(2*time.Millisecond) * *scale),
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("policy      %s\n", srv.Policy())
+	if res != nil {
+		fmt.Printf("sent        %d\ncompleted   %d\nlatency     p50 %v   p95 %v   p99 %v\n",
+			res.Sent, res.Completed, res.Quantile(0.50), res.Quantile(0.95), res.Quantile(0.99))
+	}
+	fmt.Printf(`decisions   %d frequency decisions, %d DVFS writes, %d coalesced
 qos'        %v (target %v × scale %.2f)
-`, srv.Policy(), srv.Decisions(), mock.Writes(), srv.DegradeCounts().DVFSCoalesced,
-			srv.QoSPrime(), time.Duration(float64(app.QoS().Latency)*1e9), *scale)
-		return
-	}
-	log.Printf("serving on %s (policy %s); loading at %.0f RPS for %v", srv.Addr(), srv.Policy(), *rps, *duration)
-
-	ccfg := live.ClientConfig{
-		Addr: srv.Addr(), App: app, RPS: *rps, Duration: *duration,
-		Conns: 8, Seed: 7, TimeScale: *scale,
-	}
-	if plan != nil {
-		ccfg.Burst = plan.Burst
-	}
-	res, err := live.RunClient(ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf(`policy      %s
-sent        %d
-completed   %d
-latency     p50 %v   p95 %v   p99 %v   mean %v
-decisions   %d frequency decisions, %d DVFS writes, %d coalesced
-qos'        %v (target %v × scale %.2f)
-`, srv.Policy(), res.Sent, res.Completed, res.P50, res.P95, res.P99, res.Mean,
-		srv.Decisions(), mock.Writes(), srv.DegradeCounts().DVFSCoalesced, srv.QoSPrime(),
+`, srv.Decisions(), mock.Writes(), srv.DegradeCounts().DVFSCoalesced, srv.QoSPrime(),
 		time.Duration(float64(app.QoS().Latency)*1e9), *scale)
-	if inj != nil {
+	if inj != nil && res != nil {
 		deg := srv.DegradeCounts()
-		fmt.Printf(`chaos       injected %d faults; client retries %d, lost %d
+		fmt.Printf(`chaos       injected %d faults; client retries %d, dropped %d
 recovery    dvfs errors %d  retries %d  fallbacks %d  shed %d  deadline drops %d  pinned %d
-`, inj.FiredTotal(), res.Retries, res.Lost,
+`, inj.FiredTotal(), res.Retries, res.Dropped,
 			deg.DVFSWriteErrors, deg.DVFSRetries, deg.DVFSFallbacks,
 			deg.Shed, deg.DeadlineDrops, srv.PinnedWorkers())
 	}
@@ -270,15 +264,4 @@ func scaleProfile(profile []float64, s float64) []float64 {
 		out[i] = v * s
 	}
 	return out
-}
-
-type scaled struct {
-	inner interface {
-		Predict(cpu.Level, []float64) float64
-	}
-	s float64
-}
-
-func (p scaled) Predict(lvl cpu.Level, f []float64) float64 {
-	return p.inner.Predict(lvl, f) * p.s
 }

@@ -1,8 +1,7 @@
-// retail-loadgen drives an open-loop Poisson load at a retail-live
-// server and prints an HDR latency report. Unlike the closed-loop client
-// built into retail-live, the generator never waits for responses before
-// sending the next request, so server-side queueing shows up in the
-// measured tail instead of silently throttling the offered rate
+// retail-loadgen drives an open-loop load at a retail-live server and
+// prints an HDR latency report. The generator never waits for responses
+// before sending the next request, so server-side queueing shows up in
+// the measured tail instead of silently throttling the offered rate
 // (coordinated omission).
 //
 // Usage:
@@ -14,10 +13,11 @@
 //
 // -selfhost starts an in-process server with a no-op executor, so the
 // runtime itself — transport and policy, not the (absent) work — is the
-// measured path. With -spec the send schedule is
-// pre-drawn from the cohort spec (workload.RecordTrace), so -record and
-// a later -replay offer byte-identical request sequences; latency is
-// then reported per SLO class.
+// measured path. Every send schedule is pre-drawn before the first dial:
+// a Poisson stream at -rps by default, or the cohort spec's stream
+// (workload.RecordTrace) with -spec, so -record and a later -replay
+// offer byte-identical request sequences; latency is then also reported
+// per SLO class.
 package main
 
 import (
@@ -33,6 +33,7 @@ import (
 	"retail/internal/live"
 	"retail/internal/obs"
 	"retail/internal/sim"
+	"retail/internal/stats"
 	"retail/internal/workload"
 )
 
@@ -121,6 +122,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Without -spec or -replay the schedule is a Poisson stream at -rps,
+	// drawn here like the others, before anything binds or dials. The
+	// report's config hash names what was asked for: the Poisson
+	// parameters, or a pre-drawn schedule by its digest.
+	hash := obs.HashConfig("loadgen", app.Name(), *rps, *conns, duration.String())
+	var sha string
+	if trace == nil {
+		trace = live.PoissonTrace(app, *rps, *duration, *seed, nil)
+	} else {
+		var err error
+		if sha, err = trace.SHA(); err != nil {
+			log.Fatal(err)
+		}
+		hash = obs.HashConfig("loadgen-spec", app.Name(), sha, *conns)
+	}
 
 	target := *addr
 	if *selfhost {
@@ -148,92 +164,43 @@ func main() {
 		os.Exit(2)
 	}
 
-	if trace != nil {
-		if *recordPath != "" {
-			p := obs.CollectProvenance()
-			trace.Header.Provenance = workload.TraceProvenance{
-				GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-				CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-			}
-			if err := trace.WriteFile(*recordPath); err != nil {
-				log.Fatal(err)
-			}
-			sha, err := trace.SHA()
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("recorded %s (%d records, sha256 %s)", *recordPath, len(trace.Records), sha)
+	if *recordPath != "" {
+		p := obs.CollectProvenance()
+		trace.Header.Provenance = workload.TraceProvenance{
+			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
+			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
 		}
-		runSpec(trace, app, target, *conns, *drain, *seed, *report)
-		return
-	}
-
-	log.Printf("open-loop %s: %.0f RPS over %d conns for %v", app.Name(), *rps, *conns, *duration)
-	res, err := live.RunLoad(live.LoadConfig{
-		Addr: target, App: app,
-		RPS: *rps, Conns: *conns, Duration: *duration,
-		Seed: *seed, DrainTimeout: *drain,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.Report())
-
-	if *report != "" {
-		q := func(p float64) float64 { return time.Duration(res.Latency.Quantile(p)).Seconds() }
-		rep := obs.NewReport("loadgen", *seed, obs.HashConfig("loadgen", app.Name(),
-			*rps, *conns, duration.String()))
-		rep.Loadgen = &obs.LoadgenReport{
-			App: app.Name(), Addr: target, Conns: *conns,
-			Duration:   duration.Seconds(),
-			Sent:       res.Sent,
-			Completed:  res.Completed,
-			Dropped:    res.Dropped,
-			Unanswered: res.Unanswered,
-			OfferedRPS: res.OfferedRPS,
-			SentRPS:    res.SentRPS,
-			ElapsedS:   res.Elapsed.Seconds(),
-			LatencyS: obs.LatencyQuantiles{
-				Min: time.Duration(res.Latency.Min()).Seconds(),
-				P50: q(0.50), P90: q(0.90), P99: q(0.99),
-				P999: q(0.999), P9999: q(0.9999),
-				Max: time.Duration(res.Latency.Max()).Seconds(),
-			},
-		}
-		if err := rep.WriteFile(*report); err != nil {
+		if err := trace.WriteFile(*recordPath); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("report      %s (v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
+		// The digest masks provenance, so stamping it left sha unchanged.
+		log.Printf("recorded %s (%d records, sha256 %s)", *recordPath, len(trace.Records), sha)
 	}
-}
 
-// runSpec sends a pre-drawn trace schedule over the wire and reports
-// latency per SLO class.
-func runSpec(trace *workload.Trace, app workload.App, target string,
-	conns int, drain time.Duration, seed int64, report string) {
-	span := time.Duration(trace.Records[len(trace.Records)-1].ArrivalNs())
-	log.Printf("trace-scheduled %s: %d records over %v via %d conns",
-		app.Name(), len(trace.Records), span.Round(time.Millisecond), conns)
-	res, err := live.RunSpecLoad(live.SpecLoadConfig{
-		Addr: target, Trace: trace, Conns: conns, DrainTimeout: drain,
+	log.Printf("open-loop %s: %d records via %d conns", app.Name(), len(trace.Records), *conns)
+	res, err := live.RunLoad(live.LoadConfig{
+		Addr: target, Trace: trace, Conns: *conns, DrainTimeout: *drain,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(res.Report())
 
-	if report == "" {
+	if *report == "" {
 		return
 	}
-	sha, err := trace.SHA()
-	if err != nil {
+	rep := obs.NewReport("loadgen", *seed, hash)
+	rep.Loadgen = loadgenReport(res, app, target, *conns)
+	if err := rep.WriteFile(*report); err != nil {
 		log.Fatal(err)
 	}
-	qos := app.QoS()
-	pct := qos.Percentile / 100
-	q := func(p float64) float64 { return time.Duration(res.Latency.Quantile(p)).Seconds() }
-	rep := obs.NewReport("loadgen", seed, obs.HashConfig("loadgen-spec",
-		app.Name(), sha, conns))
+	fmt.Printf("report      %s (v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
+}
+
+// loadgenReport is the run's obs payload: HDR quantiles overall and, when
+// the schedule has a class table, each SLO class against its scaled QoS.
+func loadgenReport(res *live.LoadResult, app workload.App, target string, conns int) *obs.LoadgenReport {
+	sec := func(h *stats.HDR, q float64) float64 { return time.Duration(h.Quantile(q)).Seconds() }
 	lg := &obs.LoadgenReport{
 		App: app.Name(), Addr: target, Conns: conns,
 		Duration:   res.Elapsed.Seconds(),
@@ -246,29 +213,25 @@ func runSpec(trace *workload.Trace, app workload.App, target string,
 		ElapsedS:   res.Elapsed.Seconds(),
 		LatencyS: obs.LatencyQuantiles{
 			Min: time.Duration(res.Latency.Min()).Seconds(),
-			P50: q(0.50), P90: q(0.90), P99: q(0.99),
-			P999: q(0.999), P9999: q(0.9999),
+			P50: sec(&res.Latency, 0.50), P90: sec(&res.Latency, 0.90), P99: sec(&res.Latency, 0.99),
+			P999: sec(&res.Latency, 0.999), P9999: sec(&res.Latency, 0.9999),
 			Max: time.Duration(res.Latency.Max()).Seconds(),
 		},
 	}
+	qos := app.QoS()
 	for i := range res.Classes {
 		c := &res.Classes[i]
-		cq := func(p float64) float64 { return time.Duration(c.Latency.Quantile(p)).Seconds() }
-		targetS := c.Scale * float64(qos.Latency) // sim.Duration is seconds
-		tail := cq(pct)
+		goal := c.Scale * float64(qos.Latency) // sim.Duration is seconds
+		tail := sec(&c.Latency, qos.Percentile/100)
 		lg.Classes = append(lg.Classes, obs.SLOClassLatency{
 			Class: c.Class, QoSScale: c.Scale,
 			Completed: c.Completed, Dropped: c.Dropped,
-			P50: cq(0.50), P95: cq(0.95), P99: cq(0.99),
-			TailAtQoS: tail, QoSTarget: targetS,
-			QoSMet: tail <= targetS,
+			P50: sec(&c.Latency, 0.50), P95: sec(&c.Latency, 0.95), P99: sec(&c.Latency, 0.99),
+			TailAtQoS: tail, QoSTarget: goal,
+			QoSMet: tail <= goal,
 		})
 	}
-	rep.Loadgen = lg
-	if err := rep.WriteFile(report); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("report      %s (v%d, config %s)\n", report, rep.Version, rep.ConfigHash)
+	return lg
 }
 
 // flatPredictor is the selfhost stand-in for a trained model: a constant

@@ -68,8 +68,8 @@ type LiveChaosReport struct {
 	Plan    string
 	Workers int
 
-	Sent, Completed, Retries, Lost int
-	P50, P95, P99, Mean            time.Duration
+	// LoadResult is the retrying client's view of the run.
+	*live.LoadResult
 
 	Counts        live.DegradeCounts
 	PinnedWorkers int
@@ -125,8 +125,7 @@ func RunLiveChaos(cfg LiveChaosConfig) (*LiveChaosReport, error) {
 	// The whole plan is compressed onto the wall clock: windows, drift
 	// steps and duration magnitudes (stalls, spikes) all shrink by
 	// TimeScale, matching the compressed QoS target below. The injector
-	// then runs on plain wall seconds. (The client keeps the canonical
-	// burst timeline and divides by TimeScale itself.)
+	// and the client's burst then run on plain wall seconds.
 	splan := cfg.Plan.Scaled(cfg.TimeScale)
 	wall := fault.WallClock()
 	inj := fault.New(cfg.Seed, splan).WithClock(wall)
@@ -168,7 +167,7 @@ func RunLiveChaos(cfg LiveChaosConfig) (*LiveChaosReport, error) {
 		Addr:            "127.0.0.1:0",
 		Workers:         cfg.Workers,
 		QoS:             qos,
-		Predictor:       fault.CorruptingPredictor{Inner: scaledPredictor{cal.Model, cfg.TimeScale}, Inj: inj},
+		Predictor:       fault.CorruptingPredictor{Inner: live.ScaledPredictor{Inner: cal.Model, Scale: cfg.TimeScale}, Inj: inj},
 		Backend:         backend,
 		Exec:            exec,
 		MonitorInterval: time.Duration(float64(100*time.Millisecond) * cfg.TimeScale),
@@ -183,15 +182,13 @@ func RunLiveChaos(cfg LiveChaosConfig) (*LiveChaosReport, error) {
 	}
 	srv.Start()
 
-	cres, cerr := live.RunClient(live.ClientConfig{
-		Addr:      srv.Addr(),
-		App:       app,
-		RPS:       cfg.RPS,
-		Duration:  time.Duration(cfg.Seconds * cfg.TimeScale * float64(time.Second)),
-		Conns:     4,
-		Seed:      cfg.Seed + 7,
-		TimeScale: cfg.TimeScale,
-		Burst:     cfg.Plan.Burst,
+	window := time.Duration(cfg.Seconds * cfg.TimeScale * float64(time.Second))
+	cres, cerr := live.RunLoad(live.LoadConfig{
+		Addr:         srv.Addr(),
+		Trace:        live.PoissonTrace(app, cfg.RPS, window, cfg.Seed+7, splan),
+		Conns:        4,
+		MaxRetries:   3,
+		RetryBackoff: time.Duration(float64(2*time.Millisecond) * cfg.TimeScale),
 	})
 	rep := &LiveChaosReport{
 		Plan:          cfg.Plan.Name,
@@ -208,9 +205,7 @@ func RunLiveChaos(cfg LiveChaosConfig) (*LiveChaosReport, error) {
 	if cerr != nil {
 		return nil, cerr
 	}
-	rep.Sent, rep.Completed = cres.Sent, cres.Completed
-	rep.Retries, rep.Lost = cres.Retries, cres.Lost
-	rep.P50, rep.P95, rep.P99, rep.Mean = cres.P50, cres.P95, cres.P99, cres.Mean
+	rep.LoadResult = cres
 	for s := fault.Site(0); s < fault.NumSites; s++ {
 		rep.Injected[s] = inj.Fired(s)
 	}
@@ -229,9 +224,9 @@ func RunLiveChaos(cfg LiveChaosConfig) (*LiveChaosReport, error) {
 func (r *LiveChaosReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Live chaos — plan %s, %d workers\n", r.Plan, r.Workers)
-	fmt.Fprintf(&b, "client      sent %d  completed %d  retries %d  lost %d\n",
-		r.Sent, r.Completed, r.Retries, r.Lost)
-	fmt.Fprintf(&b, "latency     p50 %v  p95 %v  p99 %v  mean %v\n", r.P50, r.P95, r.P99, r.Mean)
+	fmt.Fprintf(&b, "client      sent %d  completed %d  retries %d  dropped %d  unanswered %d\n",
+		r.Sent, r.Completed, r.Retries, r.Dropped, r.Unanswered)
+	fmt.Fprintf(&b, "latency     p50 %v  p95 %v  p99 %v\n", r.Quantile(0.50), r.Quantile(0.95), r.Quantile(0.99))
 	fmt.Fprintf(&b, "recovery    dvfs errors %d  retries %d  fallbacks %d  shed %d  deadline drops %d\n",
 		r.Counts.DVFSWriteErrors, r.Counts.DVFSRetries, r.Counts.DVFSFallbacks,
 		r.Counts.Shed, r.Counts.DeadlineDrops)
@@ -239,17 +234,4 @@ func (r *LiveChaosReport) Render() string {
 	fmt.Fprintf(&b, "state       pinned %d  decisions %d  qos' %v (target %v)  grid consistent %v\n",
 		r.PinnedWorkers, r.Decisions, r.QoSPrime, r.QoS, r.GridConsistent)
 	return b.String()
-}
-
-// scaledPredictor shrinks predictions by the demo time-compression factor
-// (the live command uses the same trick; real hardware runs at scale 1).
-type scaledPredictor struct {
-	inner interface {
-		Predict(cpu.Level, []float64) float64
-	}
-	s float64
-}
-
-func (p scaledPredictor) Predict(lvl cpu.Level, f []float64) float64 {
-	return p.inner.Predict(lvl, f) * p.s
 }

@@ -34,7 +34,7 @@ func TestDebugEndpoints(t *testing.T) {
 		Addr:            "127.0.0.1:0",
 		Workers:         2,
 		QoS:             app.QoS(),
-		Predictor:       scaledPredictor{cal.Model, scale},
+		Predictor:       ScaledPredictor{cal.Model, scale},
 		Backend:         backend,
 		Exec:            DemoExecutor(app, backend, scale),
 		MonitorInterval: 50 * time.Millisecond,
@@ -46,9 +46,8 @@ func TestDebugEndpoints(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	res, err := RunClient(ClientConfig{
-		Addr: srv.Addr(), App: app, RPS: 150, Duration: 1500 * time.Millisecond,
-		Conns: 8, Seed: 7, TimeScale: scale,
+	res, err := RunLoad(LoadConfig{
+		Addr: srv.Addr(), Trace: PoissonTrace(app, 150, 1500*time.Millisecond, 7, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -183,9 +183,10 @@ func TestLivePoliciesEndToEnd(t *testing.T) {
 			}
 			srv.Start()
 			defer srv.Close()
-			res, err := RunClient(ClientConfig{
-				Addr: srv.Addr(), App: workload.NewXapian(), RPS: 150,
-				Duration: 400 * time.Millisecond, Conns: 4, Seed: 11,
+			res, err := RunLoad(LoadConfig{
+				Addr:  srv.Addr(),
+				Trace: PoissonTrace(workload.NewXapian(), 150, 400*time.Millisecond, 11, nil),
+				Conns: 4,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -326,15 +326,14 @@ func shedServer(t *testing.T, reg *telemetry.Registry) *Server {
 
 // TestShedAndClientRetryBudget: a hopeless request is shed on arrival;
 // the client retries with backoff up to its budget and then counts the
-// request lost — and the shed counter lands in telemetry.
+// request dropped — and the shed counter lands in telemetry.
 func TestShedAndClientRetryBudget(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := shedServer(t, reg)
-	app := workload.NewXapian()
-	res, err := RunClient(ClientConfig{
-		Addr: srv.Addr(), App: app, RPS: 200,
-		Duration: 300 * time.Millisecond, Conns: 2, Seed: 3,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+	res, err := RunLoad(LoadConfig{
+		Addr:  srv.Addr(),
+		Trace: PoissonTrace(workload.NewXapian(), 200, 300*time.Millisecond, 3, nil),
+		Conns: 2, MaxRetries: 2, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +344,8 @@ func TestShedAndClientRetryBudget(t *testing.T) {
 	if res.Completed != 0 {
 		t.Fatalf("completed %d, want 0 (everything sheds)", res.Completed)
 	}
-	if res.Lost != res.Sent {
-		t.Fatalf("lost %d of %d sent", res.Lost, res.Sent)
+	if res.Dropped != res.Sent || res.Unanswered != 0 {
+		t.Fatalf("dropped %d of %d sent, %d unanswered", res.Dropped, res.Sent, res.Unanswered)
 	}
 	if res.Retries != 2*res.Sent {
 		t.Fatalf("retries %d, want 2×sent=%d", res.Retries, 2*res.Sent)
@@ -364,23 +363,29 @@ func TestShedAndClientRetryBudget(t *testing.T) {
 	}
 }
 
-// TestClientRetriesDisabled: MaxRetries < 0 turns retries off — every
-// shed is an immediate loss.
+// TestClientRetriesDisabled: MaxRetries 0 turns retries off — every
+// shed is final.
 func TestClientRetriesDisabled(t *testing.T) {
 	srv := shedServer(t, nil)
-	res, err := RunClient(ClientConfig{
-		Addr: srv.Addr(), App: workload.NewXapian(), RPS: 200,
-		Duration: 200 * time.Millisecond, Conns: 2, Seed: 3,
-		MaxRetries: -1,
+	res, err := RunLoad(LoadConfig{
+		Addr:  srv.Addr(),
+		Trace: PoissonTrace(workload.NewXapian(), 200, 200*time.Millisecond, 3, nil),
+		Conns: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Sent == 0 {
+		t.Fatal("client sent nothing")
+	}
 	if res.Retries != 0 {
 		t.Fatalf("retries %d with retries disabled", res.Retries)
 	}
-	if res.Lost != res.Sent {
-		t.Fatalf("lost %d of %d", res.Lost, res.Sent)
+	if res.Dropped != res.Sent {
+		t.Fatalf("dropped %d of %d", res.Dropped, res.Sent)
+	}
+	if c := srv.DegradeCounts(); c.Shed != uint64(res.Sent) {
+		t.Fatalf("shed %d, want one per sent request (%d)", c.Shed, res.Sent)
 	}
 }
 
@@ -408,10 +413,10 @@ func TestDeadlineDrop(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	res, err := RunClient(ClientConfig{
-		Addr: srv.Addr(), App: workload.NewXapian(), RPS: 300,
-		Duration: 300 * time.Millisecond, Conns: 4, Seed: 5,
-		MaxRetries: -1,
+	res, err := RunLoad(LoadConfig{
+		Addr:  srv.Addr(),
+		Trace: PoissonTrace(workload.NewXapian(), 300, 300*time.Millisecond, 5, nil),
+		Conns: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,9 +455,10 @@ func TestServerExecFaultInjection(t *testing.T) {
 	}
 	srv.Start()
 	defer srv.Close()
-	res, err := RunClient(ClientConfig{
-		Addr: srv.Addr(), App: workload.NewXapian(), RPS: 100,
-		Duration: 200 * time.Millisecond, Conns: 2, Seed: 9,
+	res, err := RunLoad(LoadConfig{
+		Addr:  srv.Addr(),
+		Trace: PoissonTrace(workload.NewXapian(), 100, 200*time.Millisecond, 9, nil),
+		Conns: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +470,7 @@ func TestServerExecFaultInjection(t *testing.T) {
 		t.Fatal("no exec faults fired with Every=1")
 	}
 	// Every execution took the 5ms spike, so even p50 must exceed it.
-	if res.P50 < 5*time.Millisecond {
-		t.Fatalf("p50 = %v, want ≥ 5ms spike", res.P50)
+	if p50 := res.Quantile(0.50); p50 < 5*time.Millisecond {
+		t.Fatalf("p50 = %v, want ≥ 5ms spike", p50)
 	}
 }

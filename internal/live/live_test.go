@@ -113,7 +113,7 @@ func TestLiveEndToEnd(t *testing.T) {
 		Addr:            "127.0.0.1:0",
 		Workers:         2,
 		QoS:             app.QoS(),
-		Predictor:       scaledPredictor{cal.Model, scale},
+		Predictor:       ScaledPredictor{cal.Model, scale},
 		Backend:         backend,
 		Exec:            DemoExecutor(app, backend, scale),
 		MonitorInterval: 50 * time.Millisecond,
@@ -124,14 +124,8 @@ func TestLiveEndToEnd(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	res, err := RunClient(ClientConfig{
-		Addr:      srv.Addr(),
-		App:       app,
-		RPS:       120,
-		Duration:  2 * time.Second,
-		Conns:     8,
-		Seed:      7,
-		TimeScale: scale,
+	res, err := RunLoad(LoadConfig{
+		Addr: srv.Addr(), Trace: PoissonTrace(app, 120, 2*time.Second, 7, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +138,8 @@ func TestLiveEndToEnd(t *testing.T) {
 	}
 	// QoS scaled: 8ms × 0.2 = 1.6ms budget… plus real scheduler noise, so
 	// assert only the broad shape: p99 below the unscaled QoS.
-	if res.P99 > time.Duration(float64(app.QoS().Latency)*1e9) {
-		t.Fatalf("p99 = %v exceeds unscaled QoS", res.P99)
+	if p99 := res.Quantile(0.99); p99 > time.Duration(float64(app.QoS().Latency)*1e9) {
+		t.Fatalf("p99 = %v exceeds unscaled QoS", p99)
 	}
 	if srv.Decisions() == 0 {
 		t.Fatal("no frequency decisions")
@@ -153,19 +147,6 @@ func TestLiveEndToEnd(t *testing.T) {
 	if backend.Writes() == 0 {
 		t.Fatal("no DVFS writes")
 	}
-}
-
-// scaledPredictor shrinks the simulator-calibrated model's estimates to
-// the demo's compressed time scale.
-type scaledPredictor struct {
-	inner interface {
-		Predict(cpu.Level, []float64) float64
-	}
-	scale float64
-}
-
-func (p scaledPredictor) Predict(lvl cpu.Level, f []float64) float64 {
-	return p.inner.Predict(lvl, f) * p.scale
 }
 
 // Close must not hang even when a client keeps its connection open.

@@ -109,23 +109,26 @@ type Trace struct {
 // path, small enough that a short trace wastes little.
 const featureChunk = 8192
 
-// NewTrace starts an empty recording for a spec at a run seed. The
-// caller stamps provenance (Trace.Header.Provenance) before writing;
-// CanonicalBytes masks it either way.
+// maxPresize caps how many records ReadTrace reserves on the header's
+// word alone (56 MiB of TraceRecord): a recording below it decodes with
+// exactly the allocations it always had, and a hostile count can no
+// longer ask for more than this up front.
+const maxPresize = 1 << 20
+
+// NewTrace starts an empty recording for a spec at a run seed. A nil
+// spec records a spec-less stream (a plain Generator's): no class table,
+// and the app table fills as requests arrive. The caller stamps
+// provenance (Trace.Header.Provenance) before writing; CanonicalBytes
+// masks it either way.
 func NewTrace(spec *Spec, seed int64) *Trace {
-	names, scales := spec.Classes()
 	t := &Trace{
-		Header: TraceHeader{
-			Format:  traceMagic,
-			Version: TraceV2Version,
-			Spec:    spec.Name,
-			SpecSHA: spec.SHA(),
-			Seed:    seed,
-			Apps:    spec.Apps(),
-			Classes: names,
-			Scales:  scales,
-		},
+		Header: TraceHeader{Format: traceMagic, Version: TraceV2Version, Seed: seed},
 		appIdx: map[string]uint8{},
+	}
+	if spec != nil {
+		t.Header.Spec, t.Header.SpecSHA = spec.Name, spec.SHA()
+		t.Header.Apps = spec.Apps()
+		t.Header.Classes, t.Header.Scales = spec.Classes()
 	}
 	for i, a := range t.Header.Apps {
 		t.appIdx[a] = uint8(i)
@@ -282,7 +285,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	t.Records = make([]TraceRecord, 0, hdr.Records)
+	if hdr.Records < 0 {
+		return nil, fmt.Errorf("workload: trace header has a negative record count %d", hdr.Records)
+	}
+	// The header's count only sizes the first allocation, and only up to
+	// maxPresize: past that the records must actually arrive to grow it.
+	t.Records = make([]TraceRecord, 0, min(hdr.Records, maxPresize))
 	for i := 0; i < hdr.Records; i++ {
 		var rec TraceRecord
 		bits, err := get64()

@@ -1,4 +1,4 @@
-// Smoke test: build every example and command, then execute each with a
+// Smoke test: build the examples and commands, then execute each with a
 // tiny workload. This is the "does the repo still run end-to-end" gate —
 // it catches broken flag parsing, panics on startup and bit-rotted
 // example code that unit tests never touch. Skipped under -short.
@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,36 +16,67 @@ import (
 	"time"
 )
 
-// smokeTargets lists every main package with the arguments that give the
-// fastest meaningful run (measured well under 10 s each).
+// smokeTargets lists main packages with the arguments that give the
+// fastest meaningful run (measured well under 10 s each). It is not every
+// one: retail-tune needs a recorded trace and a search file, and
+// benchjson reads benchmark output. A target with a check runs in a
+// temporary directory, which check then inspects.
 var smokeTargets = []struct {
-	pkg  string // package path relative to the module root
-	args []string
+	pkg   string // package path relative to the module root
+	args  []string
+	check func(t *testing.T, dir string)
 }{
-	{"./examples/quickstart", nil},
-	{"./examples/colocation", nil},
-	{"./examples/database", nil},
-	{"./examples/multitier", nil},
-	{"./examples/replay", nil},
-	{"./examples/websearch", nil},
-	{"./cmd/retail-sim", []string{"-workers", "4", "-duration", "2", "-samples", "200"}},
-	{"./cmd/retail-characterize", []string{"-quick"}},
-	{"./cmd/retail-bench", []string{"-list"}},
+	{"./examples/quickstart", nil, nil},
+	{"./examples/colocation", nil, nil},
+	{"./examples/database", nil, nil},
+	{"./examples/multitier", nil, nil},
+	{"./examples/replay", nil, nil},
+	{"./examples/websearch", nil, nil},
+	{"./cmd/retail-sim", []string{"-workers", "4", "-duration", "2", "-samples", "200"}, nil},
+	{"./cmd/retail-characterize", []string{"-quick"}, nil},
+	{"./cmd/retail-bench", []string{"-list"}, nil},
 	// Exercises the full wall-clock path including the Prometheus
 	// exposition server (bound to an ephemeral port).
 	{"./cmd/retail-live", []string{
 		"-rps", "200", "-duration", "500ms", "-metrics-addr", "127.0.0.1:0",
-	}},
+	}, nil},
 	// Replays a compressed fault plan against the live runtime: injector,
 	// degradation machinery and the report path all run end-to-end.
 	{"./cmd/retail-chaos", []string{
 		"-plan", "overload-burst", "-seconds", "4", "-scale", "0.25", "-samples", "200",
-	}},
+	}, nil},
 	// A two-dispatcher, one-policy fleet sweep at quick scale: the whole
 	// cluster layer (routing, per-node managers, sweep merge) end-to-end.
 	{"./cmd/retail-cluster", []string{
 		"-quick", "-loads", "0.5", "-policies", "retail",
 		"-dispatchers", "round-robin,global-jsq", "-requests", "1200",
+	}, nil},
+	// The open-loop client against an in-process server, once on a Poisson
+	// schedule and once on a cohort spec's classed schedule, whose report
+	// must carry a block per SLO class.
+	{"./cmd/retail-loadgen", []string{"-selfhost", "-rps", "2000", "-duration", "300ms"}, nil},
+	{"./cmd/retail-loadgen", []string{
+		"-selfhost", "-spec", "slo-mix", "-rps", "2000", "-duration", "300ms", "-report", "report.json",
+	}, func(t *testing.T, dir string) {
+		b, err := os.ReadFile(filepath.Join(dir, "report.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Loadgen struct {
+				Completed int `json:"completed"`
+				Classes   []struct {
+					Class string `json:"class"`
+				} `json:"classes"`
+			} `json:"loadgen"`
+		}
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Loadgen.Completed == 0 || len(rep.Loadgen.Classes) == 0 {
+			t.Fatalf("report has %d completed and %d class blocks:\n%s",
+				rep.Loadgen.Completed, len(rep.Loadgen.Classes), b)
+		}
 	}},
 }
 
@@ -53,12 +85,12 @@ func TestSmoke(t *testing.T) {
 		t.Skip("smoke test builds and runs every binary")
 	}
 	bindir := t.TempDir()
-	for _, tgt := range smokeTargets {
+	for i, tgt := range smokeTargets {
 		tgt := tgt
 		name := filepath.Base(tgt.pkg)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bin := filepath.Join(bindir, name+"-"+filepath.Base(filepath.Dir(tgt.pkg)))
+			bin := filepath.Join(bindir, fmt.Sprintf("%s-%d", name, i))
 			build := exec.Command("go", "build", "-o", bin, tgt.pkg)
 			if out, err := build.CombinedOutput(); err != nil {
 				t.Fatalf("go build %s: %v\n%s", tgt.pkg, err, out)
@@ -66,12 +98,18 @@ func TestSmoke(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			cmd := exec.CommandContext(ctx, bin, tgt.args...)
+			if tgt.check != nil {
+				cmd.Dir = t.TempDir()
+			}
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("%s %v: %v\n%s", name, tgt.args, err, out)
 			}
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", name)
+			}
+			if tgt.check != nil {
+				tgt.check(t, cmd.Dir)
 			}
 		})
 	}
