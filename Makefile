@@ -52,9 +52,10 @@ GO ?= go
 
 # The hot-path micro-benchmarks tracked across PRs: the event loop
 # (freelist; the calendar queue on the simulator's own bimodal event
-# population), Algorithm 1 decisions (prediction memo), the per-completion
-# latency recorder (ring window), Gemini's network (batch-major training,
-# forward pass, per-request inference memo), the live wire codec (each
+# population), Algorithm 1 decisions (per-request prediction slots), the
+# per-completion latency recorder (ring window), Gemini's network
+# (batch-major training, forward pass, one pass per request into its
+# prediction slot), the live wire codec (each
 # direction beside the encoding/json call it stands in for), the sweep
 # runner and the fleet simulator. bench-check runs each exactly once under the
 # race detector — a correctness smoke, not a measurement — and then

@@ -61,17 +61,7 @@ type Gemini struct {
 	grid *cpu.Grid
 	spec []workload.FeatureSpec
 
-	// Inference memo. The admission check consults the network for every
-	// request queued ahead of an arrival and the level search once per
-	// tried level, but the network's output depends on the request alone —
-	// only the f_ref/f scaling varies — so base holds it per in-flight
-	// request ID (IDs must be unique among those): filled by the first
-	// predictAt, dropped when the request completes or is refused. This
-	// saves the host the repeated forward passes, not the modeled manager:
-	// inferences still counts every consultation (see ReTail.predictService
-	// for the rule). feats and scratch serve the misses.
-	base    map[uint64]float64
-	feats   []float64
+	// scratch serves the one forward pass per request (see predictAt).
 	scratch predict.NNScratch
 
 	inferences uint64
@@ -89,7 +79,7 @@ func NewGemini(qos workload.QoS, specs []workload.FeatureSpec, cfg GeminiConfig)
 	if cfg.BoostFrac == 0 {
 		cfg.BoostFrac = 0.8
 	}
-	return &Gemini{cfg: cfg, qos: qos, spec: specs, base: make(map[uint64]float64)}
+	return &Gemini{cfg: cfg, qos: qos, spec: specs}
 }
 
 func (m *Gemini) Name() string { return "gemini" }
@@ -115,25 +105,28 @@ func (m *Gemini) Attach(e *sim.Engine, s *server.Server) {
 	s.Hooks = m
 }
 
-// entryFor returns r's memoized network output, running the NN on
-// request-arrival features only at first sight of the request.
-func (m *Gemini) entryFor(r *workload.Request) float64 {
-	base, ok := m.base[r.ID]
-	if !ok {
-		m.feats = AppendObservableFeatures(m.feats, m.spec, r, false, true)
-		base = m.cfg.Model.Base(&m.scratch, m.feats)
-		m.base[r.ID] = base
-	}
-	return base
-}
-
-// forget drops r's entry once the request leaves the system.
-func (m *Gemini) forget(r *workload.Request) { delete(m.base, r.ID) }
+// geminiGen stamps the prediction slots Gemini fills; its network is never
+// retrained, so one generation serves the whole run.
+const geminiGen = 1
 
 // predictAt is one modeled NN inference: r's predicted service time at lvl.
+// The admission check consults the network for every request queued ahead
+// of an arrival and the level search once per tried level, but the
+// network's output depends on the request alone — only the f_ref/f
+// scaling varies — so the first consultation runs the forward pass on
+// request-arrival features into r's prediction slot (Vals[0] holds the
+// unscaled estimate) and later ones scale from there. This saves the host
+// the repeated forward passes, not the modeled manager: inferences still
+// counts every consultation (see ReTail.predictService for the rule).
 func (m *Gemini) predictAt(lvl cpu.Level, r *workload.Request) float64 {
 	m.inferences++
-	return m.cfg.Model.Scale(m.entryFor(r), lvl)
+	s := &r.Pred
+	if s.Gen != geminiGen {
+		s.Gen = geminiGen
+		s.Feats = AppendObservableFeatures(s.Feats, m.spec, r, false, true)
+		s.Vals = append(s.Vals[:0], m.cfg.Model.Base(&m.scratch, s.Feats))
+	}
+	return m.cfg.Model.Scale(s.Vals[0], lvl)
 }
 
 // Arrival implements server.Hooks: the admission check. The inference
@@ -158,7 +151,6 @@ func (m *Gemini) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) b
 	svcAtMax := m.predictAt(m.grid.MaxLevel(), r)
 	if !policy.GeminiAdmit(elapsed, queueAhead, svcAtMax, float64(m.qos.Latency)) {
 		m.dropped++
-		m.forget(r)
 		return false
 	}
 	return true
@@ -212,6 +204,3 @@ func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 		})
 	})
 }
-
-// Complete implements server.Hooks.
-func (m *Gemini) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) { m.forget(r) }

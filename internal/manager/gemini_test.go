@@ -84,12 +84,14 @@ func runGeminiNode(model *predict.NNModel, seed int64) geminiOutcome {
 	return out
 }
 
-// The memo may only save the host work: every count the modeled manager
-// produces and every request's fate equal the values the memo-free manager
-// gave (pinned at the commit before the memo), and no entry outlives its
-// request across completions, drops and pooled-node reuse.
+// The prediction slot may only save the host work: every count the modeled
+// manager produces and every request's fate equal the values a cache-free
+// manager gives (pinned before Gemini cached anything), and a request node
+// recycled through the pool — after completions and drops — predicts from
+// its own features, not its previous occupant's.
 func TestGeminiMemoKeepsResultsAndDrains(t *testing.T) {
-	out := runGeminiNode(xapianNN(t), 7)
+	model := xapianNN(t)
+	out := runGeminiNode(model, 7)
 	const (
 		wantInferences = 15866
 		wantBoosts     = 338
@@ -107,9 +109,33 @@ func TestGeminiMemoKeepsResultsAndDrains(t *testing.T) {
 	if out.digest != wantDigest {
 		t.Errorf("digest = %s, want %s", out.digest, wantDigest)
 	}
-	if n := len(out.m.base); n != 0 { // memo
-		t.Errorf("%d memo entries left after the node drained", n) // memo
-	} // memo
+
+	// Recycle one request node until its occupant's prediction differs
+	// from the first one's: each occupant must predict from its own
+	// features.
+	app, lvl := workload.NewXapian(), cpu.DefaultGrid().MaxLevel()
+	rng := rand.New(rand.NewSource(5))
+	pool := &workload.RequestPool{}
+	r := pool.Get()
+	r.Features = append(r.Features, app.Generate(rng).Features...)
+	first := out.m.predictAt(lvl, r)
+	for tries := 0; ; tries++ {
+		pool.Put(r)
+		if next := pool.Get(); next != r {
+			t.Fatal("the pool did not recycle the request node")
+		}
+		r.Features = append(r.Features, app.Generate(rng).Features...)
+		want := model.Predict(lvl, AppendObservableFeatures(nil, app.FeatureSpecs(), r, false, true))
+		if got := out.m.predictAt(lvl, r); got != want {
+			t.Fatalf("recycled request predicts %v, want %v from its own features", got, want)
+		}
+		if want != first {
+			break
+		}
+		if tries == 100 {
+			t.Fatal("no draw changes the prediction; the check cannot tell occupants apart")
+		}
+	}
 }
 
 // geminiWithQueue returns a Gemini whose worker holds one running and three
@@ -122,8 +148,8 @@ func geminiWithQueue(tb testing.TB) (*Gemini, *workload.Request) {
 	m.Attach(rig.e, rig.srv)
 	var last *workload.Request
 	rig.e.At(0, "burst", func(*sim.Engine) {
-		for id := uint64(1); id <= 4; id++ {
-			last = rig.submitID(id, 0)
+		for i := 0; i < 4; i++ {
+			last = rig.submit(0)
 		}
 	})
 	rig.e.Run(1e-3)
@@ -134,16 +160,17 @@ func TestGeminiPredictAtZeroAllocOnHit(t *testing.T) {
 	m, r := geminiWithQueue(t)
 	before := m.Inferences()
 	if a := testing.AllocsPerRun(200, func() { m.predictAt(3, r) }); a != 0 {
-		t.Fatalf("predictAt on a memoized request allocates %v times, want 0", a)
+		t.Fatalf("predictAt on a filled slot allocates %v times, want 0", a)
 	}
 	if m.Inferences() == before {
-		t.Fatal("memo hits must still count as inferences")
+		t.Fatal("slot hits must still count as inferences")
 	}
 }
 
 // BenchmarkGeminiStart times the level search Start runs per request (one
 // consultation per tried level plus the final estimate): served from the
-// memo, and with the forward pass a request's first consultation pays.
+// prediction slot, and with the forward pass a request's first
+// consultation pays.
 func BenchmarkGeminiStart(b *testing.B) {
 	m, r := geminiWithQueue(b)
 	search := func() {
@@ -160,7 +187,7 @@ func BenchmarkGeminiStart(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.forget(r)
+			r.Pred.Gen = 0 // empty the slot, keeping its arrays
 			search()
 		}
 	})

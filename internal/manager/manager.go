@@ -22,20 +22,13 @@ type Manager interface {
 	Attach(e *sim.Engine, s *server.Server)
 }
 
-// ObservableFeatures returns the feature vector a manager may legitimately
-// use for a request right now: application features (lateness > 0) are
-// zeroed until stage 1 has extracted them. Managers that only ever use
-// request features (Gemini, Adrenaline) pass requestOnly=true to zero all
-// application features regardless of readiness.
-func ObservableFeatures(specs []workload.FeatureSpec, r *workload.Request, ready, requestOnly bool) []float64 {
-	return AppendObservableFeatures(make([]float64, 0, len(r.Features)), specs, r, ready, requestOnly)
-}
-
-// AppendObservableFeatures is the allocation-free variant of
-// ObservableFeatures: it overwrites dst (resliced to length zero, grown
-// only if capacity is insufficient) with the observable feature vector and
-// returns it. Hot paths keep a scratch buffer and pass it as dst so one
-// decision performs no per-feature-vector allocations.
+// AppendObservableFeatures overwrites dst (resliced to length zero, grown
+// only if capacity is insufficient) with the feature vector a manager may
+// legitimately use for a request right now, and returns it: application
+// features (lateness > 0) are zeroed until stage 1 has extracted them.
+// Managers that only ever use request features (Gemini, Adrenaline) pass
+// requestOnly=true to zero all application features regardless of
+// readiness.
 func AppendObservableFeatures(dst []float64, specs []workload.FeatureSpec, r *workload.Request, ready, requestOnly bool) []float64 {
 	dst = append(dst[:0], r.Features...)
 	if requestOnly || !ready {

@@ -55,12 +55,6 @@ type testRig struct {
 func newRig(t testing.TB, app varApp, workers int) *testRig {
 	t.Helper()
 	g := cpu.DefaultGrid()
-	srv := server.New(server.Config{
-		App: app, Workers: workers, Grid: g,
-		Power: cpu.DefaultPowerModel(g),
-		Trans: cpu.TransitionModel{Min: 1e-6, Mean: 2e-6, Max: 5e-6},
-		Seed:  1,
-	})
 	// Calibrate a linear model from exact per-level samples.
 	rng := rand.New(rand.NewSource(9))
 	set := predict.NewTrainingSet(300)
@@ -78,7 +72,21 @@ func newRig(t testing.TB, app varApp, workers int) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{e: sim.NewEngine(), srv: srv, app: app, grid: g, set: set, mdl: mdl}
+	rig := &testRig{app: app, grid: g, set: set, mdl: mdl}
+	rig.reset(workers)
+	return rig
+}
+
+// reset gives the rig a fresh engine and an idle server, keeping the
+// calibrated model.
+func (r *testRig) reset(workers int) {
+	r.e = sim.NewEngine()
+	r.srv = server.New(server.Config{
+		App: r.app, Workers: workers, Grid: r.grid,
+		Power: cpu.DefaultPowerModel(r.grid),
+		Trans: cpu.TransitionModel{Min: 1e-6, Mean: 2e-6, Max: 5e-6},
+		Seed:  1,
+	})
 }
 
 func (r *testRig) retailConfig() ReTailConfig {
@@ -90,13 +98,8 @@ func (r *testRig) retailConfig() ReTailConfig {
 }
 
 // submit injects a request with feature x at the current time.
-func (r *testRig) submit(x float64) *workload.Request { return r.submitID(0, x) }
-
-// submitID is submit for tests of per-request state, which managers key by
-// ID: the generators number requests, hand-built ones are all 0.
-func (r *testRig) submitID(id uint64, x float64) *workload.Request {
+func (r *testRig) submit(x float64) *workload.Request {
 	req := &workload.Request{
-		ID:          id,
 		App:         r.app.Name(),
 		Features:    []float64{x},
 		ServiceBase: sim.Duration(r.app.base + r.app.slope*x),
@@ -114,22 +117,22 @@ func TestObservableFeatures(t *testing.T) {
 	}
 	r := &workload.Request{Features: []float64{3, 7}}
 	// Not ready: application feature hidden.
-	got := ObservableFeatures(specs, r, false, false)
+	got := AppendObservableFeatures(nil, specs, r, false, false)
 	if got[0] != 3 || got[1] != 0 {
 		t.Fatalf("not-ready features = %v", got)
 	}
 	// Ready: everything visible.
-	got = ObservableFeatures(specs, r, true, false)
+	got = AppendObservableFeatures(nil, specs, r, true, false)
 	if got[0] != 3 || got[1] != 7 {
 		t.Fatalf("ready features = %v", got)
 	}
 	// Request-only managers never see application features.
-	got = ObservableFeatures(specs, r, true, true)
+	got = AppendObservableFeatures(nil, specs, r, true, true)
 	if got[0] != 3 || got[1] != 0 {
 		t.Fatalf("request-only features = %v", got)
 	}
 	// The input is never mutated.
 	if r.Features[1] != 7 {
-		t.Fatal("ObservableFeatures mutated the request")
+		t.Fatal("AppendObservableFeatures mutated the request")
 	}
 }

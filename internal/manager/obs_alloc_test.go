@@ -24,7 +24,7 @@ func TestRetailDecideZeroAllocWithLedger(t *testing.T) {
 		rig.e.Run(rig.e.Now() + 1e-9)
 	}
 	for i := 0; i < 64; i++ {
-		step() // warm the memo, pools, and the ledger's pending map
+		step() // warm the slots, pools, and the ledger's pending map
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("decide with ledger attached allocates %v allocs/op, want 0", avg)

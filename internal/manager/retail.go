@@ -2,6 +2,7 @@ package manager
 
 import (
 	"math"
+	"slices"
 
 	"retail/internal/cpu"
 	"retail/internal/policy"
@@ -72,7 +73,7 @@ func DefaultReTailConfig() ReTailConfig {
 // ReTail is the simulator adapter for the paper's power manager: the
 // clock-agnostic decision core (policy.Alg1 + policy.Monitor) bound to
 // virtual time, plus the pieces that are inherently simulator-side —
-// the prediction memo, inference accounting, drift-triggered online
+// prediction caching, inference accounting, drift-triggered online
 // retraining and the deferred frequency writes that model decision
 // delay. The wall-clock runtime (internal/live) binds the same core to
 // monotonic time; the replay-parity harness in internal/experiments
@@ -92,30 +93,17 @@ type ReTail struct {
 	mon  *policy.Monitor
 	pipe simPipeline
 
-	// Prediction memo (Algorithm 1 fast path). Algorithm 1 enumerates L
-	// frequency levels over the worker's whole pipeline, so a naive
-	// implementation builds Q feature vectors and runs L×Q inferences per
-	// decision. The memo caches, per in-flight request, the observable
-	// feature vector and the per-level predicted service times, keyed by
-	// (readiness, model generation): one decision does at most Q feature
-	// builds and each (level, request) pair is predicted once until the
-	// request's readiness flips or the model is retrained. The entry also
-	// *is* the request's readiness record (the Ready hook sets it), so a
-	// request costs one map insert, one lookup per memo miss and one
-	// delete. Entries are recycled through predFree when requests
-	// complete, so steady state allocates nothing. See predictService for
-	// the inference-counting rule.
-	pred     map[uint64]*predEntry
-	predFree []*predEntry
+	// modelGen stamps the prediction slots (workload.PredSlot) this
+	// manager fills. Algorithm 1 enumerates L frequency levels over the
+	// worker's whole pipeline, so a naive implementation builds Q feature
+	// vectors and runs L×Q inferences per decision; with the slot, each
+	// (level, request) pair is predicted once until the request's
+	// readiness flips or a retrain bumps modelGen. It starts at 1 so the
+	// zero stamp always means empty. See predictService for the
+	// inference-counting rule.
 	modelGen uint64
-	// One-entry lookup cache over pred: Algorithm 1 consults the memo for
-	// the same request many times in a row (once per candidate level and
-	// pipeline slot), and the repeated map hash dominates entryFor. The ID
-	// double-check makes a recycled pooled Request pointer miss.
-	lastID  uint64
-	lastEnt *predEntry
 	// scratch backs the Complete hook's feature build (drift bookkeeping),
-	// which needs no memo because each completed request is scored once.
+	// which needs no cache because each completed request is scored once.
 	scratch []float64
 
 	retraining bool
@@ -183,7 +171,7 @@ func NewReTail(qos workload.QoS, cfg ReTailConfig) *ReTail {
 		cfg:      cfg,
 		qos:      qos,
 		model:    cfg.Model,
-		pred:     map[uint64]*predEntry{},
+		modelGen: 1,
 		headOnly: cfg.Params.Alg1.HeadOnly,
 		classes:  cfg.Params.ClassTargets(),
 	}
@@ -232,7 +220,7 @@ func (m *ReTail) Instrument(reg *telemetry.Registry, app string) {
 // invocation carrying the chosen level, the binding request, QoS′ and the
 // predicted service time. Attaching a sink never changes simulated
 // behavior: the attribution lookups are host-side reads of the prediction
-// memo and are not charged to the modeled inference budget.
+// slots and are not charged to the modeled inference budget.
 func (m *ReTail) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 
 // SetClassTargets installs per-SLO-class QoS′ multipliers (from a cohort
@@ -329,101 +317,42 @@ func (m *ReTail) monitorTick(now policy.Time) {
 	}
 }
 
-// predEntry is one in-flight request's slot: whether its stage-1 feature
-// extraction has completed (an unready request's late features read as
-// zero), and the prediction memo — the observable feature vector and the
-// per-level predicted service times (NaN = not yet computed) — built for
-// that readiness under model generation modelGen.
-type predEntry struct {
-	modelGen uint64
-	ready    bool
-	feats    []float64
-	vals     []float64
-}
-
-// lookup returns r's entry, creating an unready one with a stale memo on
-// first sight of the request.
-func (m *ReTail) lookup(r *workload.Request) *predEntry {
-	if m.lastEnt != nil && m.lastID == r.ID {
-		return m.lastEnt
-	}
-	ent := m.pred[r.ID]
-	if ent == nil {
-		if n := len(m.predFree); n > 0 {
-			ent = m.predFree[n-1]
-			m.predFree[n-1] = nil
-			m.predFree = m.predFree[:n-1]
-		} else {
-			ent = &predEntry{}
-		}
-		ent.ready = false
-		ent.modelGen = m.modelGen - 1 // stale: the first entryFor builds
-		m.pred[r.ID] = ent
-	}
-	m.lastID, m.lastEnt = r.ID, ent
-	return ent
-}
-
-// markReady records that r's application features are now observable and
-// marks the memo stale, since it was built (if at all) without them.
-func (m *ReTail) markReady(r *workload.Request) {
-	if ent := m.lookup(r); !ent.ready {
-		ent.ready = true
-		ent.modelGen = m.modelGen - 1
-	}
-}
-
-// entryFor returns r's memo entry, (re)building the cached feature vector
-// and invalidating stale predictions when the request's readiness or the
-// model generation changed since the entry was filled.
-func (m *ReTail) entryFor(r *workload.Request) *predEntry {
-	ent := m.lookup(r)
-	if ent.modelGen != m.modelGen {
-		ent.modelGen = m.modelGen
-		ent.feats = AppendObservableFeatures(ent.feats, m.cfg.Layout.Specs, r, ent.ready, false)
-		n := m.grid.Levels()
-		if cap(ent.vals) < n {
-			ent.vals = make([]float64, n)
-		}
-		ent.vals = ent.vals[:n]
-		for i := range ent.vals {
-			ent.vals[i] = math.NaN()
+// predict returns the model's predicted service time for r at lvl from r's
+// prediction slot. A slot stamped under another model generation — or
+// under none, because it is empty or r just became ready — is rebuilt
+// first: the observable feature vector (late features read as zero until
+// r is ready) and every level unpredicted. predict counts nothing.
+func (m *ReTail) predict(lvl cpu.Level, r *workload.Request) float64 {
+	s := &r.Pred
+	if s.Gen != m.modelGen {
+		s.Gen = m.modelGen
+		s.Feats = AppendObservableFeatures(s.Feats, m.cfg.Layout.Specs, r, s.Ready, false)
+		s.Vals = slices.Grow(s.Vals[:0], m.grid.Levels())[:m.grid.Levels()]
+		for i := range s.Vals {
+			s.Vals[i] = math.NaN()
 		}
 	}
-	return ent
-}
-
-// forget recycles r's entry once the request leaves the system.
-func (m *ReTail) forget(r *workload.Request) {
-	if ent, ok := m.pred[r.ID]; ok {
-		delete(m.pred, r.ID)
-		m.predFree = append(m.predFree, ent)
-		if ent == m.lastEnt {
-			m.lastEnt = nil
-		}
+	v := s.Vals[lvl]
+	if math.IsNaN(v) {
+		v = m.model.Predict(lvl, s.Feats)
+		s.Vals[lvl] = v
 	}
+	return v
 }
 
-// predictService returns the model's predicted service time for r at lvl,
-// guarding feature observability and counting inferences.
-//
-// Inference-counting rule: every Algorithm-1 lookup increments the
-// inference counter whether it is served from the memo or computed fresh.
-// The paper charges decision delay per LatencyPredictor consultation on the
-// runtime core; the memo is a host-side optimization that removes the
+// predictService is predict as Algorithm 1's LatencyPredictor
+// consultation, which counts one inference whether the slot answers or
+// the model runs. The paper charges decision delay per consultation on
+// the runtime core; the slot is a host-side optimization that removes the
 // simulator's own CPU and allocation cost, not the modeled runtime's work.
-// Counting memo hits therefore keeps decision delays — and every simulated
-// timing downstream of them — byte-identical to the memo-free
-// implementation.
+// Counting slot hits therefore keeps decision delays — and every simulated
+// timing downstream of them — byte-identical to a cache-free
+// implementation. The decision sink's attribution read calls predict
+// directly: it is host-side observability, and charging it would make a
+// traced run diverge from an untraced one.
 func (m *ReTail) predictService(lvl cpu.Level, r *workload.Request) float64 {
 	m.inferences++
-	ent := m.entryFor(r)
-	if v := ent.vals[lvl]; !math.IsNaN(v) {
-		return v
-	}
-	v := m.model.Predict(lvl, ent.feats)
-	ent.vals[lvl] = v
-	return v
+	return m.predict(lvl, r)
 }
 
 // simPipeline adapts one worker's pipeline (head, queued requests, and
@@ -499,21 +428,6 @@ func (m *ReTail) targetLevel(e *sim.Engine, w *server.Worker, head *workload.Req
 	return lvl
 }
 
-// peekPredict returns the model's estimate for r at lvl without charging
-// the modeled inference budget: attribution is host-side observability,
-// and charging it would make a traced run diverge from an untraced one.
-// It shares the memo with predictService, so when Algorithm 1 already
-// evaluated (lvl, r) this is a pure read.
-func (m *ReTail) peekPredict(lvl cpu.Level, r *workload.Request) float64 {
-	ent := m.entryFor(r)
-	if v := ent.vals[lvl]; !math.IsNaN(v) {
-		return v
-	}
-	v := m.model.Predict(lvl, ent.feats)
-	ent.vals[lvl] = v
-	return v
-}
-
 // freqApply is a pooled deferred frequency write: the closure is built
 // once per pool entry and rereads the entry's fields when it fires, so
 // scheduling a decision's SetLevel allocates nothing in steady state.
@@ -570,7 +484,7 @@ func (m *ReTail) decide(e *sim.Engine, w *server.Worker, head *workload.Request,
 			QoSPrime:         sim.Duration(m.classes.Apply(head.SLOClass, m.mon.QoSPrime())),
 			Class:            head.SLOClass,
 			DecisionDelay:    cost,
-			PredictedService: m.peekPredict(lvl, head),
+			PredictedService: m.predict(lvl, head),
 		})
 	}
 	e.After(cost, "retail.setfreq", m.getFreqApply(w, lvl).fn)
@@ -589,9 +503,12 @@ func (m *ReTail) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) b
 	return true
 }
 
-// Ready implements server.Hooks.
+// Ready implements server.Hooks: r's application features are now
+// observable, so its slot, filled (if at all) without them, goes stale.
 func (m *ReTail) Ready(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	m.markReady(r)
+	if !r.Pred.Ready {
+		r.Pred.Ready, r.Pred.Gen = true, 0
+	}
 	// Fresh application features can change the pipeline estimate.
 	if cur := w.Current(); cur != nil && cur != r {
 		m.decide(e, w, cur, w.ProgressFraction(e.Now()), nil)
@@ -623,7 +540,6 @@ func cleanSample(r *workload.Request) bool {
 // (re)training, feed the drift detector and the latency monitor.
 func (m *ReTail) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	m.mon.Observe(float64(e.Now()), float64(r.Sojourn()))
-	m.forget(r)
 	if cleanSample(r) {
 		actual := float64(r.ServiceTime())
 		lvl := cpu.Level(r.ServedLevel)
@@ -653,7 +569,7 @@ func (m *ReTail) retrain(e *sim.Engine) {
 			return // keep the old model; more samples will accumulate
 		}
 		m.model = nm
-		m.modelGen++ // invalidate every memoized prediction from the old model
+		m.modelGen++ // every slot filled by the old model goes stale
 		m.retrains++
 		if m.retrainCounter != nil {
 			m.retrainCounter.Inc()
@@ -673,9 +589,9 @@ func (m *ReTail) retrain(e *sim.Engine) {
 	})
 }
 
-// invalidatePredictions drops all memoized predictions by bumping the model
+// invalidatePredictions stales every prediction slot by bumping the model
 // generation — exactly what a live retrain does. Benchmarks use it to
-// exercise the cold (memo-miss) path.
+// exercise the cold (slot-miss) path.
 func (m *ReTail) invalidatePredictions() { m.modelGen++ }
 
 // Model returns the live predictor (tests and experiments inspect it).

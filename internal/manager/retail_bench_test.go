@@ -35,9 +35,9 @@ func benchDecideRig(tb testing.TB, queued int, tweak func(*ReTailConfig)) (*test
 	return rig, m
 }
 
-// BenchmarkRetailDecide measures Algorithm 1 (targetLevel) over a warm
-// prediction memo: the steady state when the same pipeline is re-examined
-// on every arrival/ready event.
+// BenchmarkRetailDecide measures Algorithm 1 (targetLevel) over warm
+// prediction slots — nine requests, each with its own — the steady state
+// when the same pipeline is re-examined on every arrival/ready event.
 func BenchmarkRetailDecide(b *testing.B) {
 	rig, m := benchDecideRig(b, 8, nil)
 	w := rig.srv.Workers()[0]
@@ -49,7 +49,7 @@ func BenchmarkRetailDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkRetailDecideColdMemo invalidates the prediction memo every
+// BenchmarkRetailDecideColdMemo invalidates the prediction slots every
 // iteration (as a retrain would), so each decision rebuilds features and
 // re-runs the model: the worst case for the decision path.
 func BenchmarkRetailDecideColdMemo(b *testing.B) {
@@ -88,7 +88,7 @@ func decideStepper(tb testing.TB) func() {
 func TestRetailDecideZeroAlloc(t *testing.T) {
 	step := decideStepper(t)
 	for i := 0; i < 64; i++ {
-		step() // warm the memo, the freqApply pool and the event freelist
+		step() // warm the slots, the freqApply pool and the event freelist
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("decide with nil DecisionSink allocates %v allocs/op, want 0", avg)

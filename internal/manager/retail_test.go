@@ -321,11 +321,12 @@ func (h *readyInterceptor) Complete(e *sim.Engine, w *server.Worker, r *workload
 	h.inner.Complete(e, w, r)
 }
 
-// TestReTailReadinessLivesInMemoEntry pins the merged bookkeeping: one
-// ID-keyed entry per in-flight request carries both its readiness and its
-// prediction memo. A request marked Ready before anything predicted for it
-// still predicts with its late feature; a flip after a prediction
-// invalidates the memo; Complete's single delete forgets both.
+// TestReTailReadinessLivesInMemoEntry pins the per-request prediction
+// slot, which carries both the request's readiness and its predictions. A
+// request marked Ready before anything predicted for it still predicts
+// with its late feature; a readiness flip after a prediction invalidates
+// the slot; and a request node recycled through the pool starts unready
+// and predicts from its new occupant's features.
 func TestReTailReadinessLivesInMemoEntry(t *testing.T) {
 	app := varApp{base: 10e-3, slope: 1e-3, spread: 20, lateness: 0.2, qos: workload.QoS{Latency: 100e-3, Percentile: 99}}
 	rig := newRig(t, app, 1)
@@ -334,35 +335,39 @@ func TestReTailReadinessLivesInMemoEntry(t *testing.T) {
 	w := rig.srv.Workers()[0] // idle: the hooks below trigger no decision
 	lvl := rig.grid.MaxLevel()
 
-	early := &workload.Request{ID: 1, Features: []float64{7}}
+	early := &workload.Request{Features: []float64{7}}
 	m.Ready(rig.e, w, early)
-	if ent := m.entryFor(early); !ent.ready || ent.feats[0] != 7 {
-		t.Fatalf("ready-before-first-lookup: ready=%v feats=%v, want the late feature visible", ent.ready, ent.feats)
-	}
 	withFeature := m.predictService(lvl, early)
-
-	late := &workload.Request{ID: 2, Features: []float64{7}}
-	if ent := m.entryFor(late); ent.ready || ent.feats[0] != 0 {
-		t.Fatalf("unready request: ready=%v feats=%v, want the late feature masked", ent.ready, ent.feats)
+	if s := early.Pred; !s.Ready || s.Feats[0] != 7 {
+		t.Fatalf("ready before the first prediction: ready=%v feats=%v, want the late feature visible", s.Ready, s.Feats)
 	}
+
+	pool := &workload.RequestPool{}
+	late := pool.Get()
+	late.Features = append(late.Features, 7)
 	masked := m.predictService(lvl, late)
+	if s := late.Pred; s.Ready || s.Feats[0] != 0 {
+		t.Fatalf("unready request: ready=%v feats=%v, want the late feature masked", s.Ready, s.Feats)
+	}
 	if masked == withFeature {
 		t.Fatalf("masked and unmasked predictions agree (%v); the test cannot tell them apart", masked)
 	}
 	m.Ready(rig.e, w, late)
 	if got := m.predictService(lvl, late); got != withFeature {
-		t.Fatalf("prediction after the readiness flip = %v, want %v (memo not invalidated)", got, withFeature)
+		t.Fatalf("prediction after the readiness flip = %v, want %v (slot not invalidated)", got, withFeature)
 	}
 
-	// A recycled ID starts unready again, and nothing is left behind.
-	early.End, late.End = 1, 1
-	m.Complete(rig.e, w, early)
-	m.Complete(rig.e, w, late)
-	if len(m.pred) != 0 {
-		t.Fatalf("%d entries survive completion", len(m.pred))
+	pool.Put(late)
+	reused := pool.Get()
+	if reused != late {
+		t.Fatal("the pool did not recycle the request node")
 	}
-	reused := &workload.Request{ID: 1, Features: []float64{7}}
-	if ent := m.entryFor(reused); ent.ready || ent.feats[0] != 0 {
-		t.Fatalf("recycled ID inherited readiness: ready=%v feats=%v", ent.ready, ent.feats)
+	reused.Features = append(reused.Features, 3)
+	if got := m.predictService(lvl, reused); got != masked || reused.Pred.Ready {
+		t.Fatalf("recycled request: prediction %v ready=%v, want the unready %v", got, reused.Pred.Ready, masked)
+	}
+	m.Ready(rig.e, w, reused)
+	if got, want := m.predictService(lvl, reused), m.Model().Predict(lvl, []float64{3}); got != want || got == withFeature {
+		t.Fatalf("recycled request predicts %v, want %v from its own feature (previous occupant's: %v)", got, want, withFeature)
 	}
 }

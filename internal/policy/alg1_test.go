@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math/rand"
 	"testing"
 
 	"retail/internal/cpu"
@@ -119,6 +120,112 @@ func TestAlg1HeadOnly(t *testing.T) {
 	}
 	if lvl, _ := Alg1(p, 0, 0.008, 2, false); lvl != 2 {
 		t.Fatal("full pipeline must see the hopeless queued member")
+	}
+}
+
+// firstMiss is the per-level oracle for Alg1: the first member, in FCFS
+// order, that misses the budget at lvl once everything ahead of it drains,
+// or -1 when every member examined meets it. headOnly examines the head
+// alone.
+func firstMiss(p *slicePipeline, now, budget float64, lvl cpu.Level, headOnly bool) int {
+	svc := p.svc[0][lvl] * (1 - p.progress)
+	if svc < 0 {
+		svc = 0
+	}
+	if now-p.gens[0]+svc > budget {
+		return 0
+	}
+	if headOnly {
+		return -1
+	}
+	sum := svc
+	for i := 1; i < len(p.gens); i++ {
+		s := p.svc[i][lvl]
+		if now-p.gens[i]+sum+s > budget {
+			return i
+		}
+		sum += s
+	}
+	return -1
+}
+
+// TestAlg1Properties checks Algorithm 1 on random pipelines — depth 1–64,
+// random generation times, head progress and budgets, per-level
+// predictions that fall with level or vary arbitrarily — against five
+// properties:
+//   - minimality: every level below the answer has a member that misses
+//     the budget, and the answer itself has none unless it is the max;
+//   - budget monotonicity: a larger budget never raises the level;
+//   - queue monotonicity: appending a member never lowers the level;
+//   - binding correctness: the binding member is the first to miss at the
+//     level below the answer (the head when the answer is level 0);
+//   - the headOnly ablation never answers above the full pipeline.
+func TestAlg1Properties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	answers := map[cpu.Level]int{}
+	// member draws one member's generation time and per-level predictions:
+	// a base service time scaled by a factor falling from 2.1 at level 0
+	// to 1 at the top, or by an arbitrary factor per level.
+	member := func(now float64, levels int, monotone bool) (float64, []float64) {
+		base := (0.5 + rng.Float64()*4) * 1e-3
+		svc := make([]float64, levels)
+		for l := range svc {
+			f := 0.5 + rng.Float64()*2
+			if monotone {
+				f = 2.1 - 1.1*float64(l)/float64(levels-1)
+			}
+			svc[l] = base * f
+		}
+		return now - rng.Float64()*20e-3, svc
+	}
+	for draw := 0; draw < 2000; draw++ {
+		levels := 2 + rng.Intn(11)
+		maxLvl := cpu.Level(levels - 1)
+		monotone := draw%2 == 0
+		now := 1.0
+		p := &slicePipeline{progress: rng.Float64()}
+		for n := 1 + rng.Intn(64); len(p.gens) < n; {
+			gen, svc := member(now, levels, monotone)
+			p.gens, p.svc = append(p.gens, gen), append(p.svc, svc)
+		}
+		// Budgets up to the whole pipeline's drain at the slowest level.
+		total := 20e-3
+		for _, svc := range p.svc {
+			total += svc[0]
+		}
+		budget := rng.Float64() * total
+
+		lvl, bind := Alg1(p, now, budget, maxLvl, false)
+		answers[lvl]++
+		for l := cpu.Level(0); l < lvl; l++ {
+			if firstMiss(p, now, budget, l, false) < 0 {
+				t.Fatalf("draw %d: answered level %d but level %d meets the budget", draw, lvl, l)
+			}
+		}
+		if lvl < maxLvl && firstMiss(p, now, budget, lvl, false) >= 0 {
+			t.Fatalf("draw %d: answered level %d, where member %d misses the budget", draw, lvl, firstMiss(p, now, budget, lvl, false))
+		}
+		wantBind := 0
+		if lvl > 0 {
+			wantBind = firstMiss(p, now, budget, lvl-1, false)
+		}
+		if bind != wantBind {
+			t.Fatalf("draw %d: level %d binding member %d, want %d", draw, lvl, bind, wantBind)
+		}
+		if more, _ := Alg1(p, now, budget*(1+rng.Float64()), maxLvl, false); more > lvl {
+			t.Fatalf("draw %d: a larger budget raised the level from %d to %d", draw, lvl, more)
+		}
+		if head, _ := Alg1(p, now, budget, maxLvl, true); head > lvl {
+			t.Fatalf("draw %d: headOnly answered level %d above the full pipeline's %d", draw, head, lvl)
+		}
+		gen, svc := member(now, levels, monotone)
+		longer := &slicePipeline{gens: append(p.gens[:len(p.gens):len(p.gens)], gen), svc: append(p.svc[:len(p.svc):len(p.svc)], svc), progress: p.progress}
+		if more, _ := Alg1(longer, now, budget, maxLvl, false); more < lvl {
+			t.Fatalf("draw %d: appending a member lowered the level from %d to %d", draw, lvl, more)
+		}
+	}
+	if len(answers) < 6 {
+		t.Fatalf("the draws answered only %v (level: count); the properties check too little", answers)
 	}
 }
 

@@ -121,6 +121,28 @@ type Request struct {
 	// mixes frequencies.
 	LevelShifts    int
 	LastLevelShift sim.Time
+
+	// Pred is the prediction cache of the power manager deciding for the
+	// request.
+	Pred PredSlot
+}
+
+// PredSlot caches one request's predictions for its power manager. The
+// paper's stage-1 feature extraction (§VI) exists so that a queued
+// request's features, and therefore its per-level predictions, are known
+// before it runs; the slot keeps them with the request so that a manager
+// consulting it many times per decision builds them once.
+//
+// Feats is the observable feature vector and Vals the per-level predicted
+// service times (NaN = not yet predicted). Ready records that stage 1 has
+// extracted the request's application features. Gen is the filler's model
+// generation at fill time; fillers number generations from 1, so the zero
+// value is an empty slot and a hand-built request needs no setup.
+type PredSlot struct {
+	Feats []float64
+	Vals  []float64
+	Ready bool
+	Gen   uint64
 }
 
 // ServiceAt returns the request's service time when executed entirely at
@@ -179,15 +201,16 @@ type RequestPool struct {
 	free []*Request
 }
 
-// Get returns a zeroed request, reusing a retired node's allocation
-// (including its Features backing array) when one is available.
+// Get returns a zeroed request with an empty prediction slot, reusing a
+// retired node's allocation (including the Features and slot backing
+// arrays) when one is available.
 func (p *RequestPool) Get() *Request {
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		feats := r.Features
-		*r = Request{Features: feats[:0]}
+		feats, slot := r.Features, r.Pred
+		*r = Request{Features: feats[:0], Pred: PredSlot{Feats: slot.Feats[:0], Vals: slot.Vals[:0]}}
 		return r
 	}
 	return &Request{}

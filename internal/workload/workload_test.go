@@ -316,6 +316,31 @@ func TestRequestDerivedTimes(t *testing.T) {
 	}
 }
 
+// A retired request comes back from the pool with an empty, unready
+// prediction slot that keeps its backing arrays, so a recycled node
+// neither inherits its previous occupant's predictions nor reallocates.
+func TestRequestPoolResetsPredSlot(t *testing.T) {
+	p := &RequestPool{}
+	r := p.Get()
+	r.ID, r.Features = 7, append(r.Features, 1, 2)
+	r.Pred = PredSlot{Feats: []float64{1, 2}, Vals: []float64{3, 4, 5}, Ready: true, Gen: 9}
+	p.Put(r)
+	got := p.Get()
+	if got != r {
+		t.Fatal("the pool did not recycle the node")
+	}
+	if s := got.Pred; s.Ready || s.Gen != 0 || len(s.Feats) != 0 || len(s.Vals) != 0 {
+		t.Fatalf("recycled slot = %+v, want empty and unready", s)
+	}
+	if cap(got.Pred.Feats) != 2 || cap(got.Pred.Vals) != 3 || cap(got.Features) != 2 {
+		t.Fatalf("recycled capacities feats/vals/features = %d/%d/%d, want 2/3/2",
+			cap(got.Pred.Feats), cap(got.Pred.Vals), cap(got.Features))
+	}
+	if got.ID != 0 || len(got.Features) != 0 {
+		t.Fatalf("recycled request ID %d features %v, want zeroed", got.ID, got.Features)
+	}
+}
+
 func TestGeneratorPoissonRate(t *testing.T) {
 	e := sim.NewEngine()
 	var count int

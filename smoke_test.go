@@ -115,12 +115,24 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// benchTinyDigests pins each simulator workload's digest — a SHA-256 over
+// its simulated statistics at seed 1 — at the test horizon. A change that
+// alters what the simulator computes changes one of these; a change that
+// only makes it faster must not.
+var benchTinyDigests = map[string]string{
+	"fleet-shallow":   "e2d53cf7517025be87770a1cd1d5f56f6419e1663efd032894423e9af95e9356",
+	"node-deep":       "5f33b5bfac0336ce1e570d6d16fd9d14b2eac17dee87f34c9df3f87f9cb6475c",
+	"tune-replay":     "7da0207ebfc1907bbb6f00046a68d456aea8d9e5e6ec8e00ae143805241aec00",
+	"sweep-baselines": "7ec09a2196ddc6855a91ec0d3e399edd4c9f4a0d43651b210670d36baec5f430",
+}
+
 // TestBenchHarness keeps bench/ — a separate module that `go test ./...`
 // does not reach, and the only accepted source of speed claims — inside
 // the tier-1 fence: it builds the harness the way bench/run.sh does and
 // runs each simulator workload at the test horizon. A refactor that breaks
-// an entry point the harness drives, or changes what a run computes from
-// one call to the next, fails here rather than at the benchmark driver.
+// an entry point the harness drives, changes what a run computes from one
+// call to the next, or changes the simulated outcome (benchTinyDigests)
+// fails here rather than at the benchmark driver.
 func TestBenchHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the bench harness")
@@ -131,12 +143,12 @@ func TestBenchHarness(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build -C bench: %v\n%s", err, out)
 	}
-	for _, w := range []string{"fleet-shallow", "node-deep", "tune-replay", "sweep-baselines"} {
+	for w, want := range benchTinyDigests {
 		t.Run(w, func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			cmd := exec.CommandContext(ctx, bin, "--workload", w, "-tiny", "--trace", "0")
+			cmd := exec.CommandContext(ctx, bin, "--workload", w, "-tiny", "--trace", "0", "-out", "run.json")
 			cmd.Dir = t.TempDir() // anything the harness writes stays out of the tree
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
@@ -156,6 +168,21 @@ func TestBenchHarness(t *testing.T) {
 			}
 			if !*verdict.Correct || verdict.Attempted == 0 || verdict.Failed != 0 {
 				t.Fatalf("%s: %s\n%s%s", w, last, out, stderr.Bytes())
+			}
+			b, err := os.ReadFile(filepath.Join(cmd.Dir, "run.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Runs []struct {
+					Digest string `json:"digest"`
+				} `json:"runs"`
+			}
+			if err := json.Unmarshal(b, &doc); err != nil || len(doc.Runs) == 0 {
+				t.Fatalf("%s: -out document has no runs (%v):\n%s", w, err, b)
+			}
+			if got := doc.Runs[0].Digest; got != want {
+				t.Errorf("%s: digest %s, want %s (the simulated outcome changed)", w, got, want)
 			}
 		})
 	}
