@@ -139,12 +139,14 @@ parity-golden:
 # The cluster layer's determinism gate: dispatcher placement streams,
 # fleet runs and the routing×policy×load sweep table — byte-compared
 # against its golden and SHA-256-pinned at two seeds, plus the
-# -parallel 1 vs 8 byte-identity check. cluster-golden rewrites both
+# -parallel 1 vs 8 byte-identity check, and retail-cluster -metrics-out
+# re-running the swept workload. cluster-golden rewrites both
 # goldens after an intentional change.
 cluster-check:
 	$(GO) test -count=1 -run 'TestDispatcher|TestNewDispatcher|TestRoundRobinDispatch|TestLeastLoadedDispatch|TestGlobalJSQDispatch|TestPowerOfTwoDispatch' ./internal/policy
 	$(GO) test -count=1 -run 'TestRunFleet' ./internal/cluster
 	$(GO) test -count=1 -run 'TestFleetSweep' ./internal/experiments
+	$(GO) test -count=1 -run 'TestMetricsSnapshot' ./cmd/retail-cluster
 
 cluster-golden:
 	$(GO) test -run 'TestFleetSweep(Golden|MultiSeedSHA)' -count=1 ./internal/experiments -update
@@ -166,7 +168,9 @@ obs-golden:
 
 # The ServeGen-class workload gate (DESIGN.md §13): per-arrival-process
 # statistical checks (mean rate, index of dispersion, diurnal phase),
-# the trace v2 header schema pin, and the fixed-seed cohort-spec sweep —
+# the trace v2 header schema pin, the one table over the workload-source
+# rules (workload.Source and the CLIs' LoadSource), the spec and trace
+# parsers' fuzz seeds, and the fixed-seed cohort-spec sweep —
 # its rendered table (per-spec stats, per-SLO-class latency, canonical
 # trace and classed-decision SHA-256 hashes) byte-compared against the
 # committed golden, plus -parallel 1 vs 8 byte-identity. Every sweep
@@ -174,7 +178,7 @@ obs-golden:
 # the simulator and classed decision parity through the live decider.
 # workload-golden rewrites the golden after an intentional change.
 workload-check:
-	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema' ./internal/workload
+	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestSpecClientBound|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema|TestReadTraceHostileCount|TestSource|FuzzParseSpec|FuzzReadTrace' ./internal/workload
 	$(GO) test -count=1 -run 'TestWorkloadSweep' ./internal/experiments
 
 workload-golden:

@@ -22,15 +22,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"retail/internal/cluster"
-	"retail/internal/core"
 	"retail/internal/experiments"
-	"retail/internal/nn"
 	"retail/internal/obs"
 	"retail/internal/policy"
 	"retail/internal/sim"
@@ -77,32 +76,15 @@ func main() {
 		return
 	}
 
-	// Validate the workload flag combinations before any calibration work.
-	if *specName != "" && *replayPath != "" {
-		fmt.Fprintln(os.Stderr, "retail-cluster: -spec and -replay are mutually exclusive")
+	// Resolve the workload flags before any calibration work. A spec or
+	// replay trace names its own app, which must agree with an explicit
+	// -app.
+	appSet := false
+	flag.Visit(func(f *flag.Flag) { appSet = appSet || f.Name == "app" })
+	src, err := workload.LoadSource(*app, appSet, *specName, *recordPath, *replayPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "retail-cluster:", err)
 		os.Exit(1)
-	}
-	if *recordPath != "" && *specName == "" {
-		fmt.Fprintln(os.Stderr, "retail-cluster: -record requires -spec (only generated streams are recorded)")
-		os.Exit(1)
-	}
-	var spec *workload.Spec
-	var replayTrace *workload.Trace
-	if *specName != "" {
-		var err error
-		spec, err = workload.LoadSpec(*specName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
-	}
-	if *replayPath != "" {
-		var err error
-		replayTrace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
 	}
 
 	cfg := experiments.Default()
@@ -114,7 +96,7 @@ func main() {
 	cfg.Params = params
 
 	opt := experiments.FleetOptions{
-		App:             *app,
+		App:             src.App.Name(),
 		Nodes:           *nodes,
 		WorkersPerNode:  *workers,
 		Loads:           splitFloats(*loads),
@@ -131,9 +113,9 @@ func main() {
 	if *policies != "" {
 		opt.Policies = strings.Split(*policies, ",")
 	}
-	opt.Spec = spec
+	opt.Spec = src.Spec
 	opt.Record = *recordPath != ""
-	opt.Replay = replayTrace
+	opt.Replay = src.Replay
 	var reg *telemetry.Registry
 	if *report != "" {
 		// A report wants full attribution: ledgers on every node and a
@@ -151,11 +133,7 @@ func main() {
 	fmt.Print(res.Render())
 
 	if res.Recorded != nil {
-		p := obs.CollectProvenance()
-		res.Recorded.Header.Provenance = workload.TraceProvenance{
-			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-		}
+		res.Recorded.Header.Provenance = obs.CollectProvenance()
 		if err := res.Recorded.WriteFile(*recordPath); err != nil {
 			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
 			os.Exit(1)
@@ -179,20 +157,18 @@ func main() {
 			os.Exit(1)
 		}
 		path := filepath.Join(*csvDir, "fleet_sweep.csv")
-		f, err := os.Create(path)
-		if err != nil {
+		if err := writeFile(path, res.CSV); err != nil {
 			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
 			os.Exit(1)
 		}
-		if err := res.CSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("\nwrote %s\n", path)
 	}
 	if *metricsOut != "" {
-		if err := metricsSnapshot(cfg, opt, res, *metricsOut); err != nil {
+		reg, err := metricsSnapshot(cfg, opt, res)
+		if err == nil {
+			err = writeFile(*metricsOut, reg.WriteText)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
 			os.Exit(1)
 		}
@@ -253,44 +229,33 @@ func renderPerNode(r *cluster.FleetResult) string {
 	return b.String()
 }
 
-// metricsSnapshot re-runs the sweep's last cell with a telemetry registry
-// attached (per-node series under the standard metric families) and
-// writes the exposition snapshot.
-func metricsSnapshot(cfg experiments.Config, opt experiments.FleetOptions, res *experiments.FleetSweepResult, path string) error {
+// metricsSnapshot re-runs the sweep's last cell, on the same workload
+// source, with a telemetry registry attached (per-node series under the
+// standard metric families) and returns the registry.
+func metricsSnapshot(cfg experiments.Config, opt experiments.FleetOptions, res *experiments.FleetSweepResult) (*telemetry.Registry, error) {
 	if len(res.Cells) == 0 {
-		return fmt.Errorf("no cells to snapshot")
+		return nil, fmt.Errorf("no cells to snapshot")
 	}
 	cell := res.Cells[len(res.Cells)-1]
-	app := workload.ByName(res.App)
-	platform := cfg.Platform.WithWorkers(res.WorkersPerNode)
-	cal, err := core.Calibrate(app, platform, cfg.SamplesPerLevel, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	var nnCfg *nn.Config = cfg.GeminiNN
-	rps := res.MaxRPSPerNode * float64(res.Nodes) * cell.Load
-	dur := sim.Duration(float64(opt.RequestsPerCell) / rps)
-	reg := telemetry.NewRegistry()
-	_, err = cluster.RunFleet(cluster.FleetConfig{
-		Cal: cal, Nodes: res.Nodes, WorkersPerNode: res.WorkersPerNode,
-		Policy: cell.Policy, Dispatcher: cell.Dispatcher, GeminiNN: nnCfg,
-		RPS: rps, Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
-		Params:   cfg.Params,
-		Registry: reg,
-		Labels: []telemetry.Label{
-			telemetry.L("dispatcher", cell.Dispatcher),
-			telemetry.L("policy", cell.Policy),
-		},
-	})
-	if err != nil {
-		return err
-	}
+	opt.Loads, opt.Dispatchers, opt.Policies = []float64{cell.Load}, []string{cell.Dispatcher}, []string{cell.Policy}
+	opt.Record, opt.Ledger = false, false
+	opt.Registry = telemetry.NewRegistry()
+	_, err := experiments.FleetSweep(cfg, opt)
+	return opt.Registry, err
+}
+
+// writeFile creates path, lets write fill it and reports the first error,
+// Close's included.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.WriteText(f)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func splitFloats(s string) []float64 {

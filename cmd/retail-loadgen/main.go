@@ -55,39 +55,22 @@ func main() {
 	)
 	flag.Parse()
 
-	// Validate the -spec/-record/-replay combinations and load their
-	// inputs before any listener binds or connection dials, so a bad
+	// Resolve the -spec/-record/-replay flags against -app and draw the
+	// schedule before any listener binds or connection dials, so a bad
 	// invocation never touches the network.
-	if *specName != "" && *replayPath != "" {
-		log.Fatal("-spec and -replay are mutually exclusive")
-	}
-	if *recordPath != "" && *specName == "" {
-		log.Fatal("-record requires -spec (only generated schedules are recorded)")
-	}
 	var appSet, rpsSet bool
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "app":
-			appSet = true
-		case "rps":
-			rpsSet = true
-		}
+		appSet = appSet || f.Name == "app"
+		rpsSet = rpsSet || f.Name == "rps"
 	})
-	var trace *workload.Trace
-	switch {
-	case *specName != "":
-		spec, err := workload.LoadSpec(*specName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specApp, err := spec.SingleApp()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if appSet && specApp.Name() != *appName {
-			log.Fatalf("-spec %q targets app %q but -app is %q", *specName, specApp.Name(), *appName)
-		}
-		*appName = specApp.Name()
+	src, err := workload.LoadSource(*appName, appSet, *specName, *recordPath, *replayPath)
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	app, trace := src.App, src.Replay
+	if spec := src.Spec; spec != nil {
 		if rpsSet {
 			// An explicit -rps rescales the cohort mix to that aggregate;
 			// otherwise the spec runs at its own rates.
@@ -97,30 +80,6 @@ func main() {
 		if len(trace.Records) == 0 {
 			log.Fatalf("-spec %q produced no arrivals in %v", *specName, *duration)
 		}
-	case *replayPath != "":
-		var err error
-		trace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(trace.Records) == 0 {
-			log.Fatalf("-replay trace %q has no records", *replayPath)
-		}
-		apps := trace.Header.Apps
-		if len(apps) != 1 {
-			log.Fatalf("replay trace covers apps %v; the loadgen needs exactly one", apps)
-		}
-		if appSet && apps[0] != *appName {
-			log.Fatalf("-replay trace is for app %q but -app is %q", apps[0], *appName)
-		}
-		*appName = apps[0]
-	}
-
-	app := workload.ByName(*appName)
-	if app == nil {
-		log.Printf("unknown -app %q (try xapian, moses, …)", *appName)
-		flag.Usage()
-		os.Exit(2)
 	}
 	// Without -spec or -replay the schedule is a Poisson stream at -rps,
 	// drawn here like the others, before anything binds or dials. The
@@ -131,7 +90,6 @@ func main() {
 	if trace == nil {
 		trace = live.PoissonTrace(app, *rps, *duration, *seed, nil)
 	} else {
-		var err error
 		if sha, err = trace.SHA(); err != nil {
 			log.Fatal(err)
 		}
@@ -165,11 +123,7 @@ func main() {
 	}
 
 	if *recordPath != "" {
-		p := obs.CollectProvenance()
-		trace.Header.Provenance = workload.TraceProvenance{
-			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-		}
+		trace.Header.Provenance = obs.CollectProvenance()
 		if err := trace.WriteFile(*recordPath); err != nil {
 			log.Fatal(err)
 		}

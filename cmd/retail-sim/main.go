@@ -59,60 +59,20 @@ func main() {
 	flag.Parse()
 
 	appSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "app" {
-			appSet = true
-		}
-	})
-	// A workload source (spec or replay trace) names its own app; it
-	// overrides the -app default and must agree with an explicit -app.
-	var spec *workload.Spec
-	var replayTrace *workload.Trace
-	if err := validateWorkloadFlags(*specName, *recordPath, *replayPath); err != nil {
+	flag.Visit(func(f *flag.Flag) { appSet = appSet || f.Name == "app" })
+	// A spec or replay trace names its own app, which must agree with an
+	// explicit -app.
+	src, err := workload.LoadSource(*appName, appSet, *specName, *recordPath, *replayPath)
+	if err == nil {
+		err = validateFlags(*load, *rps, *workers, *duration, *samples,
+			*tracePath, *traceFmt, *traceCap, *traceEvery)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "retail-sim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	switch {
-	case *specName != "":
-		var err error
-		spec, err = workload.LoadSpec(*specName)
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		specApp, err := spec.SingleApp()
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		if appSet && specApp.Name() != *appName {
-			log.Fatalf("retail-sim: -spec %q targets app %q but -app is %q", *specName, specApp.Name(), *appName)
-		}
-		*appName = specApp.Name()
-	case *replayPath != "":
-		var err error
-		replayTrace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		if len(replayTrace.Records) == 0 {
-			log.Fatalf("retail-sim: -replay trace %q has no records", *replayPath)
-		}
-		apps := replayTrace.Header.Apps
-		if len(apps) != 1 {
-			log.Fatalf("retail-sim: replay trace covers apps %v; single-node replay needs exactly one", apps)
-		}
-		if appSet && apps[0] != *appName {
-			log.Fatalf("retail-sim: -replay trace is for app %q but -app is %q", apps[0], *appName)
-		}
-		*appName = apps[0]
-	}
-	app := workload.ByName(*appName)
-	if err := validateFlags(app, *appName, *load, *rps, *workers, *duration, *samples,
-		*tracePath, *traceFmt, *traceCap, *traceEvery); err != nil {
-		fmt.Fprintf(os.Stderr, "retail-sim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	app := src.App
 	// Load and validate the policy params before any calibration work so a
 	// malformed file fails fast; the zero value keeps historical behavior.
 	params, err := policy.LoadParams(*paramsPath)
@@ -128,11 +88,6 @@ func main() {
 	rate := *rps
 	if rate <= 0 {
 		rate = core.CalibrateMaxLoad(app, platform, *seed) * *load
-	}
-	if spec != nil {
-		// Scale here rather than in core.Run so a recorded trace's header
-		// carries the spec actually generated (rates included).
-		spec = spec.ScaledTo(rate)
 	}
 	var m manager.Manager
 	switch *mgrName {
@@ -161,13 +116,8 @@ func main() {
 		dur = core.RecommendedDuration(app, rate)
 	}
 	warmup := dur / 5
-	if replayTrace != nil && *duration <= 0 {
-		// Reproduce the recording's horizon: a stream recorded over
-		// warmup+duration = 1.2×duration spans that window, so split the
-		// trace's span 1:5 the same way.
-		span := sim.Duration(replayTrace.Records[len(replayTrace.Records)-1].Arrival)
-		warmup = span / 6
-		dur = span - warmup
+	if src.Replay != nil && *duration <= 0 {
+		warmup, dur = src.Replay.Window()
 	}
 
 	// Optional observers, installed through the core.Run instrument hook so
@@ -224,17 +174,18 @@ func main() {
 	runCfg := core.RunConfig{
 		App: app, Platform: platform, Manager: m,
 		RPS: rate, Warmup: warmup, Duration: dur, Seed: *seed,
-		Instrument: instrument,
+		Replay: src.Replay, Instrument: instrument,
 	}
 	var recTrace *workload.Trace
 	switch {
-	case replayTrace != nil:
-		runCfg.Replay, runCfg.RPS = replayTrace, 0
-	case spec != nil:
-		// The spec is pre-scaled to rate; RPS 0 runs it as-is.
-		runCfg.Spec, runCfg.RPS = spec, 0
+	case src.Replay != nil:
+		runCfg.RPS = 0
+	case src.Spec != nil:
+		// Scale here rather than in core.Run so a recorded trace's header
+		// carries the spec actually generated (rates included).
+		runCfg.Spec, runCfg.RPS = src.Spec.ScaledTo(rate), 0
 		if *recordPath != "" {
-			recTrace = workload.NewTrace(spec, *seed)
+			recTrace = workload.NewTrace(runCfg.Spec, *seed)
 			runCfg.Record = recTrace
 		}
 	}
@@ -243,11 +194,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if recTrace != nil {
-		p := obs.CollectProvenance()
-		recTrace.Header.Provenance = workload.TraceProvenance{
-			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-		}
+		recTrace.Header.Provenance = obs.CollectProvenance()
 		if err := recTrace.WriteFile(*recordPath); err != nil {
 			log.Fatal(err)
 		}
@@ -352,25 +299,10 @@ func writeTrace(fr *trace.FlightRecorder, path, format string) error {
 	return err
 }
 
-// validateWorkloadFlags checks the -spec/-record/-replay combinations
-// before any file or calibration work happens.
-func validateWorkloadFlags(spec, record, replay string) error {
-	if spec != "" && replay != "" {
-		return fmt.Errorf("-spec and -replay are mutually exclusive")
-	}
-	if record != "" && spec == "" {
-		return fmt.Errorf("-record requires -spec (only generated streams are recorded)")
-	}
-	return nil
-}
-
 // validateFlags checks flag combinations up front so misconfiguration
 // produces a usable error instead of a mid-run failure, mirroring
 // retail-live's validateFlags.
-func validateFlags(app workload.App, appName string, load, rps float64, workers int, duration float64, samples int, tracePath, traceFmt string, traceCap, traceEvery int) error {
-	if app == nil {
-		return fmt.Errorf("unknown -app %q (known: %s)", appName, strings.Join(experiments.AppNames(), ", "))
-	}
+func validateFlags(load, rps float64, workers int, duration float64, samples int, tracePath, traceFmt string, traceCap, traceEvery int) error {
 	if rps < 0 {
 		return fmt.Errorf("-rps must be non-negative, got %g", rps)
 	}

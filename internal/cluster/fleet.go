@@ -53,10 +53,9 @@ type FleetConfig struct {
 	// GeminiNN overrides Gemini's network structure (nil = published).
 	GeminiNN *nn.Config
 	// Params is the serializable policy parameterization applied to every
-	// node's manager, to the dispatcher (rule + per-node weights) and —
-	// when neither a spec nor a replay trace carries a class table — to
-	// the per-SLO-class QoS′ targets. The zero value keeps every
-	// historical constant.
+	// node's manager (its ClassScales included, which the retail manager
+	// installs itself) and to the dispatcher (rule + per-node weights).
+	// The zero value keeps every historical constant.
 	Params policy.Params
 
 	// RPS is the fleet-wide offered load (split across nodes by the
@@ -66,15 +65,11 @@ type FleetConfig struct {
 	Duration sim.Duration // measurement window
 	Seed     int64
 
-	// Spec, when non-nil, drives the fleet with the cohort population
-	// instead of the single Poisson generator (see core.RunConfig.Spec
-	// for the contract: single-app, matching Cal.App; RPS > 0 rescales).
-	// Per-SLO-class QoS′ targets from the spec's class table install on
+	// Spec, Record and Replay choose the request stream exactly as in
+	// core.RunConfig (one workload.Source); Record taps it pre-routing. A
+	// spec's or trace's class table installs per-SLO-class QoS′ targets on
 	// every node's manager that exposes SetClassTargets.
-	Spec *workload.Spec
-	// Record taps every generated arrival (pre-routing, warmup included)
-	// into the trace; Replay substitutes a recorded stream for any
-	// generator. Mutually exclusive with Spec, same rules as core.Run.
+	Spec   *workload.Spec
 	Record *workload.Trace
 	Replay *workload.Trace
 
@@ -217,33 +212,15 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("cluster: need positive Duration")
 	}
-	if cfg.RPS <= 0 && cfg.Spec == nil && cfg.Replay == nil {
-		return nil, fmt.Errorf("cluster: need positive RPS (or a Spec/Replay source)")
+	src := workload.Source{App: cfg.Cal.App, RPS: cfg.RPS, Seed: cfg.Seed,
+		Spec: cfg.Spec, Replay: cfg.Replay, Record: cfg.Record}
+	// The effective offered load sizes the latency buffers and is what the
+	// result reports.
+	rps, err := src.Open(cfg.Warmup + cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if cfg.Spec != nil && cfg.Replay != nil {
-		return nil, fmt.Errorf("cluster: Spec and Replay are mutually exclusive")
-	}
-	var classScales []float64
-	switch {
-	case cfg.Replay != nil:
-		apps := cfg.Replay.Header.Apps
-		if len(apps) != 1 || apps[0] != cfg.Cal.App.Name() {
-			return nil, fmt.Errorf("cluster: replay trace apps %v do not match app %q", apps, cfg.Cal.App.Name())
-		}
-		classScales = cfg.Replay.Header.Scales
-	case cfg.Spec != nil:
-		specApp, err := cfg.Spec.SingleApp()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if specApp.Name() != cfg.Cal.App.Name() {
-			return nil, fmt.Errorf("cluster: spec %q targets app %q, fleet serves %q", cfg.Spec.Name, specApp.Name(), cfg.Cal.App.Name())
-		}
-		_, classScales = cfg.Spec.Classes()
-	}
-	if len(classScales) == 0 {
-		classScales = cfg.Params.ClassScales
-	}
+	_, classScales := src.Classes()
 	rule := cfg.Dispatcher
 	if rule == "" {
 		rule = cfg.Params.Dispatch.Rule
@@ -282,19 +259,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	pool := &workload.RequestPool{}
 	measuring := false
 	fleetLat := stats.NewLatencyTracker(0, true)
-	// Resolve the effective offered load up front: it sizes the latency
-	// buffers and is what the result reports.
-	spec := cfg.Spec
-	if spec != nil && cfg.RPS > 0 {
-		spec = spec.ScaledTo(cfg.RPS)
-	}
-	rps := cfg.RPS
-	if spec != nil {
-		rps = spec.TotalRPS()
-	}
-	if cfg.Replay != nil {
-		rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
-	}
 	// Expected completions during the measured window; presizing the
 	// keepAll buffers spares their append-doubling reallocations.
 	expect := int(rps*float64(cfg.Duration)) + 64
@@ -377,31 +341,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		nodes[i].srv.Submit(en, r)
 	}
 
-	sink := route
-	if cfg.Record != nil {
-		// The tap sees warmup arrivals too.
-		arrivals := int(rps * float64(cfg.Warmup+cfg.Duration))
-		cfg.Record.Reserve(len(cfg.Record.Records) + arrivals + arrivals/32 + 64)
-		sink = cfg.Record.RecordSink(sink)
-	}
-	var stopGen func()
-	switch {
-	case cfg.Replay != nil:
-		pl := workload.NewPlayer(cfg.Replay, sink)
-		pl.Pool = pool
-		pl.Start(e)
-		stopGen = pl.Stop
-	case spec != nil:
-		cg := workload.NewCohortGenerator(spec, cfg.Seed, sink)
-		cg.Pool = pool
-		cg.Start(e)
-		stopGen = cg.Stop
-	default:
-		gen := workload.NewGenerator(app, cfg.RPS, cfg.Seed, sink)
-		gen.Pool = pool
-		gen.Start(e)
-		stopGen = gen.Stop
-	}
+	stopGen := src.Start(e, pool, route)
 	e.At(cfg.Warmup, "fleet.measure", func(en *sim.Engine) {
 		measuring = true
 		for _, n := range nodes {

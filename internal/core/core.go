@@ -455,22 +455,17 @@ type RunConfig struct {
 	Warmup   sim.Duration // excluded from all measurements
 	Duration sim.Duration // measurement window
 	Seed     int64
-	// Spec, when non-nil, replaces the single Poisson generator with the
-	// spec's full client population (cohorts × arrival processes ×
-	// envelopes; see workload.Spec). The spec must be single-app and match
-	// App. RPS > 0 rescales the spec's aggregate rate (ScaledTo); RPS 0
-	// runs the spec's own rates. The spec's class table installs per-SLO-
-	// class QoS′ targets on any manager exposing SetClassTargets.
-	Spec *workload.Spec
-	// Record, when non-nil, taps every generated arrival into the trace
-	// (workload.Trace.RecordSink) on its way to the server — warmup
-	// included, so a replayed trace reproduces the whole run.
+	// Spec, Record and Replay choose the request stream; together with App,
+	// RPS and Seed they are a workload.Source, which states the rules. A
+	// Spec replaces the Poisson generator with the spec's client
+	// population (RPS > 0 rescales its aggregate, RPS 0 runs its own
+	// rates). A Replay substitutes a recorded stream bit-for-bit, at its
+	// recorded rate (RPS must be 0), and excludes Spec. Record taps every
+	// arrival, warmup included, so a replayed trace reproduces the whole
+	// run. A spec's or trace's class table installs per-SLO-class QoS′
+	// targets on any manager exposing SetClassTargets.
+	Spec   *workload.Spec
 	Record *workload.Trace
-	// Replay, when non-nil, substitutes the recorded stream for any
-	// generator: arrivals, features and service demands come from the
-	// trace bit-for-bit and no workload RNG is consumed. Mutually
-	// exclusive with Spec; the trace's class table installs per-SLO-class
-	// targets exactly as a spec's would.
 	Replay *workload.Trace
 	// CollectSamples retains per-request (level, features, service)
 	// samples from the measurement window for offline RMSE evaluation.
@@ -547,33 +542,17 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("core: RunConfig needs positive Duration")
 	}
-	if cfg.RPS <= 0 && cfg.Spec == nil && cfg.Replay == nil {
-		return nil, fmt.Errorf("core: RunConfig needs positive RPS (or a Spec/Replay source)")
+	src := workload.Source{App: cfg.App, RPS: cfg.RPS, Seed: cfg.Seed,
+		Spec: cfg.Spec, Replay: cfg.Replay, Record: cfg.Record}
+	// The effective offered load sizes the latency buffers and is what the
+	// result reports.
+	rps, err := src.Open(cfg.Warmup + cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.Spec != nil && cfg.Replay != nil {
-		return nil, fmt.Errorf("core: Spec and Replay are mutually exclusive")
-	}
-	// The workload source's class table, when present, drives per-class
-	// QoS′ targets and per-class reporting.
-	var classNames []string
-	var classScales []float64
-	switch {
-	case cfg.Replay != nil:
-		apps := cfg.Replay.Header.Apps
-		if len(apps) != 1 || apps[0] != cfg.App.Name() {
-			return nil, fmt.Errorf("core: replay trace apps %v do not match app %q", apps, cfg.App.Name())
-		}
-		classNames, classScales = cfg.Replay.Header.Classes, cfg.Replay.Header.Scales
-	case cfg.Spec != nil:
-		specApp, err := cfg.Spec.SingleApp()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if specApp.Name() != cfg.App.Name() {
-			return nil, fmt.Errorf("core: spec %q targets app %q, run configured for %q", cfg.Spec.Name, specApp.Name(), cfg.App.Name())
-		}
-		classNames, classScales = cfg.Spec.Classes()
-	}
+	// The source's class table, when present, drives per-class QoS′
+	// targets and per-class reporting.
+	classNames, classScales := src.Classes()
 	if len(classScales) > 0 {
 		if ct, ok := cfg.Manager.(interface{ SetClassTargets(policy.ClassTargets) }); ok {
 			ct.SetClassTargets(policy.NewClassTargets(classScales))
@@ -591,22 +570,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	cfg.Manager.Attach(e, srv)
 	if cfg.Instrument != nil {
 		cfg.Instrument(e, srv)
-	}
-
-	// Resolve the effective offered load up front: it sizes the latency
-	// and trace buffers and is what the result reports.
-	spec := cfg.Spec
-	if spec != nil && cfg.RPS > 0 {
-		spec = spec.ScaledTo(cfg.RPS)
-	}
-	rps := cfg.RPS
-	switch {
-	case cfg.Replay != nil:
-		if rps <= 0 {
-			rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
-		}
-	case spec != nil:
-		rps = spec.TotalRPS()
 	}
 
 	qos := cfg.App.QoS()
@@ -663,30 +626,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		pool.Put(r)
 	}
 
-	sink := srv.Submit
-	if cfg.Record != nil {
-		// The tap sees warmup arrivals too.
-		cfg.Record.Reserve(len(cfg.Record.Records) + reserveFor(rps*float64(cfg.Warmup+cfg.Duration)))
-		sink = cfg.Record.RecordSink(sink)
-	}
-	var stopGen func()
-	switch {
-	case cfg.Replay != nil:
-		pl := workload.NewPlayer(cfg.Replay, sink)
-		pl.Pool = pool
-		pl.Start(e)
-		stopGen = pl.Stop
-	case spec != nil:
-		cg := workload.NewCohortGenerator(spec, cfg.Seed, sink)
-		cg.Pool = pool
-		cg.Start(e)
-		stopGen = cg.Stop
-	default:
-		gen := workload.NewGenerator(cfg.App, cfg.RPS, cfg.Seed, sink)
-		gen.Pool = pool
-		gen.Start(e)
-		stopGen = gen.Stop
-	}
+	stopGen := src.Start(e, pool, srv.Submit)
 	for _, ev := range cfg.Events {
 		ev := ev
 		e.At(ev.At, "core.event", func(en *sim.Engine) { ev.Do(en, srv) })

@@ -130,30 +130,13 @@ type FleetSweepResult struct {
 // dispatcher, policy innermost — so output is byte-identical at every
 // parallelism setting.
 func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
-	// A workload source names its own app before defaults resolve.
-	switch {
-	case opt.Spec != nil && opt.Replay != nil:
-		return nil, fmt.Errorf("experiments: Spec and Replay are mutually exclusive")
-	case opt.Spec != nil:
-		sa, err := opt.Spec.SingleApp()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		opt.App = sa.Name()
-	case opt.Replay != nil:
-		apps := opt.Replay.Header.Apps
-		if len(apps) != 1 || len(opt.Replay.Records) == 0 {
-			return nil, fmt.Errorf("experiments: replay trace needs exactly one app and at least one record")
-		}
-		opt.App = apps[0]
-	case opt.Record:
-		return nil, fmt.Errorf("experiments: Record requires Spec")
-	}
 	opt = opt.withDefaults(cfg)
-	app := workload.ByName(opt.App)
-	if app == nil {
-		return nil, fmt.Errorf("experiments: unknown app %q", opt.App)
+	// A spec or replay names its own app, overriding App.
+	src := workload.Source{Spec: opt.Spec, Replay: opt.Replay}
+	if err := src.Resolve(opt.App, false, opt.Record); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	app := src.App
 	if (opt.Record || opt.Replay != nil) &&
 		len(opt.Loads)*len(opt.Dispatchers)*len(opt.Policies) != 1 {
 		return nil, fmt.Errorf("experiments: Record/Replay need exactly one (load, dispatcher, policy) cell, got %d×%d×%d",
@@ -187,11 +170,7 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 				dur := sim.Duration(float64(opt.RequestsPerCell) / rps)
 				warmup := dur / 5
 				if opt.Replay != nil {
-					// Reproduce the recording's horizon (1:5 warmup split,
-					// as in core's replay path).
-					span := sim.Duration(opt.Replay.Records[len(opt.Replay.Records)-1].Arrival)
-					warmup = span / 6
-					dur = span - warmup
+					warmup, dur = opt.Replay.Window()
 				}
 				cells = append(cells, SweepCell[*cluster.FleetResult]{
 					Label: fmt.Sprintf("fleet/%s/load=%.2f/%s/%s", app.Name(), lf, d, pol),
@@ -203,19 +182,19 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 							Seed:   cfg.Seed,
 							Ledger: opt.Ledger,
 							Params: cfg.Params,
+							Replay: opt.Replay,
 						}
 						switch {
 						case opt.Replay != nil:
-							fc.Replay, fc.RPS = opt.Replay, 0
+							fc.RPS = 0
 						case opt.Spec != nil:
 							// Pre-scale so a recorded trace's header carries
 							// the spec actually generated.
-							scaled := opt.Spec.ScaledTo(rps)
-							fc.Spec, fc.RPS = scaled, 0
+							fc.Spec, fc.RPS = opt.Spec.ScaledTo(rps), 0
 							if opt.Record {
 								// Single cell (validated above), so the write
 								// is race-free.
-								res.Recorded = workload.NewTrace(scaled, cfg.Seed)
+								res.Recorded = workload.NewTrace(fc.Spec, cfg.Seed)
 								fc.Record = res.Recorded
 							}
 						}

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"retail/internal/workload"
 )
 
 // ReportVersion is bumped whenever the report's JSON shape changes in a
@@ -21,15 +23,9 @@ const ReportVersion = 1
 // (commit, go version, CPU) plus the wall-clock instant. Provenance is
 // the *only* part of a report allowed to differ between two runs at the
 // same seed; CanonicalJSON masks it so goldens pin everything else
-// byte-for-byte.
-type Provenance struct {
-	GoVersion string `json:"go_version,omitempty"`
-	GoOS      string `json:"goos,omitempty"`
-	GoArch    string `json:"goarch,omitempty"`
-	CPU       string `json:"cpu,omitempty"`
-	Commit    string `json:"commit,omitempty"`
-	Time      string `json:"time,omitempty"` // RFC3339, UTC
-}
+// byte-for-byte. It is the trace v2 header's type, so one stamp serves a
+// report and a recording alike.
+type Provenance = workload.TraceProvenance
 
 // CollectProvenance stamps the current process. Commit and CPU are
 // best-effort: a report written outside a checkout simply omits them.

@@ -106,17 +106,12 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil || cfg.Spec == nil {
 		return nil, fmt.Errorf("tune: Config needs Trace and Spec")
 	}
-	if len(cfg.Trace.Records) == 0 {
-		return nil, fmt.Errorf("tune: trace has no records")
+	// The trace names the app; Resolve refuses an empty or multi-app one.
+	src := workload.Source{Replay: cfg.Trace}
+	if err := src.Resolve("", false, false); err != nil {
+		return nil, fmt.Errorf("tune: %w", err)
 	}
-	apps := cfg.Trace.Header.Apps
-	if len(apps) != 1 {
-		return nil, fmt.Errorf("tune: trace covers apps %v; tuning needs exactly one", apps)
-	}
-	app := workload.ByName(apps[0])
-	if app == nil {
-		return nil, fmt.Errorf("tune: trace app %q unknown", apps[0])
-	}
+	app := src.App
 	switch cfg.Manager {
 	case "retail", "rubik", "gemini", "eetl":
 	default:
@@ -138,12 +133,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reproduce the recording's horizon the same way retail-sim -replay
-	// does: a stream recorded over warmup+duration = 1.2×duration spans
-	// that window, so split the trace's span 1:5.
-	span := sim.Duration(cfg.Trace.Records[len(cfg.Trace.Records)-1].Arrival)
-	warmup := span / 6
-	dur := span - warmup
+	// Reproduce the recording's horizon, as retail-sim -replay does.
+	warmup, dur := cfg.Trace.Window()
 
 	cells := make([]experiments.SweepCell[*core.Result], len(cands))
 	for i, cand := range cands {

@@ -15,6 +15,12 @@ import (
 // CI sweeps, so drift must fail loudly, not silently reinterpret.
 const SpecVersion = 1
 
+// MaxSpecClients bounds a spec's total population. Every client carries a
+// private math/rand stream (about 5 KB), so the bound caps what a spec file
+// can make NewCohortGenerator allocate at about 6 MB; the builtins use at
+// most 16.
+const MaxSpecClients = 1024
+
 // Spec is a versioned, ServeGen-informed description of a client
 // population: N cohorts, each a group of clients sharing an application,
 // an SLO class, an arrival process and a rate envelope, with a skewed
@@ -68,8 +74,9 @@ func (c CohortSpec) scale() float64 {
 }
 
 // Validate checks structural invariants: version, at least one cohort,
-// known apps and arrival kinds, positive rates and populations, a valid
-// envelope, and class-name/scale consistency.
+// known apps and arrival kinds, positive rates, populations of at least
+// one client and at most MaxSpecClients in total, a valid envelope, and
+// class-name/scale consistency.
 func (s *Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("workload: spec version %d, this build reads %d", s.Version, SpecVersion)
@@ -81,13 +88,16 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: spec %q has no cohorts", s.Name)
 	}
 	scales := map[string]float64{}
+	clients := 0
 	for i, c := range s.Cohorts {
 		if ByName(c.App) == nil {
 			return fmt.Errorf("workload: spec %q cohort %d: unknown app %q", s.Name, i, c.App)
 		}
-		if c.Clients < 1 {
-			return fmt.Errorf("workload: spec %q cohort %d: clients must be ≥ 1, got %d", s.Name, i, c.Clients)
+		if c.Clients < 1 || c.Clients > MaxSpecClients-clients {
+			return fmt.Errorf("workload: spec %q cohort %d: clients must be ≥ 1 and total at most %d, got %d after %d",
+				s.Name, i, MaxSpecClients, c.Clients, clients)
 		}
+		clients += c.Clients
 		if c.RPS <= 0 {
 			return fmt.Errorf("workload: spec %q cohort %d: rps must be positive, got %g", s.Name, i, c.RPS)
 		}
@@ -145,14 +155,20 @@ func (s *Spec) Apps() []string {
 }
 
 // SingleApp returns the spec's app when every cohort shares one, or an
-// error — the single-node runtimes (retail-sim, retail-live) serve one
-// application.
+// error — every runtime serves one application.
 func (s *Spec) SingleApp() (App, error) {
-	apps := s.Apps()
+	return singleApp("spec "+s.Name, s.Apps())
+}
+
+// singleApp resolves an app table that must hold exactly one known app.
+func singleApp(what string, apps []string) (App, error) {
 	if len(apps) != 1 {
-		return nil, fmt.Errorf("workload: spec %q spans %d apps %v; this runtime serves one", s.Name, len(apps), apps)
+		return nil, fmt.Errorf("workload: %s spans %d apps %v; this runtime serves one", what, len(apps), apps)
 	}
-	return ByName(apps[0]), nil
+	if app := ByName(apps[0]); app != nil {
+		return app, nil
+	}
+	return nil, fmt.Errorf("workload: %s names unknown app %q", what, apps[0])
 }
 
 // TotalRPS sums cohort mean rates.

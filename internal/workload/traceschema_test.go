@@ -30,11 +30,7 @@ func TestTraceHeaderSchema(t *testing.T) {
 	e.Run(1)
 
 	// Stamp provenance exactly as the runtimes do before writing a trace.
-	p := obs.CollectProvenance()
-	tr.Header.Provenance = workload.TraceProvenance{
-		GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-		CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-	}
+	tr.Header.Provenance = obs.CollectProvenance()
 
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {

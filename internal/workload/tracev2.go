@@ -43,9 +43,10 @@ const TraceV2Version = 2
 // the schema test can tell a trace from arbitrary JSON.
 const traceMagic = "retail-trace"
 
-// TraceProvenance mirrors obs.Provenance field-for-field (workload
-// cannot import obs — obs sits above the server which consumes
-// workload). Callers stamp it from obs.CollectProvenance.
+// TraceProvenance stamps where a recording came from. It is also the run
+// report's provenance block: obs.Provenance is an alias of it (obs sits
+// above the server, which consumes workload), so callers stamp a trace
+// with obs.CollectProvenance directly.
 type TraceProvenance struct {
 	GoVersion string `json:"go_version,omitempty"`
 	GoOS      string `json:"goos,omitempty"`
@@ -102,6 +103,23 @@ type Trace struct {
 	// record's Features copy out of it, so recording costs one allocation
 	// per featureChunk values instead of one per request.
 	arena []float64
+}
+
+// SingleApp returns the trace's app when its table holds exactly one,
+// the twin of Spec.SingleApp.
+func (t *Trace) SingleApp() (App, error) {
+	return singleApp("replay trace", t.Header.Apps)
+}
+
+// Window splits the recording's span into the warmup and measurement
+// window that reproduce the run it came from. A run records over warmup +
+// duration = 1.2 × duration, so the span splits 1:5.
+func (t *Trace) Window() (warmup, duration sim.Duration) {
+	if len(t.Records) == 0 {
+		return 0, 0
+	}
+	span := sim.Duration(t.Records[len(t.Records)-1].Arrival)
+	return span / 6, span - span/6
 }
 
 // featureChunk is how many float64 feature values one arena chunk holds

@@ -20,11 +20,12 @@ import (
 // fastest meaningful run (measured well under 10 s each). It is not every
 // one: retail-tune needs a recorded trace and a search file, and
 // benchjson reads benchmark output. A target with a check runs in a
-// temporary directory, which check then inspects.
+// temporary directory, which check then inspects; run invokes the same
+// binary again there and returns its output.
 var smokeTargets = []struct {
 	pkg   string // package path relative to the module root
 	args  []string
-	check func(t *testing.T, dir string)
+	check func(t *testing.T, dir string, run func(args ...string) []byte)
 }{
 	{"./examples/quickstart", nil, nil},
 	{"./examples/colocation", nil, nil},
@@ -33,6 +34,17 @@ var smokeTargets = []struct {
 	{"./examples/replay", nil, nil},
 	{"./examples/websearch", nil, nil},
 	{"./cmd/retail-sim", []string{"-workers", "4", "-duration", "2", "-samples", "200"}, nil},
+	// The workload flags end to end: record a cohort spec's stream, then
+	// replay the file, whose class table must come back with it.
+	{"./cmd/retail-sim", []string{
+		"-workers", "4", "-rps", "400", "-duration", "1", "-samples", "200",
+		"-spec", "slo-mix", "-record", "t.trace",
+	}, func(t *testing.T, dir string, run func(args ...string) []byte) {
+		out := run("-workers", "4", "-rps", "400", "-samples", "200", "-replay", "t.trace")
+		if !bytes.Contains(out, []byte("class        interactive")) {
+			t.Fatalf("replay of the recorded trace lost its class table:\n%s", out)
+		}
+	}},
 	{"./cmd/retail-characterize", []string{"-quick"}, nil},
 	{"./cmd/retail-bench", []string{"-list"}, nil},
 	// Exercises the full wall-clock path including the Prometheus
@@ -57,7 +69,7 @@ var smokeTargets = []struct {
 	{"./cmd/retail-loadgen", []string{"-selfhost", "-rps", "2000", "-duration", "300ms"}, nil},
 	{"./cmd/retail-loadgen", []string{
 		"-selfhost", "-spec", "slo-mix", "-rps", "2000", "-duration", "300ms", "-report", "report.json",
-	}, func(t *testing.T, dir string) {
+	}, func(t *testing.T, dir string, _ func(...string) []byte) {
 		b, err := os.ReadFile(filepath.Join(dir, "report.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -95,21 +107,27 @@ func TestSmoke(t *testing.T) {
 			if out, err := build.CombinedOutput(); err != nil {
 				t.Fatalf("go build %s: %v\n%s", tgt.pkg, err, out)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, bin, tgt.args...)
+			dir := ""
 			if tgt.check != nil {
-				cmd.Dir = t.TempDir()
+				dir = t.TempDir()
 			}
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("%s %v: %v\n%s", name, tgt.args, err, out)
+			run := func(args ...string) []byte {
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				cmd := exec.CommandContext(ctx, bin, args...)
+				cmd.Dir = dir
+				out, err := cmd.CombinedOutput()
+				if err != nil {
+					t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+				}
+				if len(out) == 0 {
+					t.Fatalf("%s produced no output", name)
+				}
+				return out
 			}
-			if len(out) == 0 {
-				t.Fatalf("%s produced no output", name)
-			}
+			run(tgt.args...)
 			if tgt.check != nil {
-				tgt.check(t, cmd.Dir)
+				tgt.check(t, dir, run)
 			}
 		})
 	}
