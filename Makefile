@@ -4,6 +4,8 @@
 #   make test    tier-1 test suite (what CI gates on)
 #   make race    full suite under the race detector
 #   make vet     static analysis
+#   make portable-check  vet the tree as arm64 and build it as 386: the Go
+#                        kernels internal/nn runs off amd64 (no download)
 #   make bench   telemetry hot-path + paper-table benchmarks
 #   make bench-check     hot-path micro-benchmarks once under -race (CI
 #                        smoke) + BenchmarkClusterFleet timed and gated
@@ -54,8 +56,9 @@ GO ?= go
 # (freelist; the calendar queue on the simulator's own bimodal event
 # population), Algorithm 1 decisions (per-request prediction slots), the
 # per-completion latency recorder (ring window), Gemini's network
-# (batch-major training, forward pass, one pass per request into its
-# prediction slot), the live wire codec (each
+# (batch-major training on packed-SSE2 kernels, forward pass, one pass per
+# request into its prediction slot), the small NN shapes' training (where a
+# kernel call's fixed cost weighs most), the live wire codec (each
 # direction beside the encoding/json call it stands in for), the sweep
 # runner and the fleet simulator. bench-check runs each exactly once under the
 # race detector — a correctness smoke, not a measurement — and then
@@ -67,10 +70,10 @@ GO ?= go
 # catches a full relapse. bench-baseline produces the committed JSON
 # trajectories from a real timed run and appends each refresh to the
 # append-only results/BENCH_history.jsonl.
-HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFitGemini|InferenceGemini|Wire(RequestDecode|ResponseEncode)|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
+HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFit(Gemini|Tuned)|InferenceGemini|Wire(RequestDecode|ResponseEncode)|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
 HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/live ./internal/experiments ./internal/cluster
 
-.PHONY: build test race vet bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
+.PHONY: build test race vet portable-check bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
 
 build:
 	$(GO) build ./...
@@ -83,6 +86,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# internal/nn's trainer runs packed-SSE2 assembly on amd64 and its Go loops
+# everywhere else; this keeps the other side compiling and vetted.
+portable-check:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 bench:
 	$(GO) test -bench 'Benchmark(Counter|Gauge|Histogram|Snapshot)' -benchmem -run '^$$' ./internal/telemetry ./

@@ -6,15 +6,22 @@
 // inference time. That gap is intrinsic — 66 k parameters against a
 // handful — and must not be an artifact, so the implementation is not
 // wasteful: training is batch-major, allocation-free and spread over
-// GOMAXPROCS goroutines (train.go), a forward pass keeps four sums in
-// flight, and LR still wins by three (inference) to five (training) orders
-// of magnitude.
+// GOMAXPROCS goroutines (train.go), its three inner loops run two lanes at a
+// time on packed SSE2 doubles on amd64 (kernels.go, kernels_amd64.s), a
+// forward pass keeps four sums in flight, and LR still wins by three
+// (inference) to five (training) orders of magnitude.
 //
 // Contract: speed never changes a result. Every sum is taken over the same
 // terms in the same order as the plain per-sample loops kept in ref_test.go,
-// so weights, Adam state and predictions are bit-identical to theirs at any
-// GOMAXPROCS (TestFitBitIdenticalToReference), and no simulated number
-// downstream of a Gemini prediction depends on the host's core count.
+// and each packed lane performs one element's IEEE operations in that order
+// (Go fuses no multiply-add on amd64 for a lane to miss), so weights, Adam
+// state and predictions are bit-identical to theirs at any GOMAXPROCS, with
+// or without the assembly (TestFitBitIdenticalToReference,
+// TestTrainerKernelsMatchGo), and no simulated number downstream of a Gemini
+// prediction depends on the host. Inference is left in Go on purpose:
+// Predict is what Table IV's inference column times and what every Gemini
+// request runs, and a forward pass tuned to the host's vector unit would
+// shrink the paper's foil rather than the repository's scaffolding.
 //
 // A trained Network is shared read-only by parallel sweep cells and fleet
 // nodes, so it holds no inference state: Predict writes only to the

@@ -315,3 +315,27 @@ func benchInference(b *testing.B, cfg Config) {
 func BenchmarkInferenceGemini(b *testing.B) { benchInference(b, GeminiConfig(1)) }
 
 func BenchmarkInferenceTuned(b *testing.B) { benchInference(b, TunedConfig(1, 1, 16, 2, 32)) }
+
+// BenchmarkNNFitTuned trains the small shapes in full: quick mode's NN-G
+// (2×32, experiments.Quick) and Xapian's hand-tuned NN-T (1×16), where a
+// kernel call's fixed cost weighs most against its arithmetic.
+func BenchmarkNNFitTuned(b *testing.B) {
+	xs, ys := benchData(1000)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"gemini-quick", TunedConfig(1, 2, 32, 30, 32)},
+		{"tuned-xapian", TunedConfig(1, 1, 16, 150, 32)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, _ := New(c.cfg)
+				if err := n.Fit(xs, ys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -78,11 +78,11 @@ func meanStd(n int, at func(int) float64) (mean, std float64) {
 // trainer is one Fit call's preallocated state. A minibatch moves through
 // it layer by layer rather than sample by sample, so a weight row is read
 // once per four samples instead of once per sample and nothing is allocated
-// after construction. A step has two phases, each cut into contiguous
-// shares along an axis no sum runs over, so a share owns every float it
-// writes and GOMAXPROCS goroutines can take one each: first the forward
-// pass and the delta propagation, by sample; then the gradient sums and the
-// Adam update, by neuron. Every sum still takes its terms in the per-sample
+// after construction; the inner loops are kernels.go's. A step has two
+// phases, each cut into contiguous shares along an axis no sum runs over, so
+// a share owns every float it writes and GOMAXPROCS goroutines can take one
+// each: first the forward pass and the delta propagation, by sample; then
+// the gradient sums and the Adam update, by neuron. Every sum still takes its terms in the per-sample
 // loop's order (input index within a dot product, neuron order within a
 // propagated delta, batch order within a gradient), which makes the trained
 // weights bit-identical to that loop's at any worker count.
@@ -97,8 +97,8 @@ type trainer struct {
 	act, delta [][]float64
 	gw, gb     [][]float64 // batch gradient sums; adam re-zeroes them
 
-	adamStep     int
-	bs, bc1, bc2 float64 // this step's batch size and Adam bias corrections
+	adamStep int
+	coef     adamCoef // this step's Adam coefficients
 
 	parts   int       // shares per phase = goroutines, the caller included
 	tasks   chan task // sized to one phase's sends, so run never blocks
@@ -117,6 +117,11 @@ func (t *trainer) share(part, n int) (lo, hi int) {
 	return n * part / t.parts, n * (part + 1) / t.parts
 }
 
+// Adam's decay rates and denominator floor (Kingma & Ba's defaults). They
+// reach the kernels through adamCoef, so 1-beta1 is Go's exact constant
+// arithmetic rounded once, 0.1, as it is in the per-sample loop.
+const beta1, beta2, eps = 0.9, 0.999, 1e-8
+
 // minHandoffMACs is the step size (multiply-adds per pass over a full batch)
 // below which waking other goroutines costs more than it saves, so the fit
 // runs on the caller's alone: hand-tuned NN-T shapes fall under it, Gemini's
@@ -125,7 +130,10 @@ const minHandoffMACs = 1 << 16
 
 func newTrainer(n *Network, xs, ys []float64) *trainer {
 	b := min(n.cfg.BatchSize, len(ys))
-	t := &trainer{n: n, xs: xs, ys: ys, parts: runtime.GOMAXPROCS(0)}
+	t := &trainer{
+		n: n, xs: xs, ys: ys, parts: runtime.GOMAXPROCS(0),
+		coef: adamCoef{beta1: beta1, decay1: 1 - beta1, beta2: beta2, decay2: 1 - beta2, eps: eps, lr: n.cfg.LearningRate},
+	}
 	if b*n.ParamCount() < minHandoffMACs {
 		t.parts = 1
 	}
@@ -170,10 +178,9 @@ func (t *trainer) run(phase func(*trainer, int)) {
 func (t *trainer) step(batch []int) {
 	t.batch = batch
 	t.adamStep++
-	const beta1, beta2 = 0.9, 0.999
-	t.bs = float64(len(batch))
-	t.bc1 = 1 - math.Pow(beta1, float64(t.adamStep))
-	t.bc2 = 1 - math.Pow(beta2, float64(t.adamStep))
+	t.coef.bs = float64(len(batch))
+	t.coef.bc1 = 1 - math.Pow(beta1, float64(t.adamStep))
+	t.coef.bc2 = 1 - math.Pow(beta2, float64(t.adamStep))
 	t.run((*trainer).perSample)
 	t.run((*trainer).perNeuron)
 }
@@ -206,28 +213,44 @@ func (t *trainer) perNeuron(part int) {
 	for li, l := range t.n.layers {
 		lo, hi := t.share(part, l.out)
 		t.gradient(li, lo, hi)
-		t.adam(l.w[lo*l.in:hi*l.in], l.mw[lo*l.in:], l.vw[lo*l.in:], t.gw[li][lo*l.in:])
-		t.adam(l.b[lo:hi], l.mb[lo:], l.vb[lo:], t.gb[li][lo:])
+		wlo, whi := lo*l.in, hi*l.in
+		adamUpdate(l.w[wlo:whi], l.mw[wlo:whi], l.vw[wlo:whi], t.gw[li][wlo:whi], &t.coef)
+		adamUpdate(l.b[lo:hi], l.mb[lo:hi], l.vb[lo:hi], t.gb[li][lo:hi], &t.coef)
 	}
 }
 
-// forward computes layer li for samples [lo, hi), four samples per pass
-// over a weight row; the last block repeats the final sample rather than
-// branch on a remainder.
+// forward computes layer li for samples [lo, hi) in tiles of four neurons
+// by four samples, one pass over the inputs each; a last block repeats its
+// final neuron or sample rather than branch on a remainder.
 func (t *trainer) forward(li, lo, hi int) {
 	l := t.n.layers[li]
 	in, out := t.act[li], t.act[li+1]
-	hidden := li < len(t.n.layers)-1
-	last := hi - 1
-	for o := 0; o < l.out; o++ {
-		row, b := l.row(o), l.b[o]
-		for s := lo; s <= last; s += 4 {
-			s1, s2, s3 := min(s+1, last), min(s+2, last), min(s+3, last)
-			v0, v1, v2, v3 := dot4(row, in[s*l.in:], in[s1*l.in:], in[s2*l.in:], in[s3*l.in:], b, b, b, b)
-			if hidden { // ReLU
-				v0, v1, v2, v3 = relu(v0), relu(v1), relu(v2), relu(v3)
+	floor := math.Inf(-1) // a sum's lower clamp: none for the output layer…
+	if li < len(t.n.layers)-1 {
+		floor = 0 // …ReLU for a hidden one
+	}
+	var (
+		tile           [16]float64
+		b              [4]float64
+		w, x           [4][]float64
+		neuron, sample [4]int
+	)
+	for o := 0; o < l.out; o += 4 {
+		for k := range neuron {
+			neuron[k] = min(o+k, l.out-1)
+			w[k], b[k] = l.row(neuron[k]), l.b[neuron[k]]
+		}
+		for s := lo; s < hi; s += 4 {
+			for j := range sample {
+				sample[j] = min(s+j, hi-1)
+				x[j] = in[sample[j]*l.in : (sample[j]+1)*l.in]
 			}
-			out[s*l.out+o], out[s1*l.out+o], out[s2*l.out+o], out[s3*l.out+o] = v0, v1, v2, v3
+			forwardTile(&tile, &b, &w, &x, floor)
+			for k, o := range neuron {
+				for j, s := range sample {
+					out[s*l.out+o] = tile[4*k+j]
+				}
+			}
 		}
 	}
 }
@@ -280,14 +303,7 @@ func accumulate(dst, d []float64, stride, n int, vecs []float64) {
 		}
 		v[m] = vecs[k*w : (k+1)*w]
 		if m++; m == 4 {
-			f0, f1, f2, f3, v0, v1, v2, v3 := f[0], f[1], f[2], f[3], v[0][:w], v[1][:w], v[2][:w], v[3][:w]
-			for i, g := range dst {
-				g += f0 * v0[i]
-				g += f1 * v1[i]
-				g += f2 * v2[i]
-				g += f3 * v3[i]
-				dst[i] = g
-			}
+			fold4(dst, &f, &v)
 			m = 0
 		}
 	}
@@ -296,20 +312,4 @@ func accumulate(dst, d []float64, stride, n int, vecs []float64) {
 			dst[i] += f[k] * x
 		}
 	}
-}
-
-// adam applies one Adam update to the parameters w (moments m and v, which
-// like sums may run longer than w) from their gradient sums, which it
-// leaves zeroed for the next batch.
-func (t *trainer) adam(w, m, v, sums []float64) {
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-	lr := t.n.cfg.LearningRate
-	m, v, sums = m[:len(w)], v[:len(w)], sums[:len(w)]
-	for i := range w {
-		g := sums[i] / t.bs
-		m[i] = beta1*m[i] + (1-beta1)*g
-		v[i] = beta2*v[i] + (1-beta2)*g*g
-		w[i] -= lr * (m[i] / t.bc1) / (math.Sqrt(v[i]/t.bc2) + eps)
-	}
-	clear(sums)
 }
