@@ -195,7 +195,8 @@ workload-golden:
 
 # The policy-parameterization and digital-twin gate (DESIGN.md §14):
 # params JSON round-trip bit-equality, strict unknown-field rejection,
-# the zero-value→historical-default identity, pinned canonical SHAs,
+# the zero-value→historical-default identity, pinned canonical SHAs, the
+# params parser's fuzz seeds (every accepted file builds all four policies),
 # search-spec enumeration contracts (grid odometer order, seeded random
 # determinism, rejection surface), and the fixed-seed retail-tune
 # winners table byte-compared against its golden — including -parallel
@@ -203,7 +204,7 @@ workload-golden:
 # winner's scored metrics from its emitted params.json. tune-golden
 # rewrites the winners golden after an intentional change.
 tune-check:
-	$(GO) test -count=1 -run 'TestParams|TestMonitorGuardBand|TestQuantileFallback' ./internal/policy
+	$(GO) test -count=1 -run 'TestParams|TestMonitorGuardBand|TestQuantileFallback|FuzzParseParams' ./internal/policy
 	$(GO) test -count=1 -run 'TestSpec|TestTune' ./internal/tune
 
 tune-golden:

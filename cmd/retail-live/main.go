@@ -24,6 +24,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -205,14 +206,12 @@ recovery    dvfs errors %d  retries %d  fallbacks %d  shed %d  deadline drops %d
 // produces a usable error instead of a mid-run failure (previously
 // -sysfs without -cores fell through to an Atoi failure on an empty
 // string). It returns the parsed core list for -sysfs.
-func validateFlags(app workload.App, appName string, rps float64, duration time.Duration, workers int, scale float64, sysfs bool, coresArg, policy string) ([]int, error) {
+func validateFlags(app workload.App, appName string, rps float64, duration time.Duration, workers int, scale float64, sysfs bool, coresArg, pol string) ([]int, error) {
 	if app == nil {
 		return nil, fmt.Errorf("unknown -app %q (try xapian, moses, …)", appName)
 	}
-	switch policy {
-	case "", "retail", "rubik", "gemini", "eetl":
-	default:
-		return nil, fmt.Errorf("unknown -policy %q (want retail, rubik, gemini or eetl)", policy)
+	if pol != "" && !slices.Contains(policy.Names(), pol) {
+		return nil, fmt.Errorf("unknown -policy %q (want one of %v)", pol, policy.Names())
 	}
 	if rps < 0 {
 		return nil, fmt.Errorf("-rps must be non-negative (0 = serve-only), got %g", rps)

@@ -91,7 +91,13 @@ func main() {
 	}
 	var m manager.Manager
 	switch *mgrName {
-	case "retail", "rubik", "gemini", "eetl":
+	case "adrenaline":
+		m = cal.NewAdrenaline()
+	case "pegasus":
+		m = cal.NewPegasus()
+	case "maxfreq":
+		m = cal.NewMaxFreq()
+	default: // the four managed policies; NewManagerParams rejects other names
 		var cfg *nn.Config
 		if *quickNN {
 			c := nn.TunedConfig(1, 2, 32, 30, 32)
@@ -101,14 +107,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	case "adrenaline":
-		m = cal.NewAdrenaline()
-	case "pegasus":
-		m = cal.NewPegasus()
-	case "maxfreq":
-		m = cal.NewMaxFreq()
-	default:
-		log.Fatalf("unknown manager %q", *mgrName)
 	}
 
 	dur := sim.Duration(*duration)

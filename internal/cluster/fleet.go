@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"retail/internal/core"
-	"retail/internal/manager"
 	"retail/internal/nn"
 	"retail/internal/obs"
 	"retail/internal/policy"
@@ -28,11 +27,6 @@ import (
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
-
-// FleetPolicies lists the per-node DVFS policies a fleet node can run:
-// the paper's manager (retail), its two headline baselines, and the
-// progress-threshold baseline.
-func FleetPolicies() []string { return []string{"retail", "rubik", "gemini", "eetl"} }
 
 // FleetConfig describes one fleet run.
 type FleetConfig struct {
@@ -44,7 +38,7 @@ type FleetConfig struct {
 	// Nodes is the fleet size; WorkersPerNode the per-node core count.
 	Nodes          int
 	WorkersPerNode int
-	// Policy names the per-node DVFS manager (see FleetPolicies).
+	// Policy names the per-node DVFS manager (see policy.Names).
 	Policy string
 	// Dispatcher names the cross-node routing rule
 	// (see policy.DispatcherNames). Empty falls back to
@@ -164,30 +158,6 @@ func (r *FleetResult) MeanServedLevel() float64 {
 	return n.MeanServedLevel()
 }
 
-// newNodeManager builds one node's DVFS manager from the shared
-// calibration under the fleet's policy parameterization. gemProto
-// carries the trained network; per-node Gemini instances share it but
-// keep private controller state, the same cloning pattern the Fig 11
-// sweep uses across cells.
-func newNodeManager(name string, cal *core.Calibration, gemProto *manager.Gemini, p policy.Params) (manager.Manager, error) {
-	switch name {
-	case "retail":
-		return cal.NewReTailParams(p), nil
-	case "rubik":
-		return cal.NewRubikParams(p), nil
-	case "gemini":
-		if gemProto == nil {
-			return nil, fmt.Errorf("cluster: gemini policy needs a trained prototype")
-		}
-		gcfg := core.ApplyGeminiParams(gemProto.Config(), p)
-		return manager.NewGemini(cal.App.QoS(), cal.App.FeatureSpecs(), gcfg), nil
-	case "eetl":
-		return cal.NewEETLParams(p), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown node policy %q (have %v)", name, FleetPolicies())
-	}
-}
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -229,14 +199,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gemProto *manager.Gemini
-	if cfg.Policy == "gemini" {
-		gemProto, err = cfg.Cal.NewGemini(cfg.GeminiNN)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	app := cfg.Cal.App
 	qos := app.QoS()
 	platform := cfg.Cal.Platform.WithWorkers(cfg.WorkersPerNode)
@@ -279,9 +241,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			Trans:   platform.Trans,
 			Seed:    server.RandomizedSeed(platform.Seed^cfg.Seed, int64(i)+1),
 		})
-		mgr, err := newNodeManager(cfg.Policy, cfg.Cal, gemProto, cfg.Params)
+		// Every node gets private controller state; a Gemini fleet shares
+		// the calibration's one trained network.
+		mgr, err := cfg.Cal.NewManagerParams(cfg.Policy, cfg.GeminiNN, cfg.Params)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: node policy: %w", err)
 		}
 		if len(classScales) > 0 {
 			if ct, ok := mgr.(interface{ SetClassTargets(policy.ClassTargets) }); ok {

@@ -7,6 +7,7 @@ import (
 
 	"retail/internal/core"
 	"retail/internal/nn"
+	"retail/internal/policy"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -123,7 +124,7 @@ func TestRunFleetDispatchersActuallyDiffer(t *testing.T) {
 // end to end and leaves max frequency at light load (gemini may shed but
 // must still complete work).
 func TestRunFleetAllPoliciesRun(t *testing.T) {
-	for _, pol := range FleetPolicies() {
+	for _, pol := range policy.Names() {
 		r, err := RunFleet(quickFleet(t, "least-loaded", pol, 7))
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)

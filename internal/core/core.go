@@ -154,41 +154,7 @@ func (c *Calibration) requestFeatureIndices() []int {
 }
 
 // NewReTail constructs the ReTail manager from this calibration.
-func (c *Calibration) NewReTail() *manager.ReTail {
-	return c.NewReTailParams(policy.Params{})
-}
-
-// NewReTailParams constructs the ReTail manager under a serializable
-// policy parameterization (the zero value keeps every historical
-// constant — NewReTail is exactly this with empty params).
-func (c *Calibration) NewReTailParams(p policy.Params) *manager.ReTail {
-	cfg := manager.DefaultReTailConfig()
-	cfg.Layout = c.Layout
-	cfg.Model = c.Model
-	// Each manager instance gets its own copy of the training rings so
-	// live samples from one run never leak into another.
-	cfg.Training = c.Training.Clone()
-	cfg.Stage1Frac = c.Stage1Frac()
-	cfg.Params = p
-	m := manager.NewReTail(c.App.QoS(), cfg)
-	m.SetDriftBaseline(c.BaselineRMSEOverQoS)
-	return m
-}
-
-// NewReTailWith constructs the ReTail manager with a substitute predictor
-// wrapped around (or replacing) the calibrated model — the chaos runner
-// uses this to interpose fault.CorruptingPredictor without the manager
-// package learning about fault injection.
-func (c *Calibration) NewReTailWith(model predict.Predictor) *manager.ReTail {
-	cfg := manager.DefaultReTailConfig()
-	cfg.Layout = c.Layout
-	cfg.Model = model
-	cfg.Training = c.Training.Clone()
-	cfg.Stage1Frac = c.Stage1Frac()
-	m := manager.NewReTail(c.App.QoS(), cfg)
-	m.SetDriftBaseline(c.BaselineRMSEOverQoS)
-	return m
-}
+func (c *Calibration) NewReTail() *manager.ReTail { return c.mustManager("retail").(*manager.ReTail) }
 
 // Stage1Frac derives the per-request feature-extraction split point: the
 // max lateness among selected application features that actually vary
@@ -274,15 +240,20 @@ func (c *Calibration) Stage1Frac() func(*workload.Request) float64 {
 }
 
 // NewRubik constructs the Rubik baseline from the offline profile.
-func (c *Calibration) NewRubik() *manager.Rubik {
-	return c.NewRubikParams(policy.Params{})
-}
+func (c *Calibration) NewRubik() *manager.Rubik { return c.mustManager("rubik").(*manager.Rubik) }
 
-// NewRubikParams constructs the Rubik baseline under a serializable
-// policy parameterization (zero value = the historical 0.999 quantile).
-func (c *Calibration) NewRubikParams(p policy.Params) *manager.Rubik {
-	m := manager.NewRubik(c.App.QoS(), c.ProfileAtMax)
-	m.TailQuantile = p.Rubik.QuantileOr(0.999)
+// NewEETL constructs the progress-threshold baseline (related work §II)
+// from the offline profile.
+func (c *Calibration) NewEETL() *manager.EETL { return c.mustManager("eetl").(*manager.EETL) }
+
+// mustManager is NewManagerParams under zero Params for a policy that
+// cannot fail to build from a calibration (it always carries a grid and a
+// profile).
+func (c *Calibration) mustManager(name string) manager.Manager {
+	m, err := c.NewManagerParams(name, nil, policy.Params{})
+	if err != nil {
+		panic(err)
+	}
 	return m
 }
 
@@ -314,32 +285,11 @@ func (c *Calibration) GeminiModel(cfg *nn.Config) (*predict.NNModel, error) {
 // NewGemini wraps the (memoized) Gemini network in the two-step-DVFS,
 // request-dropping manager.
 func (c *Calibration) NewGemini(cfg *nn.Config) (*manager.Gemini, error) {
-	return c.NewGeminiParams(cfg, policy.Params{})
-}
-
-// NewGeminiParams is NewGemini under a serializable policy
-// parameterization (zero value = the historical 0.8 boost checkpoint
-// with drop-on-predicted-miss on).
-func (c *Calibration) NewGeminiParams(cfg *nn.Config, p policy.Params) (*manager.Gemini, error) {
-	model, err := c.GeminiModel(cfg)
+	m, err := c.NewManagerParams("gemini", cfg, policy.Params{})
 	if err != nil {
 		return nil, err
 	}
-	gcfg := manager.DefaultGeminiConfig(model)
-	gcfg = ApplyGeminiParams(gcfg, p)
-	return manager.NewGemini(c.App.QoS(), c.App.FeatureSpecs(), gcfg), nil
-}
-
-// ApplyGeminiParams overlays the serializable Gemini posture knobs onto
-// a (possibly shared-model) GeminiConfig. Exported because the fleet
-// runtime clones per-node managers from a trained prototype's config and
-// must apply the same overlay.
-func ApplyGeminiParams(gcfg manager.GeminiConfig, p policy.Params) manager.GeminiConfig {
-	gcfg.BoostFrac = p.Gemini.BoostFracOr(gcfg.BoostFrac)
-	if p.Gemini.KeepOnPredictedMiss {
-		gcfg.DropOnPredictedMiss = false
-	}
-	return gcfg
+	return m.(*manager.Gemini), nil
 }
 
 // NewAdrenaline derives the classification baseline: the request feature
@@ -363,21 +313,42 @@ func (c *Calibration) NewAdrenaline() *manager.Adrenaline {
 
 // NewManagerParams constructs one of the four managed DVFS policies by
 // name under a serializable policy parameterization — the single
-// construction path the fleet and the tuner share, so "policy × params"
-// means the same thing everywhere. gemNN only matters for "gemini"
-// (nil = the published structure).
+// construction path of the simulator: policy.New builds the decision core
+// (the same call the live server makes), and the matching simulator
+// adapter hosts it. gemNN only matters for "gemini" (nil = the published
+// structure; the network trains once per calibration, see GeminiModel).
 func (c *Calibration) NewManagerParams(name string, gemNN *nn.Config, p policy.Params) (manager.Manager, error) {
-	switch name {
-	case "retail":
-		return c.NewReTailParams(p), nil
-	case "rubik":
-		return c.NewRubikParams(p), nil
-	case "gemini":
-		return c.NewGeminiParams(gemNN, p)
-	case "eetl":
-		return c.NewEETLParams(p), nil
+	qos := c.App.QoS()
+	pol, err := policy.New(name, p, manager.SimEnv(qos, c.Platform.Grid, c.ProfileAtMax, p))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return nil, fmt.Errorf("core: unknown managed policy %q (have retail, rubik, gemini, eetl)", name)
+	switch pol := pol.(type) {
+	case *policy.Retail:
+		cfg := manager.DefaultReTailConfig()
+		cfg.Policy = pol
+		cfg.Layout = c.Layout
+		cfg.Model = c.Model
+		// Each manager instance gets its own copy of the training rings so
+		// live samples from one run never leak into another.
+		cfg.Training = c.Training.Clone()
+		cfg.Stage1Frac = c.Stage1Frac()
+		m := manager.NewReTail(qos, cfg)
+		m.SetDriftBaseline(c.BaselineRMSEOverQoS)
+		return m, nil
+	case *policy.Rubik:
+		return manager.NewRubik(pol), nil
+	case *policy.Gemini:
+		model, err := c.GeminiModel(gemNN)
+		if err != nil {
+			return nil, err
+		}
+		cfg := manager.DefaultGeminiConfig(pol, model)
+		cfg.DropOnPredictedMiss = !p.Gemini.KeepOnPredictedMiss
+		return manager.NewGemini(qos, c.App.FeatureSpecs(), cfg), nil
+	default:
+		return manager.NewEETL(pol.(*policy.EETL)), nil
+	}
 }
 
 // NewPegasus constructs the coarse-grained controller.
@@ -699,19 +670,4 @@ func (r *Result) DropRate() float64 {
 		return 0
 	}
 	return float64(r.Dropped) / float64(total)
-}
-
-// NewEETL constructs the progress-threshold baseline (related work §II)
-// from the offline profile.
-func (c *Calibration) NewEETL() *manager.EETL {
-	return c.NewEETLParams(policy.Params{})
-}
-
-// NewEETLParams constructs the EETL baseline under a serializable policy
-// parameterization (zero value = the historical 0.75 quantile at slow
-// level MaxLevel/2).
-func (c *Calibration) NewEETLParams(p policy.Params) *manager.EETL {
-	grid := c.Platform.Grid
-	slow := cpu.Level(p.EETL.SlowLevel(int(grid.MaxLevel())))
-	return manager.NewEETLAt(c.App.QoS(), grid, c.ProfileAtMax, p.EETL.QuantileOr(0.75), slow)
 }

@@ -5,6 +5,7 @@ import (
 
 	"retail/internal/core"
 	"retail/internal/manager"
+	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/workload"
 )
@@ -57,8 +58,8 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
 	res := &AblationResult{App: app.Name(), QoS: app.QoS()}
 
-	baseCfg := func() manager.ReTailConfig {
-		c := manager.DefaultReTailConfig()
+	baseCfg := func(p policy.Params) manager.ReTailConfig {
+		c := retailConfig(cal, p)
 		c.Layout = cal.Layout
 		c.Model = cal.Model
 		c.Training = cal.Training.Clone()
@@ -67,22 +68,20 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 	}
 	variants := map[string]func() manager.Manager{
 		"full": func() manager.Manager {
-			m := manager.NewReTail(app.QoS(), baseCfg())
+			m := manager.NewReTail(app.QoS(), baseCfg(policy.Params{}))
 			m.SetDriftBaseline(cal.BaselineRMSEOverQoS)
 			return m
 		},
 		"no-monitor": func() manager.Manager {
-			c := baseCfg()
-			c.Params.Monitor.Disabled = true
+			c := baseCfg(policy.Params{Monitor: policy.MonitorParams{Disabled: true}})
 			return manager.NewReTail(app.QoS(), c)
 		},
 		"head-only": func() manager.Manager {
-			c := baseCfg()
-			c.Params.Alg1.HeadOnly = true
+			c := baseCfg(policy.Params{Alg1: policy.Alg1Params{HeadOnly: true}})
 			return manager.NewReTail(app.QoS(), c)
 		},
 		"proportional": func() manager.Manager {
-			c := baseCfg()
+			c := baseCfg(policy.Params{})
 			prop, err := predict.NewProportional(cal.Model, cfg.Platform.Grid, cfg.Platform.Grid.MaxLevel())
 			if err != nil {
 				panic(err) // statically valid inputs
@@ -92,7 +91,7 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 			return manager.NewReTail(app.QoS(), c)
 		},
 		"no-stage1": func() manager.Manager {
-			c := baseCfg()
+			c := baseCfg(policy.Params{})
 			c.Stage1Frac = func(*workload.Request) float64 { return 0 }
 			// Without the split, application features of queued requests
 			// are never extracted before execution; ReTail's observability

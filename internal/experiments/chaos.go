@@ -164,6 +164,23 @@ type chaosRun struct {
 	audit     string
 }
 
+// chaosManager builds one chaos cell's manager under cfg.Params — the same
+// construction for the healthy and the faulted cell, so the two compare
+// one configuration. A non-nil corrupt interposes its predictor
+// corruption between calibration and ReTail's decision loop; a retrain
+// refits a clean linear model and discards the wrapper — exactly the
+// documented recovery.
+func chaosManager(cfg Config, cal *core.Calibration, name string, corrupt *fault.Injector) (manager.Manager, error) {
+	m, err := cal.NewManagerParams(name, cfg.GeminiNN, cfg.Params)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	if rt, ok := m.(*manager.ReTail); ok && corrupt != nil {
+		rt.SetModel(fault.CorruptingPredictor{Inner: cal.Model, Inj: corrupt})
+	}
+	return m, nil
+}
+
 // chaosRunOnce replays one plan (nil = healthy baseline) against one
 // manager. The plan's clock is the simulator clock, so the canonical
 // 10-second timeline maps 1:1 onto virtual time: warmup ends at t=2 s and
@@ -180,30 +197,15 @@ func chaosRunOnce(cfg Config, cal *core.Calibration, mgrName string, rps float64
 	e := sim.NewEngine()
 	inj := fault.New(cfg.Seed, plan).WithClock(func() float64 { return float64(e.Now()) })
 
-	var mgr manager.Manager
-	var rt *manager.ReTail
-	switch mgrName {
-	case "retail":
-		if plan != nil {
-			// Interpose predictor corruption between calibration and the
-			// decision loop. A retrain refits a clean linear model and
-			// discards the wrapper — exactly the documented recovery.
-			rt = cal.NewReTailWith(fault.CorruptingPredictor{Inner: cal.Model, Inj: inj})
-		} else {
-			rt = cal.NewReTailParams(cfg.Params)
-		}
-		mgr = rt
-	case "rubik":
-		mgr = cal.NewRubikParams(cfg.Params)
-	case "gemini":
-		g, err := cal.NewGeminiParams(cfg.GeminiNN, cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		mgr = g
-	default:
-		return nil, fmt.Errorf("chaos: unknown manager %q", mgrName)
+	var corrupt *fault.Injector
+	if plan != nil {
+		corrupt = inj
 	}
+	mgr, err := chaosManager(cfg, cal, mgrName, corrupt)
+	if err != nil {
+		return nil, err
+	}
+	rt, _ := mgr.(*manager.ReTail)
 
 	srv := serverFor(cfg.Platform, app, cfg.Seed)
 	mgr.Attach(e, srv)

@@ -55,7 +55,7 @@ type LiveChaosConfig struct {
 	// Policy is the degradation policy (zero value → DefaultChaosPolicy).
 	Policy live.DegradePolicy
 	// Params is the serializable policy parameterization for the server's
-	// decider and degradation budgets (zero value = historical constants).
+	// policy and degradation budgets (zero value = historical constants).
 	Params policy.Params
 	// Registry, when non-nil, receives the runtime's telemetry plus the
 	// injector's retail_faults_injected_total counters.

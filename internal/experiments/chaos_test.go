@@ -10,8 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"retail/internal/core"
 	"retail/internal/fault"
+	"retail/internal/manager"
+	"retail/internal/policy"
 	"retail/internal/telemetry"
+	"retail/internal/workload"
 )
 
 var updateChaosGolden = flag.Bool("update", false, "rewrite the chaos golden file")
@@ -60,6 +64,43 @@ func TestChaosSimGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("chaos render diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// TestChaosFaultedReTailKeepsParams: the healthy and the faulted ReTail
+// cell of one plan run the same configuration — -params reaches both, and
+// only the predictor differs — so the matrix compares one policy with and
+// without the fault.
+func TestChaosFaultedReTailKeepsParams(t *testing.T) {
+	cfg := Quick()
+	cfg.Params = policy.Params{
+		Monitor: policy.MonitorParams{Disabled: true, StepFrac: 0.1},
+		Alg1:    policy.Alg1Params{HeadOnly: true},
+	}
+	cal, err := core.Calibrate(workload.ByName("moses"), cfg.Platform, 200, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.PlanByName("predictor-skew")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(corrupt *fault.Injector) *manager.ReTail {
+		m, err := chaosManager(cfg, cal, "retail", corrupt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*manager.ReTail)
+	}
+	base, faulted := build(nil), build(fault.New(cfg.Seed, plan))
+	if got, want := faulted.MonitorSettings(), base.MonitorSettings(); got != want || !got.Disabled {
+		t.Fatalf("faulted ReTail monitor %+v, healthy %+v (want equal, Disabled)", got, want)
+	}
+	if _, ok := faulted.Model().(fault.CorruptingPredictor); !ok {
+		t.Fatalf("faulted ReTail predicts with %T, want the corrupting wrapper", faulted.Model())
+	}
+	if _, ok := base.Model().(fault.CorruptingPredictor); ok {
+		t.Fatal("healthy ReTail predicts through the corrupting wrapper")
 	}
 }
 

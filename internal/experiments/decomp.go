@@ -7,6 +7,7 @@ import (
 	"retail/internal/features"
 	"retail/internal/manager"
 	"retail/internal/nn"
+	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/workload"
 )
@@ -101,14 +102,14 @@ func Fig12(cfg Config, appName string) (*Fig12Result, error) {
 				return cal.NewAdrenaline()
 			},
 			"nn-alg1": func() manager.Manager {
-				c := manager.DefaultReTailConfig()
+				c := retailConfig(cal, policy.Params{})
 				c.Layout = layout
 				c.Model = nnModel
 				c.Stage1Frac = stage1For(cal, space.name)
 				return manager.NewReTail(app.QoS(), c)
 			},
 			"lr-alg1": func() manager.Manager {
-				c := manager.DefaultReTailConfig()
+				c := retailConfig(cal, policy.Params{})
 				c.Layout = layout
 				c.Model = lrModel
 				c.Training = cal.Training.Clone()

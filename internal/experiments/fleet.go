@@ -33,7 +33,7 @@ type FleetOptions struct {
 	Nodes          int
 	WorkersPerNode int
 	// Dispatchers (nil = policy.DispatcherNames()) and Policies (nil =
-	// cluster.FleetPolicies()) are the two swept axes besides load.
+	// policy.Names()) are the two swept axes besides load.
 	Dispatchers []string
 	Policies    []string
 	// Loads are fractions of the fleet's calibrated max (nil = cfg.Loads).
@@ -79,7 +79,7 @@ func (o FleetOptions) withDefaults(cfg Config) FleetOptions {
 		o.Dispatchers = policy.DispatcherNames()
 	}
 	if o.Policies == nil {
-		o.Policies = cluster.FleetPolicies()
+		o.Policies = policy.Names()
 	}
 	if o.Loads == nil {
 		o.Loads = cfg.Loads

@@ -4,7 +4,7 @@
 // The harness records everything the shared decision core consumed
 // during one simulated ReTail run — Algorithm 1 inputs, completions,
 // monitor ticks, in event order — then replays the trace through the
-// live runtime's decider (live.ReplayDecisions) with the same frozen
+// live runtime's ReTail policy (live.ReplayDecisions) with the same frozen
 // predictor and monitor constants. If the two adapters feed the core
 // identical inputs in identical order, the decision sequences must be
 // byte-identical; any divergence means one runtime grew private policy
@@ -45,7 +45,7 @@ type ParityConfig struct {
 // a deliberately wrong constant must break parity).
 type ParityResult struct {
 	Sim    []policy.ReplayDecision // from the simulator adapter's sink
-	Replay []policy.ReplayDecision // from the live adapter's decider
+	Replay []policy.ReplayDecision // from the live adapter's policy
 	Ticks  int                     // monitor ticks recorded in the trace
 
 	SimBytes    []byte
@@ -254,13 +254,10 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		return nil, fmt.Errorf("parity: calibrate: %w", err)
 	}
 
-	// Frozen predictor: Training nil disables drift-triggered retraining,
-	// so the model replayed later is bit-identical to the one recorded.
-	mcfg := manager.DefaultReTailConfig()
-	mcfg.Layout = cal.Layout
-	mcfg.Model = cal.Model
-	mcfg.Training = nil
-	m := manager.NewReTail(app.QoS(), mcfg)
+	// Frozen predictor: no training set disables drift-triggered
+	// retraining, so the model replayed later is bit-identical to the one
+	// recorded.
+	m := frozenReTail(cal)
 
 	log := &decisionLog{}
 	m.SetDecisionSink(log)
@@ -280,7 +277,7 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		Instrument: func(e *sim.Engine, srv *server.Server) {
 			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: tr}
 			srv.Hooks = rec
-			policy.RunMonitor(parityTimer{e}, float64(mcfg.MonitorInterval), "parity.tick",
+			policy.RunMonitor(parityTimer{e}, m.MonitorSettings().Interval, "parity.tick",
 				func(now policy.Time) {
 					ticks++
 					rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
@@ -291,7 +288,7 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		return nil, fmt.Errorf("parity: sim run: %w", err)
 	}
 
-	replay := live.ReplayDecisions(tr, cal.Model, platform.Grid, m.MonitorSettings())
+	replay := live.ReplayDecisions(tr, cal.Model, platform.Grid, m.MonitorSettings(), policy.ClassTargets{})
 	res := &ParityResult{
 		Sim:         log.out,
 		Replay:      replay,

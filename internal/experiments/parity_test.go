@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"retail/internal/live"
+	"retail/internal/policy"
 )
 
 // TestReplayParity is the refactor's keystone check (`make parity-check`):
-// one recorded simulator run replayed through the live runtime's decider
+// one recorded simulator run replayed through the live runtime's policy
 // must yield a byte-identical decision sequence. A divergence means one
 // adapter grew private policy logic again.
 func TestReplayParity(t *testing.T) {
@@ -71,7 +72,7 @@ func TestReplayParityNegativeControl(t *testing.T) {
 	}
 	mon := res.Monitor
 	mon.StepFrac = 1.5 * mon.StepFrac // wrong controller gain
-	perturbed := live.ReplayDecisions(res.Trace, res.Model, res.Grid, mon)
+	perturbed := live.ReplayDecisions(res.Trace, res.Model, res.Grid, mon, policy.ClassTargets{})
 	if bytes.Equal(res.SimBytes, EncodeDecisions(perturbed)) {
 		t.Fatal("perturbed replay still matches; the parity check is insensitive")
 	}

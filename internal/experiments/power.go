@@ -85,26 +85,15 @@ func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
 	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
 	fa := &Fig11App{App: app.Name(), QoS: app.QoS(), MaxLoad: maxLoad, RMSE: map[string]float64{}}
 
-	gem, err := cal.NewGemini(cfg.GeminiNN)
-	if err != nil {
-		return nil, err
-	}
 	// Fresh manager state per run; Gemini's trained network is reused
-	// (training it is the expensive part and it is immutable). The
-	// constructors only read the shared calibration, so cells can call
-	// them concurrently.
-	newManager := func(name string) manager.Manager {
-		switch name {
-		case "rubik":
-			return cal.NewRubikParams(cfg.Params)
-		case "gemini":
-			return manager.NewGemini(app.QoS(), app.FeatureSpecs(),
-				core.ApplyGeminiParams(gem.Config(), cfg.Params))
-		case "retail":
-			return cal.NewReTailParams(cfg.Params)
-		default:
-			return manager.NewMaxFreq()
+	// (training it is the expensive part and it is immutable, trained once
+	// per calibration). The constructors only read the shared calibration,
+	// so cells can call them concurrently.
+	newManager := func(name string) (manager.Manager, error) {
+		if name == "maxfreq" {
+			return manager.NewMaxFreq(), nil
 		}
+		return cal.NewManagerParams(name, cfg.GeminiNN, cfg.Params)
 	}
 
 	// Canonical cell order: load-major, manager-minor. Every cell is an
@@ -121,8 +110,12 @@ func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
 			cells = append(cells, SweepCell[*core.Result]{
 				Label: fmt.Sprintf("%s/load=%.2f/%s", app.Name(), lf, mname),
 				Run: func() (*core.Result, error) {
+					m, err := newManager(mname)
+					if err != nil {
+						return nil, err
+					}
 					return core.Run(core.RunConfig{App: app, Platform: cfg.Platform,
-						Manager: newManager(mname), RPS: rps, Warmup: dur / 5, Duration: dur,
+						Manager: m, RPS: rps, Warmup: dur / 5, Duration: dur,
 						Seed:           cfg.Seed,
 						CollectSamples: lastLoad && mname != "maxfreq"})
 				},

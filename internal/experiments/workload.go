@@ -9,7 +9,7 @@
 //  2. record → replay → re-record round-trips byte-identically through
 //     the simulator (the replayed stream regenerates the same bytes);
 //  3. the recorded decision inputs replay through the live runtime's
-//     decider to a byte-identical per-SLO-class decision stream
+//     policy to a byte-identical per-SLO-class decision stream
 //     (EncodeClassedDecisions: level + scaled QoS′ bits + class byte).
 //
 // A cell fails loudly when any of the three breaks, so `make
@@ -81,7 +81,7 @@ type WorkloadCell struct {
 
 	Decisions   int
 	DecisionSHA string // SHA-256 of the classed sim decision stream
-	ParityOK    bool   // live decider replayed to identical bytes
+	ParityOK    bool   // live policy replayed to identical bytes
 }
 
 // WorkloadSweepResult holds the per-spec grid.
@@ -161,26 +161,37 @@ func WorkloadSweep(cfg Config, opt WorkloadOptions) (*WorkloadSweepResult, error
 	return res, nil
 }
 
-// frozenReTail builds a ReTail manager with retraining disabled, so the
-// model the live decider replays against is bit-identical to the one the
-// recording run consulted (same freeze RunParity applies).
-func frozenReTail(cal *core.Calibration, app workload.App) *manager.ReTail {
-	mcfg := manager.DefaultReTailConfig()
+// frozenReTail builds a ReTail manager with retraining disabled (no
+// training set), so the model the live policy replays against is
+// bit-identical to the one the recording run consulted.
+func frozenReTail(cal *core.Calibration) *manager.ReTail {
+	mcfg := retailConfig(cal, policy.Params{})
 	mcfg.Layout = cal.Layout
 	mcfg.Model = cal.Model
-	mcfg.Training = nil
-	return manager.NewReTail(app.QoS(), mcfg)
+	return manager.NewReTail(cal.App.QoS(), mcfg)
+}
+
+// retailConfig is the paper's ReTail configuration for cal's application
+// around a fresh policy value built from p; callers fill the model,
+// layout and training set.
+func retailConfig(cal *core.Calibration, p policy.Params) manager.ReTailConfig {
+	pol, err := policy.New("retail", p, manager.SimEnv(cal.App.QoS(), cal.Platform.Grid, nil, p))
+	if err != nil {
+		panic(err) // a grid and the simulator posture are all retail needs
+	}
+	c := manager.DefaultReTailConfig()
+	c.Policy = pol.(*policy.Retail)
+	return c
 }
 
 func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, spec *workload.Spec, rps float64, dur sim.Duration) (*WorkloadCell, error) {
 	app := cal.App
 	scaled := spec.ScaledTo(rps)
 	_, scales := scaled.Classes()
-	mcfg := manager.DefaultReTailConfig()
 
 	// Recording run: the v2 trace taps the generator→server path while
 	// the policy trace records everything the decision core consumed.
-	m1 := frozenReTail(cal, app)
+	m1 := frozenReTail(cal)
 	log := &decisionLog{}
 	m1.SetDecisionSink(log)
 	ptr := &policy.Trace{
@@ -196,7 +207,7 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 		Instrument: func(e *sim.Engine, srv *server.Server) {
 			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: ptr}
 			srv.Hooks = rec
-			policy.RunMonitor(parityTimer{e}, float64(mcfg.MonitorInterval), "parity.tick",
+			policy.RunMonitor(parityTimer{e}, m1.MonitorSettings().Interval, "parity.tick",
 				func(now policy.Time) {
 					rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
 				})
@@ -216,7 +227,7 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 	// second recorder tapped in; the re-recording must be byte-identical.
 	reRec := workload.NewTrace(scaled, cfg.Seed)
 	if _, err := core.Run(core.RunConfig{
-		App: app, Platform: platform, Manager: frozenReTail(cal, app),
+		App: app, Platform: platform, Manager: frozenReTail(cal),
 		Replay: trace, Record: reRec,
 		Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
 	}); err != nil {
@@ -232,16 +243,16 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 			spec.Name, len(traceBytes), len(reBytes))
 	}
 
-	// Live-decider parity: replay the recorded decision inputs through
-	// the live runtime's retailDecider with the spec's class targets and
-	// demand a byte-identical classed decision stream.
+	// Live parity: replay the recorded decision inputs through the live
+	// runtime's ReTail policy with the spec's class targets and demand a
+	// byte-identical classed decision stream.
 	simStream := EncodeClassedDecisions(log.out)
-	replayed := live.ReplayDecisionsClassed(ptr, cal.Model, platform.Grid,
+	replayed := live.ReplayDecisions(ptr, cal.Model, platform.Grid,
 		m1.MonitorSettings(), policy.NewClassTargets(scales))
 	liveStream := EncodeClassedDecisions(replayed)
 	parityOK := string(simStream) == string(liveStream)
 	if !parityOK {
-		return nil, fmt.Errorf("workload %s: live decider diverged from simulator (%d vs %d decisions)",
+		return nil, fmt.Errorf("workload %s: live policy diverged from simulator (%d vs %d decisions)",
 			spec.Name, len(log.out), len(replayed))
 	}
 	decSum := sha256.Sum256(simStream)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"retail/internal/cpu"
+	"retail/internal/splitmix"
 	"retail/internal/telemetry"
 )
 
@@ -317,24 +318,6 @@ func WallClock() func() float64 {
 	return func() float64 { return time.Since(start).Seconds() }
 }
 
-// splitmix64 is the avalanche mixer used for hash-based decisions:
-// deterministic, stateless, and well distributed even for sequential
-// inputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// hashFloat maps x to [0, 1).
-func hashFloat(x uint64) float64 {
-	return float64(splitmix64(x)>>11) / (1 << 53)
-}
-
 // Fire reports whether the n-th call at site fails, and with what fault.
 // It is the hot-path entry point: a nil injector or an unplanned site
 // costs a branch or two and never allocates.
@@ -361,7 +344,7 @@ func (i *Injector) Fire(site Site) (Fault, bool) {
 	if st.every > 0 {
 		fire = n%st.every == 0
 	} else {
-		fire = hashFloat(h) < st.prob
+		fire = splitmix.Unit(splitmix.Mix(h)) < st.prob
 	}
 	if !fire {
 		return Fault{}, false
@@ -372,7 +355,7 @@ func (i *Injector) Fire(site Site) (Fault, bool) {
 	}
 	kind := st.kinds[0]
 	if len(st.kinds) > 1 {
-		kind = st.kinds[splitmix64(h^0xD6E8FEB86659FD93)%uint64(len(st.kinds))]
+		kind = st.kinds[splitmix.Mix(h^0xD6E8FEB86659FD93)%uint64(len(st.kinds))]
 	}
 	return Fault{Kind: kind, Magnitude: st.magnitude}, true
 }

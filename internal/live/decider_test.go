@@ -8,9 +8,9 @@ import (
 	"retail/internal/workload"
 )
 
-// deciderServer builds an unstarted server running the named policy, for
+// policyServer builds an unstarted server running the named policy, for
 // tests that poke the decision path directly.
-func deciderServer(t *testing.T, pol string, profile []float64) *Server {
+func policyServer(t *testing.T, pol string, profile []float64) *Server {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Addr:         "127.0.0.1:0",
@@ -40,12 +40,12 @@ func flatProfile(n int, base, step float64) []float64 {
 }
 
 // TestNewDeciderSelection: every policy name resolves to the matching
-// decider, the profile-driven baselines demand a profile, and unknown
+// policy, the profile-driven baselines demand a profile, and unknown
 // names are rejected at construction — not at the first request.
 func TestNewDeciderSelection(t *testing.T) {
 	profile := flatProfile(100, 0.5e-3, 1e-5)
 	for _, pol := range []string{"", "retail", "rubik", "gemini", "eetl"} {
-		srv := deciderServer(t, pol, profile)
+		srv := policyServer(t, pol, profile)
 		want := pol
 		if want == "" {
 			want = "retail"
@@ -83,7 +83,7 @@ func TestNewDeciderSelection(t *testing.T) {
 // not allocate, mirroring the simulator adapter's zero-alloc guarantee
 // (TestRetailDecideZeroAlloc in internal/manager).
 func TestLiveDecideZeroAlloc(t *testing.T) {
-	srv := deciderServer(t, "retail", nil)
+	srv := policyServer(t, "retail", nil)
 	now := time.Now().UnixNano()
 	head := &queuedReq{req: Request{ID: 1, GenNs: now, Features: []float64{1, 2, 3}}}
 	for i := uint64(2); i <= 4; i++ {
@@ -99,12 +99,12 @@ func TestLiveDecideZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLiveDecideZeroAllocBaselines: the baseline deciders share the
-// guarantee — their pipeline wrappers cache per-level state in place.
+// TestLiveDecideZeroAllocBaselines: the baseline policies share the
+// guarantee — Rubik's pipeline wrapper caches per-level state in place.
 func TestLiveDecideZeroAllocBaselines(t *testing.T) {
 	profile := flatProfile(100, 0.5e-3, 1e-5)
 	for _, pol := range []string{"rubik", "gemini", "eetl"} {
-		srv := deciderServer(t, pol, profile)
+		srv := policyServer(t, pol, profile)
 		now := time.Now().UnixNano()
 		head := &queuedReq{req: Request{ID: 1, GenNs: now, Features: []float64{1, 2, 3}}}
 		allocs := testing.AllocsPerRun(200, func() {
@@ -120,10 +120,10 @@ func TestLiveDecideZeroAllocBaselines(t *testing.T) {
 // simulator regression (TestReTailMonitorRecoversAfterBurst in
 // internal/manager). Historically the live monitor age-pruned but the
 // sim's did not; with the shared policy.Monitor both do, and this pins
-// the live adapter's wiring of Observe/Tick through the decider. Times
-// are injected through the decider interface, so no wall sleeping.
+// the live adapter's wiring of Observe/Tick through the policy. Times
+// are injected through the policy interface, so no wall sleeping.
 func TestLiveMonitorRecoversAfterBurst(t *testing.T) {
-	srv := deciderServer(t, "retail", nil)
+	srv := policyServer(t, "retail", nil)
 	qos := 0.01
 	srv.mu.Lock()
 	// Burst: 100 completions at 3× target inside 0.2 s.

@@ -6,30 +6,36 @@ import (
 	"retail/internal/predict"
 )
 
-// ReplayDecisions drives the live runtime's ReTail decider — the exact
-// struct `retail-live` runs behind its mutex — through a recorded trace
-// and returns the decision sequence it produces. The parity harness in
+// ReplayDecisions drives the ReTail policy the live server runs — built
+// by the same policy.New — through a recorded trace and returns the
+// decision sequence it produces. The parity harness in
 // internal/experiments records the trace from a simulator run and
 // compares this sequence byte-for-byte against the simulator's own
 // decisions: if the two adapters fed the shared core the same inputs in
 // the same order, the outputs must be bit-identical, proving the live
 // decision path is the simulated one.
 //
-// The monitor configuration must match the recording manager's (same
+// mon is the recording manager's effective monitor configuration (same
 // target, percentile, interval and window policy); pred must be the
-// frozen predictor the recording run used.
-func ReplayDecisions(tr *policy.Trace, pred predict.Predictor, grid *cpu.Grid, mon policy.MonitorConfig) []policy.ReplayDecision {
-	return ReplayDecisionsClassed(tr, pred, grid, mon, policy.ClassTargets{})
-}
-
-// ReplayDecisionsClassed is ReplayDecisions with per-SLO-class QoS′
-// targets installed in the decider — the multi-class parity check. Each
-// replayed decision records the class-scaled budget (the same
-// ClassTargets.Apply the decider itself computes) and the head's class,
-// so the encoded stream pins the per-class decision dimension too. The
-// empty ClassTargets reduces bit-for-bit to the single-class replay.
-func ReplayDecisionsClassed(tr *policy.Trace, pred predict.Predictor, grid *cpu.Grid, mon policy.MonitorConfig, targets policy.ClassTargets) []policy.ReplayDecision {
-	d := &retailDecider{mon: policy.NewMonitor(mon), grid: grid, classes: targets}
+// frozen predictor the recording run used. targets are the run's
+// per-SLO-class QoS′ multipliers: each replayed decision records the
+// class-scaled budget and the head's class, so the encoded stream pins
+// the per-class decision dimension too. The empty ClassTargets is the
+// single-class replay.
+func ReplayDecisions(tr *policy.Trace, pred predict.Predictor, grid *cpu.Grid, mon policy.MonitorConfig, targets policy.ClassTargets) []policy.ReplayDecision {
+	// The recorded settings are the posture; with zero Params nothing
+	// overrides them.
+	pol, err := policy.New("retail", policy.Params{}, policy.Env{
+		QoS:        mon.Target,
+		Percentile: mon.Percentile,
+		Grid:       grid,
+		Posture:    func(policy.Duration) policy.MonitorConfig { return mon },
+	})
+	if err != nil {
+		panic(err) // the grid and posture are set above
+	}
+	d := pol.(*policy.Retail)
+	d.SetClassTargets(targets)
 	pipe := replayPipeline{tr: tr, pred: pred}
 	out := make([]policy.ReplayDecision, 0, len(tr.Events))
 	for i := range tr.Events {
@@ -38,7 +44,7 @@ func ReplayDecisionsClassed(tr *policy.Trace, pred predict.Predictor, grid *cpu.
 		case policy.DecisionEvent:
 			pipe.ev = ev
 			cls := pipe.Class(0)
-			qp := targets.Apply(cls, d.QoSPrime())
+			qp := d.Budget(cls)
 			lvl, _ := d.Decide(float64(ev.At), &pipe)
 			out = append(out, policy.ReplayDecision{Level: lvl, QoSPrime: policy.Duration(qp), Class: cls})
 		case policy.CompletionEvent:

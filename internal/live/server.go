@@ -121,7 +121,7 @@ type queuedReq struct {
 
 // Server is the wall-clock adapter of the shared decision core: one
 // goroutine per worker core draining a FCFS queue, a frequency decision
-// per schedule through the configured decider (Algorithm 1 for ReTail),
+// per schedule through the configured policy (Algorithm 1 for ReTail),
 // and a monitor goroutine ticking the policy's periodic work. The
 // decision arithmetic itself lives in internal/policy — the same code
 // the simulator adapter (internal/manager) runs in virtual time; the
@@ -142,13 +142,13 @@ type Server struct {
 	closed bool
 	conns  map[net.Conn]struct{}
 
-	// dec is the pluggable frequency policy; pipe is the persistent
+	// dec is the frequency policy policy.New built; pipe is the persistent
 	// pipeline view handed to it so the decide path allocates nothing
 	// (TestLiveDecideZeroAlloc). boost is dec's optional two-step DVFS
 	// surface (nil when the policy has none). All guarded by mu.
-	dec   decider
+	dec   policy.Policy
 	pipe  livePipeline
-	boost booster
+	boost policy.Booster
 
 	// jsq is the shared dispatch rule; jsqLoad is a persistent closure so
 	// enqueue allocates nothing for the pick.
@@ -251,9 +251,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.MonitorInterval = durS(iv)
 	}
 	grid := cfg.Backend.Grid()
-	dec, err := newDecider(cfg, grid)
+	dec, err := policy.New(cfg.Policy, cfg.Params, policy.Env{
+		QoS:          float64(cfg.QoS.Latency),
+		Percentile:   cfg.QoS.Percentile,
+		Grid:         grid,
+		ProfileAtMax: cfg.ProfileAtMax,
+		Tick:         cfg.MonitorInterval.Seconds(),
+		Posture:      policy.LivePosture,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -272,7 +279,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		applied: make([]appliedState, cfg.Workers),
 	}
 	s.pipe.s = s
-	s.boost, _ = dec.(booster)
+	s.boost, _ = dec.(policy.Booster)
 	s.jsqLoad = func(i int) int { return len(s.queues[i]) }
 	s.degrade = policy.Degrade{
 		ShedFactor:     s.policy.ShedFactor,
@@ -566,11 +573,9 @@ func (s *Server) worker(id int) {
 		// threshold): arm a timer that re-raises the frequency if the
 		// request is still running when it fires.
 		var boostTimer *time.Timer
-		if s.boost != nil {
-			if delay, blvl, on := s.boost.Boost(lvl, predicted); on {
-				wid := id
-				boostTimer = time.AfterFunc(delay, func() { s.applyLevel(wid, blvl) })
-			}
+		if delay, blvl, on := s.boostFor(lvl, predicted); on {
+			wid := id
+			boostTimer = time.AfterFunc(delay, func() { s.applyLevel(wid, blvl) })
 		}
 		start := time.Now()
 		if f, ok := s.cfg.Faults.Fire(fault.SiteExec); ok {
@@ -611,11 +616,16 @@ func (s *Server) worker(id int) {
 // It returns the chosen level plus the attribution the flight ring
 // records: the head's predicted service at that level, the queue
 // occupancy and QoS′ at decision time. The pipeline view references the
-// live queue under s.mu and the persistent pipe/decider state, so one
+// live queue under s.mu and the persistent pipe/policy state, so one
 // decision allocates nothing (TestLiveDecideZeroAlloc) — the live twin
 // of the simulator adapter's TestRetailDecideZeroAlloc.
 func (s *Server) decide(id int, head *queuedReq) (cpu.Level, float64, int, time.Duration) {
-	now := s.nowS()
+	return s.decideAt(s.nowS(), id, head)
+}
+
+// decideAt is decide at an explicit time in the server's timebase, so a
+// test can replay a decision stream without reading the wall clock.
+func (s *Server) decideAt(now float64, id int, head *queuedReq) (cpu.Level, float64, int, time.Duration) {
 	s.mu.Lock()
 	s.pipe.head = head
 	s.pipe.queue = s.queues[id]
@@ -627,6 +637,18 @@ func (s *Server) decide(id int, head *queuedReq) (cpu.Level, float64, int, time.
 	s.mu.Unlock()
 	s.metrics.incDecisions()
 	return lvl, predicted, qlen, qp
+}
+
+// boostFor returns the policy's two-step DVFS checkpoint for a decision
+// (Gemini's boost, EETL's long-request threshold): re-raise the worker to
+// lvl after delay if its request is still running. ok is false when the
+// policy arms nothing.
+func (s *Server) boostFor(chosen cpu.Level, predicted float64) (delay time.Duration, lvl cpu.Level, ok bool) {
+	if s.boost == nil {
+		return 0, 0, false
+	}
+	d, lvl, ok := s.boost.Boost(chosen, predicted)
+	return time.Duration(d * 1e9), lvl, ok
 }
 
 // monitor drives the policy's periodic work on a wall-clock ticker — the

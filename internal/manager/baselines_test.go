@@ -7,6 +7,7 @@ import (
 
 	"retail/internal/cpu"
 	"retail/internal/nn"
+	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/sim"
 	"retail/internal/stats"
@@ -30,11 +31,11 @@ func profileOf(app varApp, n int, seed int64) (services []float64, feats [][]flo
 func TestRubikTailScaling(t *testing.T) {
 	app := varApp{base: 2e-3, slope: 1e-3, spread: 10, qos: workload.QoS{Latency: 50e-3, Percentile: 99}}
 	svc, _ := profileOf(app, 2000, 1)
-	m := NewRubik(app.QoS(), svc)
 	g := cpu.DefaultGrid()
-	m.grid = g
-	atMax := m.tailServiceAt(g.MaxLevel())
-	atMin := m.tailServiceAt(0)
+	pol := simPolicy("rubik", app.QoS(), g, svc).(*policy.Rubik)
+	m := NewRubik(pol)
+	atMax := pol.Estimate(g.MaxLevel())
+	atMin := pol.Estimate(0)
 	if math.Abs(atMin-atMax*2.1) > 1e-9 {
 		t.Fatalf("proportional scaling broken: %v vs %v×2.1", atMin, atMax)
 	}
@@ -48,10 +49,14 @@ func TestRubikTailScaling(t *testing.T) {
 	}
 }
 
+// TestRubikEmptyProfile: a Rubik without a profile has no tail to
+// estimate from; construction refuses it rather than deciding on zeros.
 func TestRubikEmptyProfile(t *testing.T) {
-	m := NewRubik(workload.QoS{Latency: 1, Percentile: 99}, nil)
-	m.grid = cpu.DefaultGrid()
-	if got := m.tailServiceAt(0); got != 0 {
+	qos := workload.QoS{Latency: 1, Percentile: 99}
+	if _, err := policy.New("rubik", policy.Params{}, SimEnv(qos, cpu.DefaultGrid(), nil, policy.Params{})); err == nil {
+		t.Fatal("rubik built without a profile")
+	}
+	if got := policy.NewRubikTail(nil, 0.999).Tail(2.1, 1); got != 0 {
 		t.Fatalf("empty-profile tail = %v", got)
 	}
 }
@@ -82,7 +87,7 @@ func TestRubikConservativeVsReTail(t *testing.T) {
 	}
 	rubikLvl, _ := meanLevel(func(rig *testRig) Manager {
 		svc, _ := profileOf(app, 2000, 2)
-		return NewRubik(app.QoS(), svc)
+		return NewRubik(simPolicy("rubik", app.QoS(), rig.grid, svc).(*policy.Rubik))
 	})
 	retailLvl, _ := meanLevel(func(rig *testRig) Manager {
 		return NewReTail(app.QoS(), rig.retailConfig())
@@ -95,15 +100,19 @@ func TestRubikConservativeVsReTail(t *testing.T) {
 func TestRubikRMSEAgainst(t *testing.T) {
 	app := varApp{base: 1e-3, slope: 1e-3, spread: 25, qos: workload.QoS{Latency: 60e-3, Percentile: 99}}
 	svc, _ := profileOf(app, 2000, 3)
-	m := NewRubik(app.QoS(), svc)
-	m.grid = cpu.DefaultGrid()
-	rmse := m.RMSEAgainst(svc)
+	g := cpu.DefaultGrid()
+	m := NewRubik(simPolicy("rubik", app.QoS(), g, svc).(*policy.Rubik))
+	atMax := make([]predict.Sample, len(svc))
+	for i := range atMax {
+		atMax[i].Level = g.MaxLevel()
+	}
+	rmse := m.RMSEAgainstAt(g, atMax, svc)
 	// The tail-as-prediction error must dwarf an LR fit's (which would be
 	// near the noise floor here: the relationship is exactly linear).
 	if rmse < stats.StdDev(svc) {
 		t.Fatalf("Rubik RMSE %v suspiciously low (std %v)", rmse, stats.StdDev(svc))
 	}
-	if m.RMSEAgainst(nil) != 0 {
+	if m.RMSEAgainstAt(g, nil, nil) != 0 {
 		t.Fatal("empty actuals should give 0")
 	}
 }
@@ -118,7 +127,7 @@ func geminiFor(t testing.TB, rig *testRig, app varApp) *Gemini {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultGeminiConfig(model)
+	cfg := DefaultGeminiConfig(simPolicy("gemini", app.QoS(), rig.grid, nil).(*policy.Gemini), model)
 	return NewGemini(app.QoS(), app.FeatureSpecs(), cfg)
 }
 

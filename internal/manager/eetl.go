@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"retail/internal/cpu"
 	"retail/internal/policy"
 	"retail/internal/server"
 	"retail/internal/sim"
@@ -15,52 +14,17 @@ import (
 // reproduced here — is that by the time a request reaches the threshold
 // it may be too late to prevent tail-latency degradation, because the
 // time already spent at low frequency cannot be recovered.
+//
+// The slow level and threshold are policy.EETL's; this adapter applies
+// them through the simulator's hooks and schedules the boost as an event.
 type EETL struct {
 	server.NoopHooks
-	qos  workload.QoS
-	grid *cpu.Grid
-
-	// Threshold flags a request as long once its execution time exceeds
-	// it (derived from the profile quantile at construction).
-	Threshold sim.Duration
-	// SlowLevel is the initial frequency for every request.
-	SlowLevel cpu.Level
-	// BoostLevel is applied at the threshold crossing.
-	BoostLevel cpu.Level
-
+	pol    *policy.EETL
 	boosts int
 }
 
-// NewEETL derives the threshold from an offline service-time profile at
-// max frequency: requests beyond the given quantile of the distribution
-// are the "long" class (the paper's EETL uses a predetermined progress
-// threshold; the quantile form is the natural way to set it).
-func NewEETL(qos workload.QoS, grid *cpu.Grid, profileAtMax []float64, quantile float64) *EETL {
-	return NewEETLAt(qos, grid, profileAtMax, quantile, grid.MaxLevel()/2)
-}
-
-// NewEETLAt is NewEETL with an explicit slow level (the historical
-// default is MaxLevel/2). The threshold scales with the slow level's
-// frequency — requests execute at that speed until the crossing — so the
-// two must be chosen together, which is why this is one constructor and
-// not a post-construction field write.
-func NewEETLAt(qos workload.QoS, grid *cpu.Grid, profileAtMax []float64, quantile float64, slow cpu.Level) *EETL {
-	if slow < 0 {
-		slow = 0
-	}
-	if slow > grid.MaxLevel() {
-		slow = grid.MaxLevel()
-	}
-	m := &EETL{
-		qos:        qos,
-		grid:       grid,
-		SlowLevel:  slow,
-		BoostLevel: grid.MaxLevel(),
-	}
-	m.Threshold = sim.Duration(policy.EETLThreshold(
-		profileAtMax, quantile, grid.MaxFreq(), grid.Freq(m.SlowLevel)))
-	return m
-}
+// NewEETL builds the manager around the policy value policy.New built.
+func NewEETL(pol *policy.EETL) *EETL { return &EETL{pol: pol} }
 
 func (m *EETL) Name() string { return "eetl" }
 
@@ -68,24 +32,23 @@ func (m *EETL) Name() string { return "eetl" }
 func (m *EETL) Boosts() int { return m.boosts }
 
 // Attach implements Manager.
-func (m *EETL) Attach(e *sim.Engine, s *server.Server) {
-	m.grid = s.Socket.Cores[0].Grid()
-	s.Hooks = m
-}
+func (m *EETL) Attach(e *sim.Engine, s *server.Server) { s.Hooks = m }
 
 // Start implements server.Hooks: run slow, arm the threshold timer.
 func (m *EETL) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	w.Core().SetLevel(e, m.SlowLevel)
-	if m.Threshold <= 0 {
+	slow := m.pol.Slow()
+	w.Core().SetLevel(e, slow)
+	delay, boost, ok := m.pol.Boost(slow, 0)
+	if !ok {
 		return
 	}
 	// Pointer AND ID: request nodes may be pooled, so the same pointer can
 	// later host a different request (IDs are never reused).
 	req, id := r, r.ID
-	e.After(m.Threshold, "eetl.threshold", func(en *sim.Engine) {
+	e.After(sim.Duration(delay), "eetl.threshold", func(en *sim.Engine) {
 		if cur := w.Current(); cur == req && cur.ID == id {
 			m.boosts++
-			w.Core().SetLevel(en, m.BoostLevel)
+			w.Core().SetLevel(en, boost)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"retail/internal/cpu"
+	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/workload"
 )
@@ -12,9 +13,10 @@ func TestEETLBoostsLongRequests(t *testing.T) {
 	app := varApp{base: 1e-3, slope: 1e-3, spread: 20, qos: workload.QoS{Latency: 60e-3, Percentile: 99}}
 	svc, _ := profileOf(app, 2000, 9)
 	rig := newRig(t, app, 1)
-	m := NewEETL(app.QoS(), rig.grid, svc, 0.75)
+	pol := simPolicy("eetl", app.QoS(), rig.grid, svc).(*policy.EETL)
+	m := NewEETL(pol)
 	m.Attach(rig.e, rig.srv)
-	if m.Threshold <= 0 {
+	if thr, _, _ := pol.Boost(pol.Slow(), 0); thr <= 0 {
 		t.Fatal("no threshold derived")
 	}
 	// A short request finishes below the threshold: never boosted.
@@ -50,7 +52,9 @@ func TestEETLTooLateForTail(t *testing.T) {
 		rig.e.Run(0.3)
 		return sojourn
 	}
-	eetl := runLong(func(rig *testRig) Manager { return NewEETL(app.QoS(), rig.grid, svc, 0.75) })
+	eetl := runLong(func(rig *testRig) Manager {
+		return NewEETL(simPolicy("eetl", app.QoS(), rig.grid, svc).(*policy.EETL))
+	})
 	retail := runLong(func(rig *testRig) Manager { return NewReTail(app.QoS(), rig.retailConfig()) })
 	if eetl <= retail {
 		t.Fatalf("EETL long-request sojourn %v ≤ ReTail %v — 'too late' property lost", eetl, retail)
@@ -59,10 +63,10 @@ func TestEETLTooLateForTail(t *testing.T) {
 
 func TestEETLDefaults(t *testing.T) {
 	g := cpu.DefaultGrid()
-	m := NewEETL(workload.QoS{Latency: 1, Percentile: 99}, g, nil, -1)
-	if m.Threshold != 0 {
+	if policy.EETLThreshold(nil, -1, g.MaxFreq(), g.Freq(g.MaxLevel()/2)) != 0 {
 		t.Fatal("threshold from empty profile should be 0")
 	}
+	m := NewEETL(simPolicy("eetl", workload.QoS{Latency: 1, Percentile: 99}, g, []float64{1e-3}).(*policy.EETL))
 	if m.Name() != "eetl" {
 		t.Fatal("name")
 	}

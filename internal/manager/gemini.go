@@ -11,6 +11,9 @@ import (
 
 // GeminiConfig parameterizes the Gemini baseline.
 type GeminiConfig struct {
+	// Policy is the decision posture policy.New built for "gemini": the
+	// level search and the boost checkpoint. Required.
+	Policy *policy.Gemini
 	// Model is the NN latency predictor (request-arrival features only;
 	// proportional frequency scaling).
 	Model *predict.NNModel
@@ -18,10 +21,6 @@ type GeminiConfig struct {
 	// measures > 300 µs per request for Gemini's network (Table IV /
 	// §VII-B point 3) — large enough to hurt sub-millisecond services.
 	InferenceCost sim.Duration
-	// BoostFrac places the two-step DVFS checkpoint at this fraction of
-	// the predicted service time; at the checkpoint a still-running
-	// request is boosted to max frequency to absorb prediction error.
-	BoostFrac float64
 	// DropOnPredictedMiss enables Gemini's load shedding: requests whose
 	// predicted completion (even at max frequency) exceeds QoS are dropped
 	// at arrival.
@@ -29,11 +28,11 @@ type GeminiConfig struct {
 }
 
 // DefaultGeminiConfig matches the paper's characterization of Gemini.
-func DefaultGeminiConfig(model *predict.NNModel) GeminiConfig {
+func DefaultGeminiConfig(pol *policy.Gemini, model *predict.NNModel) GeminiConfig {
 	return GeminiConfig{
+		Policy:              pol,
 		Model:               model,
 		InferenceCost:       300 * sim.Microsecond,
-		BoostFrac:           0.8,
 		DropOnPredictedMiss: true,
 	}
 }
@@ -63,6 +62,8 @@ type Gemini struct {
 
 	// scratch serves the one forward pass per request (see predictAt).
 	scratch predict.NNScratch
+	// pipe hands the request being scheduled to the policy.
+	pipe geminiPipe
 
 	inferences uint64
 	boosts     int
@@ -71,22 +72,20 @@ type Gemini struct {
 	sink server.DecisionSink
 }
 
-// NewGemini builds the manager.
+// NewGemini builds the manager around cfg.Policy.
 func NewGemini(qos workload.QoS, specs []workload.FeatureSpec, cfg GeminiConfig) *Gemini {
+	if cfg.Policy == nil {
+		panic("manager: GeminiConfig.Policy is nil")
+	}
 	if cfg.InferenceCost == 0 {
 		cfg.InferenceCost = 300 * sim.Microsecond
 	}
-	if cfg.BoostFrac == 0 {
-		cfg.BoostFrac = 0.8
-	}
-	return &Gemini{cfg: cfg, qos: qos, spec: specs}
+	m := &Gemini{cfg: cfg, qos: qos, spec: specs}
+	m.pipe.m = m
+	return m
 }
 
 func (m *Gemini) Name() string { return "gemini" }
-
-// Config returns the manager's configuration (the trained model is shared
-// and immutable, so experiment harnesses rebuild fresh managers from it).
-func (m *Gemini) Config() GeminiConfig { return m.cfg }
 
 // Inferences returns the NN inference count.
 func (m *Gemini) Inferences() uint64 { return m.inferences }
@@ -129,6 +128,18 @@ func (m *Gemini) predictAt(lvl cpu.Level, r *workload.Request) float64 {
 	return m.cfg.Model.Scale(s.Vals[0], lvl)
 }
 
+// geminiPipe is the one-member pipeline Gemini's policy sizes the
+// frequency to: the request being scheduled, predicted through predictAt.
+type geminiPipe struct {
+	m *Gemini
+	r *workload.Request
+}
+
+func (p *geminiPipe) Len() int                             { return 1 }
+func (p *geminiPipe) Gen(int) policy.Time                  { return float64(p.r.Gen) }
+func (p *geminiPipe) Predict(lvl cpu.Level, _ int) float64 { return p.m.predictAt(lvl, p.r) }
+func (p *geminiPipe) HeadProgress() float64                { return 0 }
+
 // Arrival implements server.Hooks: the admission check. The inference
 // runs on Gemini's manager core, off the workers' critical path.
 func (m *Gemini) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) bool {
@@ -163,11 +174,10 @@ func (m *Gemini) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) b
 // whatever frequency the core was left at — for sub-millisecond services
 // that is most of the request.
 func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	budget := float64(m.qos.Latency) - float64(e.Now()-r.Gen)
+	m.pipe.r = r
+	chosen, predicted := m.cfg.Policy.Decide(float64(e.Now()), &m.pipe)
+	m.pipe.r = nil
 	maxLvl := m.grid.MaxLevel()
-	chosen, predicted := policy.GeminiLevel(budget, maxLvl, func(lvl cpu.Level) float64 {
-		return m.predictAt(lvl, r)
-	})
 	if m.sink != nil {
 		m.sink.RecordDecision(server.Decision{
 			At:               e.Now(),
@@ -193,10 +203,12 @@ func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 		if chosen == maxLvl {
 			return
 		}
-		// Step two: at BoostFrac of the predicted service, boost to max if
-		// the request is still running (it almost always is, since the
-		// checkpoint lands before the predicted completion).
-		en.After(sim.Duration(m.cfg.BoostFrac*predicted), "gemini.boost", func(en2 *sim.Engine) {
+		// Step two: at the policy's checkpoint, boost to max if the
+		// request is still running (it almost always is, since the
+		// checkpoint lands before the predicted completion). Unlike the
+		// wall-clock Boost, a zero prediction still arms it (it fires at
+		// once).
+		en.After(sim.Duration(m.cfg.Policy.Checkpoint(predicted)), "gemini.boost", func(en2 *sim.Engine) {
 			if cur := w.Current(); cur == r && cur.ID == id {
 				m.boosts++
 				w.Core().SetLevel(en2, maxLvl)

@@ -54,7 +54,8 @@ func runGeminiNode(model *predict.NNModel, seed int64) geminiOutcome {
 		Trans: cpu.TransitionModel{Min: 1e-6, Mean: 2e-6, Max: 5e-6},
 		Seed:  seed,
 	})
-	m := NewGemini(app.QoS(), app.FeatureSpecs(), DefaultGeminiConfig(model))
+	m := NewGemini(app.QoS(), app.FeatureSpecs(),
+		DefaultGeminiConfig(simPolicy("gemini", app.QoS(), g, nil).(*policy.Gemini), model))
 	m.Attach(e, srv)
 	out := geminiOutcome{m: m}
 	h := sha256.New()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"retail/internal/cpu"
+	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/server"
 	"retail/internal/sim"
@@ -39,6 +40,16 @@ func (a varApp) Generate(rng *rand.Rand) *workload.Request {
 		ServiceBase: sim.Duration(a.base + a.slope*x),
 		ComputeFrac: cf,
 	}
+}
+
+// simPolicy builds the named policy with zero Params in the simulator's
+// environment, for tests whose inputs are known valid.
+func simPolicy(name string, qos workload.QoS, grid *cpu.Grid, profile []float64) policy.Policy {
+	pol, err := policy.New(name, policy.Params{}, SimEnv(qos, grid, profile, policy.Params{}))
+	if err != nil {
+		panic(err)
+	}
+	return pol
 }
 
 // testRig wires an engine, server and calibrated linear model for a
@@ -91,6 +102,7 @@ func (r *testRig) reset(workers int) {
 
 func (r *testRig) retailConfig() ReTailConfig {
 	cfg := DefaultReTailConfig()
+	cfg.Policy = simPolicy("retail", r.app.QoS(), r.grid, nil).(*policy.Retail)
 	cfg.Layout = predict.FeatureLayout{Specs: r.app.FeatureSpecs(), Selected: []int{0}}
 	cfg.Model = r.mdl
 	cfg.Training = r.set

@@ -26,14 +26,15 @@ type ReTailConfig struct {
 	// (retraining always refits the linear model class).
 	Training *predict.TrainingSet
 
+	// Policy is the decision core policy.New built for "retail" under
+	// SimEnv: Algorithm 1, the QoS′ monitor (whose interval is the tick
+	// period), the HeadOnly ablation and the per-class targets. Required.
+	Policy *policy.Retail
+
 	// InferenceCost is the virtual time per LatencyPredictor call (paper:
 	// 5 µs). The ReTail runtime lives on a dedicated core, so this cost
 	// delays only when the new frequency takes effect — never the request.
 	InferenceCost sim.Duration
-	// MonitorInterval is the latency monitor period (paper: 100 ms).
-	// Params.Monitor.Interval, when set, overrides it so a tuned interval
-	// moves the tick schedule and the rate-limit floor together.
-	MonitorInterval sim.Duration
 	// DriftThreshold is the RMSE/QoS increase that triggers retraining
 	// (paper: 0.05); DriftWindow is the live-error window size.
 	DriftThreshold float64
@@ -47,32 +48,41 @@ type ReTailConfig struct {
 	// request's category actually needs*. Nil falls back to the global
 	// maximum lateness of the selected features.
 	Stage1Frac func(*workload.Request) float64
-
-	// Params is the serializable policy parameterization: the QoS′
-	// monitor constants (step, relax threshold, guard band, cap, span,
-	// EWMA alpha, the Disabled ablation), Algorithm 1's HeadOnly ablation
-	// and the per-class targets all come from here. The zero value keeps
-	// every historical constant — the pre-params scalar fields
-	// (StepFrac, RelaxBelow, QoSPrimeCap, DisableMonitor, HeadOnly) this
-	// struct used to carry now live in Params.Monitor / Params.Alg1.
-	Params policy.Params
 }
 
-// DefaultReTailConfig fills the paper's constants, leaving the model and
-// layout for the calibration pipeline to provide.
+// DefaultReTailConfig fills the paper's constants, leaving the policy,
+// model and layout for the calibration pipeline to provide.
 func DefaultReTailConfig() ReTailConfig {
 	return ReTailConfig{
-		InferenceCost:   5 * sim.Microsecond,
-		MonitorInterval: 100 * sim.Millisecond,
-		DriftThreshold:  0.05,
-		DriftWindow:     200,
-		RetrainLatency:  50 * sim.Millisecond,
+		InferenceCost:  5 * sim.Microsecond,
+		DriftThreshold: 0.05,
+		DriftWindow:    200,
+		RetrainLatency: 50 * sim.Millisecond,
+	}
+}
+
+// SimEnv is the simulator's policy environment for policy.New: the
+// application's QoS, the platform grid and profile, the simulator monitor
+// posture, and a tick every 100 ms (the paper's monitor period) unless
+// p's tuned interval moves it.
+func SimEnv(qos workload.QoS, grid *cpu.Grid, profileAtMax []float64, p policy.Params) policy.Env {
+	tick := float64(100 * sim.Millisecond)
+	if iv := p.Monitor.Interval; iv != 0 {
+		tick = iv
+	}
+	return policy.Env{
+		QoS:          float64(qos.Latency),
+		Percentile:   qos.Percentile,
+		Grid:         grid,
+		ProfileAtMax: profileAtMax,
+		Tick:         tick,
+		Posture:      policy.SimPosture,
 	}
 }
 
 // ReTail is the simulator adapter for the paper's power manager: the
-// clock-agnostic decision core (policy.Alg1 + policy.Monitor) bound to
-// virtual time, plus the pieces that are inherently simulator-side —
+// clock-agnostic decision core (policy.Retail) bound to virtual time,
+// plus the pieces that are inherently simulator-side —
 // prediction caching, inference accounting, drift-triggered online
 // retraining and the deferred frequency writes that model decision
 // delay. The wall-clock runtime (internal/live) binds the same core to
@@ -87,10 +97,9 @@ type ReTail struct {
 
 	model predict.Predictor
 	drift *predict.DriftDetector
-	// mon is the shared QoS′ latency monitor; pipe is the persistent
-	// pipeline view handed to policy.Alg1 so the hot path allocates
-	// nothing.
-	mon  *policy.Monitor
+	// pol is the shared decision core; pipe is the persistent pipeline
+	// view handed to it so the hot path allocates nothing.
+	pol  *policy.Retail
 	pipe simPipeline
 
 	// modelGen stamps the prediction slots (workload.PredSlot) this
@@ -108,15 +117,8 @@ type ReTail struct {
 
 	retraining bool
 
-	// headOnly / monDisabled cache the Params ablation switches where the
-	// decide and tick hot paths read them without a config copy.
-	headOnly    bool
+	// monDisabled caches the monitor ablation switch for the tick path.
 	monDisabled bool
-
-	// classes holds the per-SLO-class QoS′ multipliers (empty = identity,
-	// the single-class behavior). The head request's class scales the
-	// budget handed to Algorithm 1 on every decision.
-	classes policy.ClassTargets
 
 	// sink receives decision-attribution records (nil = tracing off; the
 	// decide path then stays allocation-free and byte-identical to the
@@ -151,40 +153,27 @@ type TracePoint struct {
 	Value float64
 }
 
-// NewReTail builds the manager for the given application QoS.
+// NewReTail builds the manager for the given application QoS around
+// cfg.Policy.
 func NewReTail(qos workload.QoS, cfg ReTailConfig) *ReTail {
+	if cfg.Policy == nil {
+		panic("manager: ReTailConfig.Policy is nil")
+	}
 	if cfg.InferenceCost == 0 {
 		cfg.InferenceCost = 5 * sim.Microsecond
-	}
-	if cfg.MonitorInterval == 0 {
-		cfg.MonitorInterval = 100 * sim.Millisecond
-	}
-	if iv := cfg.Params.Monitor.Interval; iv != 0 {
-		// A tuned interval moves the virtual tick schedule too, not just
-		// the monitor's internal rate-limit floor.
-		cfg.MonitorInterval = sim.Duration(iv)
 	}
 	if cfg.RetrainLatency == 0 {
 		cfg.RetrainLatency = 50 * sim.Millisecond
 	}
 	m := &ReTail{
-		cfg:      cfg,
-		qos:      qos,
-		model:    cfg.Model,
-		modelGen: 1,
-		headOnly: cfg.Params.Alg1.HeadOnly,
-		classes:  cfg.Params.ClassTargets(),
+		cfg:         cfg,
+		qos:         qos,
+		model:       cfg.Model,
+		modelGen:    1,
+		pol:         cfg.Policy,
+		monDisabled: cfg.Policy.Monitor().Config().Disabled,
 	}
 	m.pipe.m = m
-	// The simulator adapter's historical monitor posture (span 500 ms,
-	// paper constants for everything else); Params overrides per field.
-	m.mon = policy.NewMonitor(cfg.Params.Monitor.Apply(policy.MonitorConfig{
-		Target:     float64(qos.Latency),
-		Percentile: qos.Percentile,
-		Interval:   float64(cfg.MonitorInterval),
-		Span:       float64(500 * sim.Millisecond),
-	}))
-	m.monDisabled = m.mon.Config().Disabled
 	m.drift = predict.NewDriftDetector(float64(qos.Latency), cfg.DriftThreshold, cfg.DriftWindow)
 	return m
 }
@@ -204,7 +193,7 @@ func (m *ReTail) Instrument(reg *telemetry.Registry, app string) {
 	appLabel := telemetry.L("app", app)
 	m.qosPrimeGauge = reg.Gauge(server.MetricQoSPrime,
 		"Internal latency target QoS' steered by the latency monitor.", appLabel)
-	m.qosPrimeGauge.Set(m.mon.QoSPrime())
+	m.qosPrimeGauge.Set(m.pol.QoSPrime())
 	m.retrainCounter = reg.Counter(server.MetricRetrainsTotal,
 		"Drift-triggered model retrains that went live.", appLabel)
 	m.decisionCounter = reg.Counter(server.MetricDecisionsTotal,
@@ -227,7 +216,15 @@ func (m *ReTail) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 // spec's class table). The empty value restores the single-class
 // behavior; policy.ClassTargets.Apply is the bit-identity then, so
 // pre-class goldens are unaffected.
-func (m *ReTail) SetClassTargets(t policy.ClassTargets) { m.classes = t }
+func (m *ReTail) SetClassTargets(t policy.ClassTargets) { m.pol.SetClassTargets(t) }
+
+// SetModel replaces the predictor before the run starts; the chaos runner
+// interposes fault.CorruptingPredictor here. Every filled prediction slot
+// goes stale, exactly as after a retrain.
+func (m *ReTail) SetModel(p predict.Predictor) {
+	m.model = p
+	m.modelGen++
+}
 
 // Traces returns the recorded QoS′ and RMSE/QoS timelines.
 func (m *ReTail) Traces() (qosPrime, rmse []TracePoint) {
@@ -245,12 +242,12 @@ func (m *ReTail) Decisions() int { return m.decisions }
 func (m *ReTail) Retrains() int { return m.retrains }
 
 // QoSPrime returns the current internal latency target.
-func (m *ReTail) QoSPrime() sim.Duration { return sim.Duration(m.mon.QoSPrime()) }
+func (m *ReTail) QoSPrime() sim.Duration { return sim.Duration(m.pol.QoSPrime()) }
 
 // MonitorSettings returns the effective QoS′-monitor configuration (all
 // defaults filled). The replay-parity harness feeds it to the live
-// runtime's decider so both monitors start from identical constants.
-func (m *ReTail) MonitorSettings() policy.MonitorConfig { return m.mon.Config() }
+// runtime's replay so both monitors start from identical constants.
+func (m *ReTail) MonitorSettings() policy.MonitorConfig { return m.pol.Monitor().Config() }
 
 // Attach implements Manager.
 func (m *ReTail) Attach(e *sim.Engine, s *server.Server) {
@@ -293,8 +290,10 @@ func (t simTimer) AfterFunc(d policy.Duration, name string, fn func(now policy.T
 	t.e.AfterCall(sim.Duration(d), name, timerTrampoline, fn)
 }
 
+// scheduleMonitor ticks the monitor every interval: under SimPosture the
+// monitor's interval is the simulator's tick period.
 func (m *ReTail) scheduleMonitor(e *sim.Engine) {
-	policy.RunMonitor(simTimer{e}, float64(m.cfg.MonitorInterval), "retail.monitor", m.monitorTick)
+	policy.RunMonitor(simTimer{e}, m.MonitorSettings().Interval, "retail.monitor", m.monitorTick)
 }
 
 // monitorTick runs one shared-monitor step (§VI-C, policy.Monitor.Tick)
@@ -302,15 +301,15 @@ func (m *ReTail) scheduleMonitor(e *sim.Engine) {
 // DisableMonitor ablation returns before the gauge and trace updates —
 // the historical behavior the ablation goldens encode.
 func (m *ReTail) monitorTick(now policy.Time) {
-	m.mon.Tick(now)
+	m.pol.Tick(now)
 	if m.monDisabled {
 		return
 	}
 	if m.qosPrimeGauge != nil {
-		m.qosPrimeGauge.Set(m.mon.QoSPrime())
+		m.qosPrimeGauge.Set(m.pol.QoSPrime())
 	}
 	if m.collectTraces {
-		m.qosPrimeTrace = append(m.qosPrimeTrace, TracePoint{sim.Time(now), m.mon.QoSPrime()})
+		m.qosPrimeTrace = append(m.qosPrimeTrace, TracePoint{sim.Time(now), m.pol.QoSPrime()})
 		if cur, ok := m.drift.Current(); ok {
 			m.rmseTrace = append(m.rmseTrace, TracePoint{sim.Time(now), cur})
 		}
@@ -357,9 +356,11 @@ func (m *ReTail) predictService(lvl cpu.Level, r *workload.Request) float64 {
 
 // simPipeline adapts one worker's pipeline (head, queued requests, and
 // an optional just-arriving extra not yet enqueued) to policy.Pipeline.
-// ReTail keeps one persistent value and refills it per decision, and the
-// &m.pipe interface conversion is a pointer — not a box — so the hot
-// path allocates nothing (TestRetailDecideZeroAlloc).
+// Each manager keeps one persistent value and refills it per decision,
+// and the &m.pipe interface conversion is a pointer — not a box — so the
+// hot path allocates nothing (TestRetailDecideZeroAlloc). m is the ReTail
+// whose prediction slots answer Predict; Rubik's policy substitutes its
+// own estimate for every prediction, so its pipeline leaves m nil.
 type simPipeline struct {
 	m            *ReTail
 	head         *workload.Request
@@ -397,6 +398,15 @@ func (p *simPipeline) Predict(lvl cpu.Level, i int) float64 {
 
 func (p *simPipeline) HeadProgress() float64 { return p.headProgress }
 
+// fill points the pipeline at one worker's state for a decision.
+func (p *simPipeline) fill(w *server.Worker, head *workload.Request, headProgress float64, extra *workload.Request) {
+	p.head, p.queue, p.extra, p.headProgress = head, w.Queue(), extra, headProgress
+}
+
+// clear drops the request references so completed requests are
+// collectable between decisions.
+func (p *simPipeline) clear() { p.head, p.queue, p.extra = nil, nil, nil }
+
 // targetLevel is Algorithm 1 (policy.Alg1) over the worker's pipeline:
 // enumerate frequencies from lowest to second-highest, and return the
 // first under which every request in the pipeline (head, queue, plus an
@@ -411,20 +421,14 @@ func (p *simPipeline) HeadProgress() float64 { return p.headProgress }
 // max-level fallback). A scalar store per failure keeps the hot loop
 // allocation-free whether or not a sink is attached.
 func (m *ReTail) targetLevel(e *sim.Engine, w *server.Worker, head *workload.Request, headProgress float64, extra *workload.Request) cpu.Level {
-	m.pipe.head = head
-	m.pipe.queue = w.Queue()
-	m.pipe.extra = extra
-	m.pipe.headProgress = headProgress
+	m.pipe.fill(w, head, headProgress, extra)
 	// The head's SLO class scales the budget (identity when no class
-	// targets are configured) — the live decider applies the exact same
-	// policy.ClassTargets.Apply call, which is what keeps the two
-	// adapters' decision streams byte-identical under replay.
-	budget := m.classes.Apply(head.SLOClass, m.mon.QoSPrime())
-	lvl, bind := policy.Alg1(&m.pipe, float64(e.Now()), budget, m.grid.MaxLevel(), m.headOnly)
+	// targets are configured), exactly as on the live server — which is
+	// what keeps the two adapters' decision streams byte-identical under
+	// replay.
+	lvl, bind := m.pol.Choose(float64(e.Now()), &m.pipe, head.SLOClass)
 	m.bindID = m.pipe.req(bind).ID
-	// Drop the request references so completed requests are collectable
-	// between decisions.
-	m.pipe.head, m.pipe.queue, m.pipe.extra = nil, nil, nil
+	m.pipe.clear()
 	return lvl
 }
 
@@ -481,7 +485,7 @@ func (m *ReTail) decide(e *sim.Engine, w *server.Worker, head *workload.Request,
 			Level:            lvl,
 			Binding:          m.bindID,
 			QueueLen:         len(w.Queue()),
-			QoSPrime:         sim.Duration(m.classes.Apply(head.SLOClass, m.mon.QoSPrime())),
+			QoSPrime:         sim.Duration(m.pol.Budget(head.SLOClass)),
 			Class:            head.SLOClass,
 			DecisionDelay:    cost,
 			PredictedService: m.predict(lvl, head),
@@ -539,7 +543,7 @@ func cleanSample(r *workload.Request) bool {
 // Complete implements server.Hooks: record the sample for online
 // (re)training, feed the drift detector and the latency monitor.
 func (m *ReTail) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	m.mon.Observe(float64(e.Now()), float64(r.Sojourn()))
+	m.pol.Observe(float64(e.Now()), float64(r.Sojourn()))
 	if cleanSample(r) {
 		actual := float64(r.ServiceTime())
 		lvl := cpu.Level(r.ServedLevel)
@@ -602,4 +606,4 @@ func (m *ReTail) Model() predict.Predictor { return m.model }
 func (m *ReTail) SetDriftBaseline(rmseOverQoS float64) { m.drift.SetBaseline(rmseOverQoS) }
 
 // SmoothedTail exposes the monitor's EWMA tail estimate for diagnostics.
-func (m *ReTail) SmoothedTail() float64 { return m.mon.SmoothedTail() }
+func (m *ReTail) SmoothedTail() float64 { return m.pol.Monitor().SmoothedTail() }

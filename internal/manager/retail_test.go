@@ -108,7 +108,7 @@ func TestReTailMonitorAdjustsQoSPrime(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 5e-3
 		rig.e.At(at, "fake", func(en *sim.Engine) {
-			m.mon.Observe(float64(en.Now()), 80e-3) // 1.6× target
+			m.pol.Observe(float64(en.Now()), 80e-3) // 1.6× target
 		})
 	}
 	rig.e.Run(1.0)
@@ -120,7 +120,7 @@ func TestReTailMonitorAdjustsQoSPrime(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		at := rig.e.Now() + sim.Time(i)*5e-3
 		rig.e.At(at, "fake2", func(en *sim.Engine) {
-			m.mon.Observe(float64(en.Now()), 10e-3) // 0.2× target
+			m.pol.Observe(float64(en.Now()), 10e-3) // 0.2× target
 		})
 	}
 	rig.e.Run(rig.e.Now() + 21)
@@ -144,7 +144,7 @@ func TestReTailMonitorRecoversAfterBurst(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 2e-3
 		rig.e.At(at, "burst", func(en *sim.Engine) {
-			m.mon.Observe(float64(en.Now()), 150e-3)
+			m.pol.Observe(float64(en.Now()), 150e-3)
 		})
 	}
 	rig.e.Run(0.5)
@@ -157,7 +157,7 @@ func TestReTailMonitorRecoversAfterBurst(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		at := rig.e.Now() + sim.Time(i)*5e-3
 		rig.e.At(at, "healthy", func(en *sim.Engine) {
-			m.mon.Observe(float64(en.Now()), 15e-3) // 0.3× target
+			m.pol.Observe(float64(en.Now()), 15e-3) // 0.3× target
 		})
 	}
 	rig.e.Run(rig.e.Now() + 21)

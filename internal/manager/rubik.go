@@ -11,6 +11,10 @@ import (
 	"retail/internal/workload"
 )
 
+// rubikCost is the decision delay Rubik charges: its statistical table
+// lookups are cheap and run on the manager core, off the critical path.
+const rubikCost = 1 * sim.Microsecond
+
 // Rubik is the statistical fine-grained baseline (Kasture et al., MICRO'15
 // — §II, §VII-A): it keeps an offline-profiled service-time distribution,
 // and on every scheduling event picks, from the current queue occupancy,
@@ -23,49 +27,25 @@ import (
 //     choice is conservative — QoS always holds but less power is saved;
 //   - service time is assumed proportional to 1/frequency: the profile is
 //     taken at max frequency and scaled.
+//
+// The decision is policy.Rubik's; this adapter binds it to the simulator's
+// hooks and delays the frequency write by the lookup cost.
 type Rubik struct {
 	server.NoopHooks
-	qos  workload.QoS
-	grid *cpu.Grid
-
-	// tail is the shared distribution-tail estimator (policy.RubikTail):
-	// the sorted service-time profile at max frequency, scaled
-	// proportionally to the candidate frequency.
-	tail *policy.RubikTail
-	// TailQuantile is the distribution quantile used as each request's
-	// latency prediction (0–1). The default 0.999 reflects the paper's
-	// description of Rubik as estimating *worst-case* latency ("often too
-	// conservative", §I/§II).
-	TailQuantile float64
-	// InferenceCost models the statistical table lookups (cheap; runs on
-	// the manager core like ReTail's, off the critical path).
-	InferenceCost sim.Duration
-
-	// pipe is the persistent pipeline view handed to policy.Alg1.
-	pipe rubikPipeline
-
-	inferences uint64
+	pol *policy.Rubik
+	// pipe is the persistent pipeline view handed to the policy.
+	pipe simPipeline
 	// sink receives decision-attribution records (nil = tracing off).
 	sink server.DecisionSink
 }
 
-// NewRubik builds the manager from an offline profile of service times at
-// max frequency (seconds).
-func NewRubik(qos workload.QoS, profileAtMax []float64) *Rubik {
-	m := &Rubik{
-		qos:           qos,
-		tail:          policy.NewRubikTail(profileAtMax, 0.999),
-		TailQuantile:  0.999,
-		InferenceCost: 1 * sim.Microsecond,
-	}
-	m.pipe.m = m
-	return m
-}
+// NewRubik builds the manager around the policy value policy.New built.
+func NewRubik(pol *policy.Rubik) *Rubik { return &Rubik{pol: pol} }
 
 func (m *Rubik) Name() string { return "rubik" }
 
 // Inferences returns the tail-estimate count.
-func (m *Rubik) Inferences() uint64 { return m.inferences }
+func (m *Rubik) Inferences() uint64 { return m.pol.Estimates() }
 
 // SetDecisionSink attaches a decision-attribution sink (nil = off).
 // Attribution reads reuse values the decision loop already computed, so a
@@ -73,117 +53,29 @@ func (m *Rubik) Inferences() uint64 { return m.inferences }
 func (m *Rubik) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 
 // Attach implements Manager.
-func (m *Rubik) Attach(e *sim.Engine, s *server.Server) {
-	m.grid = s.Socket.Cores[0].Grid()
-	s.Hooks = m
-}
-
-// tailServiceAt returns the profiled tail quantile scaled proportionally
-// to the given level's frequency, charging the inference counter.
-func (m *Rubik) tailServiceAt(lvl cpu.Level) float64 {
-	m.inferences++
-	return m.tailAt(lvl)
-}
-
-// tailAt is the uncounted estimate, used for attribution so tracing never
-// perturbs the diagnostic inference count.
-func (m *Rubik) tailAt(lvl cpu.Level) float64 {
-	m.tail.Quantile = m.TailQuantile
-	return m.tail.Tail(m.grid.MaxFreq(), m.grid.Freq(lvl))
-}
-
-// RMSEAgainst reports the prediction error of Rubik's tail estimate versus
-// actual service times (Table V's Rubik row), all at max frequency.
-func (m *Rubik) RMSEAgainst(actual []float64) float64 {
-	if len(actual) == 0 {
-		return 0
-	}
-	tail := m.tailServiceAt(m.grid.MaxLevel())
-	sum := 0.0
-	for _, a := range actual {
-		d := tail - a
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(actual)))
-}
+func (m *Rubik) Attach(e *sim.Engine, s *server.Server) { s.Hooks = m }
 
 // RMSEAgainstAt scores the tail estimate against measured samples at the
-// frequency levels they actually ran at. The grid must be supplied because
-// this may be called before Attach.
+// frequency levels they actually ran at (Table V's Rubik row).
 func (m *Rubik) RMSEAgainstAt(grid *cpu.Grid, samples []predict.Sample, actual []float64) float64 {
 	if len(samples) == 0 || len(samples) != len(actual) {
 		return 0
 	}
-	if m.grid == nil {
-		m.grid = grid
-	}
 	sum := 0.0
 	for i, s := range samples {
-		d := m.tailServiceAt(grid.Clamp(s.Level)) - actual[i]
+		d := m.pol.Estimate(grid.Clamp(s.Level)) - actual[i]
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(samples)))
 }
 
-// rubikPipeline adapts a worker's pipeline to policy.Pipeline with
-// Rubik's estimator: every member's prediction at a level is the same
-// distribution tail, so the adapter computes — and charges to the
-// inference counter — exactly one tail estimate per level Algorithm 1
-// tries, preserving the original implementation's inference accounting.
-type rubikPipeline struct {
-	m            *Rubik
-	head         *workload.Request
-	queue        []*workload.Request
-	extra        *workload.Request
-	headProgress float64
-	// cachedLvl/cachedTail memoize the per-level estimate within one
-	// decision; cachedLvl starts at -1 (no level computed yet).
-	cachedLvl  int
-	cachedTail float64
-}
-
-func (p *rubikPipeline) req(i int) *workload.Request {
-	if i == 0 {
-		return p.head
-	}
-	if i <= len(p.queue) {
-		return p.queue[i-1]
-	}
-	return p.extra
-}
-
-func (p *rubikPipeline) Len() int {
-	n := 1 + len(p.queue)
-	if p.extra != nil {
-		n++
-	}
-	return n
-}
-
-func (p *rubikPipeline) Gen(i int) policy.Time { return float64(p.req(i).Gen) }
-
-func (p *rubikPipeline) Predict(lvl cpu.Level, _ int) float64 {
-	if int(lvl) != p.cachedLvl {
-		p.cachedLvl = int(lvl)
-		p.cachedTail = p.m.tailServiceAt(lvl)
-	}
-	return p.cachedTail
-}
-
-func (p *rubikPipeline) HeadProgress() float64 { return p.headProgress }
-
 func (m *Rubik) decide(e *sim.Engine, w *server.Worker, head *workload.Request, headProgress float64, extra *workload.Request) {
 	now := e.Now()
-	queue := w.Queue()
-	m.pipe.head = head
-	m.pipe.queue = queue
-	m.pipe.extra = extra
-	m.pipe.headProgress = headProgress
-	m.pipe.cachedLvl = -1
-	chosen, bind := policy.Alg1(&m.pipe, float64(now), float64(m.qos.Latency), m.grid.MaxLevel(), false)
+	m.pipe.fill(w, head, headProgress, extra)
+	chosen, bind := m.pol.Choose(float64(now), &m.pipe)
 	bindID := m.pipe.req(bind).ID
-	m.pipe.head, m.pipe.queue, m.pipe.extra = nil, nil, nil
-	cost := m.InferenceCost // table lookups are trivially cheap
+	queueLen := len(m.pipe.queue)
+	m.pipe.clear()
 	if m.sink != nil {
 		m.sink.RecordDecision(server.Decision{
 			At:               now,
@@ -191,13 +83,13 @@ func (m *Rubik) decide(e *sim.Engine, w *server.Worker, head *workload.Request, 
 			Head:             head.ID,
 			Level:            chosen,
 			Binding:          bindID,
-			QueueLen:         len(queue),
-			QoSPrime:         m.qos.Latency, // Rubik has no latency monitor
-			DecisionDelay:    cost,
-			PredictedService: m.tailAt(chosen),
+			QueueLen:         queueLen,
+			QoSPrime:         sim.Duration(m.pol.QoSPrime()), // Rubik has no latency monitor
+			DecisionDelay:    rubikCost,
+			PredictedService: m.pol.Tail(chosen),
 		})
 	}
-	e.After(cost, "rubik.setfreq", func(en *sim.Engine) {
+	e.After(rubikCost, "rubik.setfreq", func(en *sim.Engine) {
 		w.Core().SetLevel(en, chosen)
 	})
 }

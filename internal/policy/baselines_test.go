@@ -32,8 +32,8 @@ func TestQuantileFallback(t *testing.T) {
 				t.Fatalf("clampQuantile(%v) = %v, want %v", tc.q, got, tc.want)
 			}
 			rt := NewRubikTail(profile, tc.q)
-			if rt.Quantile != tc.want {
-				t.Fatalf("NewRubikTail quantile = %v, want %v", rt.Quantile, tc.want)
+			if rt.quantile != tc.want {
+				t.Fatalf("NewRubikTail quantile = %v, want %v", rt.quantile, tc.want)
 			}
 			if tail := rt.Tail(2, 1); math.IsNaN(tail) || tail <= 0 {
 				t.Fatalf("Tail with quantile %v = %v, want finite positive", tc.q, tail)

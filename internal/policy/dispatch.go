@@ -1,6 +1,10 @@
 package policy
 
-import "fmt"
+import (
+	"fmt"
+
+	"retail/internal/splitmix"
+)
 
 // Dispatcher is the cross-node routing rule of the cluster layer: given n
 // nodes and a load probe, pick the node an arriving request is steered
@@ -107,36 +111,23 @@ func (LeastLoadedDispatch) Pick(n int, load func(int) int) int {
 // Randomness comes from a private splitmix64 stream, so the placement
 // sequence is a pure function of the construction seed.
 type PowerOfTwoDispatch struct {
-	state uint64
+	rng splitmix.Stream
 }
 
 // NewPowerOfTwoDispatch returns the rule with its own deterministic
 // sampling stream.
 func NewPowerOfTwoDispatch(seed int64) *PowerOfTwoDispatch {
-	// splitmix64's recommended seeding: any 64-bit value works, including
-	// zero, because the increment below is the generator's period driver.
-	return &PowerOfTwoDispatch{state: uint64(seed)}
+	return &PowerOfTwoDispatch{rng: splitmix.NewStream(uint64(seed))}
 }
 
 func (d *PowerOfTwoDispatch) Name() string { return "power-of-two" }
-
-// rand64 advances the splitmix64 stream (Steele et al., "Fast splittable
-// pseudorandom number generators"): tiny, allocation-free and identical
-// on every platform, which keeps cluster goldens byte-stable.
-func (d *PowerOfTwoDispatch) rand64() uint64 {
-	d.state += 0x9E3779B97F4A7C15
-	z := d.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
 
 func (d *PowerOfTwoDispatch) Pick(n int, load func(int) int) int {
 	if n == 1 {
 		return 0
 	}
-	i := int(d.rand64() % uint64(n))
-	j := int(d.rand64() % uint64(n-1))
+	i := int(d.rng.Next() % uint64(n))
+	j := int(d.rng.Next() % uint64(n-1))
 	if j >= i {
 		j++ // j is drawn from the n-1 indices excluding i
 	}

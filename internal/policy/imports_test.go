@@ -14,15 +14,15 @@ import (
 // DESIGN.md §10 in-process (the same rule .golangci.yml's depguard
 // encodes for the lint job): the policy core may not import a runtime —
 // internal/sim, internal/server, internal/live, internal/manager — nor
-// the time package. Any clock or timer reaches it through the Clock and
-// Timer interfaces, supplied by the adapters.
+// the time package. Times arrive as arguments in float64 seconds, and
+// timers through the Timer interface the adapters supply.
 func TestPolicyPackageIsClockAgnostic(t *testing.T) {
 	banned := map[string]string{
 		"retail/internal/sim":     "the simulator runtime",
 		"retail/internal/server":  "the simulated server runtime",
 		"retail/internal/live":    "the wall-clock runtime",
 		"retail/internal/manager": "the simulator adapters",
-		"time":                    "wall-clock access (use policy.Clock/policy.Timer)",
+		"time":                    "wall-clock access (take the time as an argument; schedule through policy.Timer)",
 	}
 	entries, err := os.ReadDir(".")
 	if err != nil {

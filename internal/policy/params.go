@@ -139,23 +139,14 @@ type Alg1Params struct {
 // RubikParams holds the Rubik baseline's posture.
 type RubikParams struct {
 	// Quantile is the profiled-distribution quantile used as each
-	// request's latency prediction (0 = the historical 0.999).
+	// request's latency prediction (0 = the historical default; see New).
 	Quantile float64 `json:"quantile,omitempty"`
-}
-
-// QuantileOr returns the configured quantile or the given historical
-// default when unset.
-func (rp RubikParams) QuantileOr(def float64) float64 {
-	if rp.Quantile != 0 {
-		return rp.Quantile
-	}
-	return def
 }
 
 // GeminiParams holds the Gemini baseline's posture.
 type GeminiParams struct {
 	// BoostFrac places the two-step boost checkpoint at this fraction of
-	// the predicted service time (0 = the historical 0.8).
+	// the predicted service time (0 = the historical default; see New).
 	BoostFrac float64 `json:"boost_frac,omitempty"`
 	// KeepOnPredictedMiss disables Gemini's arrival-time shedding of
 	// requests predicted to miss QoS. Inverted so the zero value keeps
@@ -163,50 +154,14 @@ type GeminiParams struct {
 	KeepOnPredictedMiss bool `json:"keep_on_predicted_miss,omitempty"`
 }
 
-// BoostFracOr returns the configured checkpoint fraction or the given
-// historical default when unset.
-func (gp GeminiParams) BoostFracOr(def float64) float64 {
-	if gp.BoostFrac != 0 {
-		return gp.BoostFrac
-	}
-	return def
-}
-
 // EETLParams holds the EETL baseline's posture.
 type EETLParams struct {
 	// Quantile derives the long-request threshold from the profile
-	// (0 = the historical 0.75).
+	// (0 = the historical default; see New).
 	Quantile float64 `json:"quantile,omitempty"`
-	// SlowFrac places the slow level at this fraction of the max level
-	// (0 = the historical 0.5, i.e. MaxLevel/2, truncated).
+	// SlowFrac places the slow level at floor(SlowFrac × the max level),
+	// clamped to the grid (0 = the historical half of the max level).
 	SlowFrac float64 `json:"slow_frac,omitempty"`
-}
-
-// QuantileOr returns the configured quantile or the given historical
-// default when unset.
-func (ep EETLParams) QuantileOr(def float64) float64 {
-	if ep.Quantile != 0 {
-		return ep.Quantile
-	}
-	return def
-}
-
-// SlowLevel returns the slow level for a grid with maxLevel as its top:
-// floor(SlowFrac × maxLevel), clamped to [0, maxLevel]. The zero value
-// reproduces the historical maxLevel/2.
-func (ep EETLParams) SlowLevel(maxLevel int) int {
-	frac := ep.SlowFrac
-	if frac == 0 {
-		frac = 0.5
-	}
-	lvl := int(frac * float64(maxLevel))
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl > maxLevel {
-		lvl = maxLevel
-	}
-	return lvl
 }
 
 // DegradeParams holds the degradation-ladder budgets. Zero fields keep

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"retail/internal/cpu"
 )
 
 // tunedParams returns a params value with every knob set off its default,
@@ -81,8 +83,8 @@ func TestParamsUnknownField(t *testing.T) {
 
 // TestParamsZeroIdentity pins the behavior-preservation contract: an
 // empty Params overlays nothing, so every runtime's historical monitor
-// construction comes out unchanged, and every *Or accessor returns the
-// caller's historical default.
+// construction comes out unchanged, and New gives every baseline its
+// historical posture.
 func TestParamsZeroIdentity(t *testing.T) {
 	var p Params
 
@@ -104,20 +106,27 @@ func TestParamsZeroIdentity(t *testing.T) {
 		t.Errorf("zero params + NewMonitor defaults drifted: %+v", c)
 	}
 
-	if q := p.Rubik.QuantileOr(0.999); q != 0.999 {
-		t.Errorf("Rubik.QuantileOr(0.999) = %v", q)
+	// Through New, the baselines' zero fields select their historical
+	// postures: Rubik's 0.999 tail, Gemini's 0.8 checkpoint, EETL's 0.75
+	// threshold quantile at the slow level MaxLevel/2 — the integer
+	// division at every plausible grid size.
+	profile := []float64{1e-3, 2e-3, 3e-3, 4e-3}
+	env := testEnv(cpu.DefaultGrid(), profile)
+	if r := mustNew(t, "rubik", p, env).(*Rubik); r.tail.quantile != 0.999 {
+		t.Errorf("zero params Rubik quantile = %v", r.tail.quantile)
 	}
-	if f := p.Gemini.BoostFracOr(0.8); f != 0.8 {
-		t.Errorf("Gemini.BoostFracOr(0.8) = %v", f)
+	if g := mustNew(t, "gemini", p, env).(*Gemini); g.boostFrac != 0.8 {
+		t.Errorf("zero params Gemini boost fraction = %v", g.boostFrac)
 	}
-	if q := p.EETL.QuantileOr(0.75); q != 0.75 {
-		t.Errorf("EETL.QuantileOr(0.75) = %v", q)
-	}
-	// SlowLevel's zero value must reproduce the historical MaxLevel/2
-	// integer division at every plausible grid size.
 	for maxLevel := 0; maxLevel <= 32; maxLevel++ {
-		if got, want := p.EETL.SlowLevel(maxLevel), maxLevel/2; got != want {
-			t.Errorf("SlowLevel(%d) = %d, want %d", maxLevel, got, want)
+		grid := gridOf(maxLevel)
+		e := mustNew(t, "eetl", p, testEnv(grid, profile)).(*EETL)
+		if want := cpu.Level(maxLevel / 2); e.Slow() != want {
+			t.Errorf("max level %d: zero params EETL slow level %d, want %d", maxLevel, e.Slow(), want)
+		}
+		thr, _, _ := e.Boost(e.Slow(), 0)
+		if want := EETLThreshold(profile, 0.75, grid.MaxFreq(), grid.Freq(e.Slow())); thr != want {
+			t.Errorf("max level %d: EETL threshold %v, want the 0.75 quantile's %v", maxLevel, thr, want)
 		}
 	}
 	if d := p.Degrade.Degrade(); d != (Degrade{}) {
@@ -143,12 +152,44 @@ func TestParamsApplyOverrides(t *testing.T) {
 	if got != want {
 		t.Errorf("Apply:\n got %+v\nwant %+v", got, want)
 	}
-	if q := p.Rubik.QuantileOr(0.999); q != 0.99 {
-		t.Errorf("QuantileOr ignored the set quantile: %v", q)
+	env := testEnv(gridOf(12), []float64{1e-3, 2e-3})
+	if r := mustNew(t, "rubik", p, env).(*Rubik); r.tail.quantile != 0.99 {
+		t.Errorf("New ignored the set Rubik quantile: %v", r.tail.quantile)
 	}
-	if lvl := p.EETL.SlowLevel(12); lvl != 3 {
-		t.Errorf("SlowLevel(12) with frac 0.25 = %d, want 3", lvl)
+	if g := mustNew(t, "gemini", p, env).(*Gemini); g.boostFrac != 0.7 {
+		t.Errorf("New ignored the set Gemini boost fraction: %v", g.boostFrac)
 	}
+	if e := mustNew(t, "eetl", p, env).(*EETL); e.Slow() != 3 {
+		t.Errorf("slow level at max 12 with frac 0.25 = %d, want 3", e.Slow())
+	}
+}
+
+// gridOf returns a frequency grid whose top level is maxLevel.
+func gridOf(maxLevel int) *cpu.Grid {
+	fs := make([]float64, maxLevel+1)
+	for i := range fs {
+		fs[i] = 1 + 0.1*float64(i)
+	}
+	g, err := cpu.NewGrid(fs)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// testEnv is a simulator-posture Env on grid with the given profile.
+func testEnv(grid *cpu.Grid, profile []float64) Env {
+	return Env{QoS: 0.01, Percentile: 99, Grid: grid, ProfileAtMax: profile, Tick: 0.1, Posture: SimPosture}
+}
+
+// mustNew is New for parameterizations a test knows are valid.
+func mustNew(t testing.TB, name string, p Params, env Env) Policy {
+	t.Helper()
+	pol, err := New(name, p, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
 }
 
 // TestParamsSHAStability is the fingerprint golden: the canonical

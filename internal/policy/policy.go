@@ -1,8 +1,9 @@
 // Package policy is the clock-agnostic decision core of the ReTail
-// reproduction: Algorithm 1 (frequency enumeration over a worker's
-// pipeline), the QoS′ latency monitor (§VI-C), the JSQ dispatch rule,
-// the graceful-degradation predicates (shed/deadline) and the baseline
-// policies (Rubik, Gemini, EETL).
+// reproduction: the four DVFS policies (ReTail and the Rubik, Gemini and
+// EETL baselines) that New builds for either runtime, and beneath them
+// Algorithm 1 (frequency enumeration over a worker's pipeline), the QoS′
+// latency monitor (§VI-C), the JSQ dispatch rule and the
+// graceful-degradation predicates (shed/deadline).
 //
 // The package deliberately knows nothing about *how* time advances. Both
 // runtimes adapt it:
@@ -31,12 +32,6 @@ type Time = float64
 
 // Duration is a span of time in seconds.
 type Duration = float64
-
-// Clock supplies the current time to components that need it. Adapters
-// implement it over sim.Engine.Now or a monotonic wall-clock reading.
-type Clock interface {
-	Now() Time
-}
 
 // Timer schedules a callback to run after a delay. The name labels the
 // scheduled work (the simulator uses it for deterministic event tracing;

@@ -7,7 +7,7 @@ import "retail/internal/cpu"
 // so the identical sequence can be fed through a *different* runtime
 // adapter and the resulting decisions compared byte-for-byte. The parity
 // harness in internal/experiments records a trace from the simulator
-// adapter and replays it through the live adapter's decider.
+// adapter and replays it through the live adapter's policy.
 
 // TraceEventKind distinguishes replay events.
 type TraceEventKind uint8

@@ -108,62 +108,6 @@ func TestP2Bounded(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // under
-	h.Add(99) // over
-	if h.Count() != 12 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	bins, under, over := h.Bins()
-	if under != 1 || over != 1 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	for i, b := range bins {
-		if b != 1 {
-			t.Fatalf("bin %d = %d", i, b)
-		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	if v, ok := h.Quantile(0.5); !ok || math.Abs(v-50) > 2 {
-		t.Fatalf("median = %v, %v", v, ok)
-	}
-	if v, ok := h.Quantile(0.99); !ok || math.Abs(v-99) > 2 {
-		t.Fatalf("p99 = %v, %v", v, ok)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if _, ok := empty.Quantile(0.5); ok {
-		t.Fatal("empty histogram returned a quantile")
-	}
-}
-
-func TestHistogramBoundaryValue(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(1) // exactly max → overflow bucket
-	_, _, over := h.Bins()
-	if over != 1 {
-		t.Fatalf("max-boundary value not in overflow: %d", over)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inverted bounds accepted")
-		}
-	}()
-	NewHistogram(5, 1, 10)
-}
-
 func BenchmarkP2Add(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewP2Quantile(0.99)

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"retail/internal/policy"
+	"retail/internal/splitmix"
 )
 
 // SpecVersion is the search-spec schema version.
@@ -190,25 +191,11 @@ type Candidate struct {
 	Params policy.Params
 }
 
-// splitmix64 is the same tiny deterministic generator the dispatchers
-// use — identical on every platform, so the random candidate set is
-// byte-stable in goldens.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float64in maps the next draw uniformly onto [min, max).
-func (s *splitmix64) float64in(min, max float64) float64 {
-	// 53-bit mantissa draw, the standard uint64→[0,1) construction.
-	u := s.next() >> 11
-	f := float64(u) / (1 << 53)
-	return min + (max-min)*f
+// float64in maps rng's next draw uniformly onto [min, max). The stream is
+// the one the dispatchers use — identical on every platform, so the
+// random candidate set is byte-stable in goldens.
+func float64in(rng *splitmix.Stream, min, max float64) float64 {
+	return min + (max-min)*splitmix.Unit(rng.Next())
 }
 
 // Candidates enumerates the search points in canonical order: grid mode
@@ -256,11 +243,11 @@ func (s *Spec) Candidates() ([]Candidate, error) {
 		if s.Samples > MaxCandidates {
 			return nil, fmt.Errorf("tune: samples %d exceeds %d", s.Samples, MaxCandidates)
 		}
-		rng := splitmix64{state: uint64(s.Seed)}
+		rng := splitmix.NewStream(uint64(s.Seed))
 		for n := 0; n < s.Samples; n++ {
 			v := make([]float64, len(s.Axes))
 			for i, a := range s.Axes {
-				v[i] = rng.float64in(a.Min, a.Max)
+				v[i] = float64in(&rng, a.Min, a.Max)
 			}
 			assigns = append(assigns, v)
 		}

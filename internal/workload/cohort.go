@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"retail/internal/sim"
+	"retail/internal/splitmix"
 )
 
 // CohortGenerator runs a Spec's full client population against one sim
@@ -60,16 +61,16 @@ func NewCohortGenerator(spec *Spec, seed int64, sink func(*sim.Engine, *Request)
 	for i, n := range names {
 		classIdx[n] = uint8(i)
 	}
-	base := splitmix64(uint64(seed) ^ splitmix64(uint64(spec.Seed)))
+	base := splitmix.Mix(uint64(seed) ^ splitmix.Mix(uint64(spec.Seed)))
 	for ci, c := range spec.Cohorts {
 		app := ByName(c.App)
 		rates := clientRates(c.RPS, c.Clients, c.RateSkew)
-		cohortBase := splitmix64(base + uint64(ci))
+		cohortBase := splitmix.Mix(base + uint64(ci))
 		for ki := 0; ki < c.Clients; ki++ {
 			cl := &cohortClient{
 				owner:    g,
 				app:      app,
-				rng:      rand.New(rand.NewSource(int64(splitmix64(cohortBase + uint64(ki))))),
+				rng:      rand.New(rand.NewSource(int64(splitmix.Mix(cohortBase + uint64(ki))))),
 				proc:     newArrival(c.Arrival),
 				baseRate: rates[ki],
 				envelope: c.Envelope,
@@ -155,14 +156,4 @@ func (cl *cohortClient) onArrival(en *sim.Engine) {
 		g.Sink(en, r)
 	}
 	cl.scheduleNext(en)
-}
-
-// splitmix64 is the SplitMix64 output function — a cheap, well-mixed way
-// to derive decorrelated per-client seeds from one run seed without
-// importing anything.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
