@@ -5,7 +5,8 @@
 #   make race    full suite under the race detector
 #   make vet     static analysis
 #   make portable-check  vet the tree as arm64 and build it as 386: the Go
-#                        kernels internal/nn runs off amd64 (no download)
+#                        kernels internal/nn runs off amd64 (no download;
+#                        amd64 without AVX is covered by the kernel tests)
 #   make bench   telemetry hot-path + paper-table benchmarks
 #   make bench-check     hot-path micro-benchmarks once under -race (CI
 #                        smoke) + BenchmarkClusterFleet timed and gated
@@ -56,7 +57,7 @@ GO ?= go
 # (freelist; the calendar queue on the simulator's own bimodal event
 # population), Algorithm 1 decisions (per-request prediction slots), the
 # per-completion latency recorder (ring window), Gemini's network
-# (batch-major training on packed-SSE2 kernels, forward pass, one pass per
+# (batch-major training on AVX kernels, forward pass, one pass per
 # request into its prediction slot), the small NN shapes' training (where a
 # kernel call's fixed cost weighs most), the live wire codec (each
 # direction beside the encoding/json call it stands in for), the sweep
@@ -87,8 +88,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# internal/nn's trainer runs packed-SSE2 assembly on amd64 and its Go loops
-# everywhere else; this keeps the other side compiling and vetted.
+# internal/nn's trainer runs AVX assembly on amd64 hosts that have AVX and
+# its Go loops everywhere else (amd64 without AVX runs them through the same
+# dispatch, which the kernel tests cover); this keeps the other
+# architectures compiling and vetted.
 portable-check:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...

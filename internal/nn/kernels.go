@@ -2,13 +2,14 @@ package nn
 
 import "math"
 
-// The trainer's three inner loops, in Go. On amd64 kernels_amd64.s runs the
-// same loops two lanes at a time on packed SSE2 doubles; these Go loops are
-// the kernels everywhere else — other architectures, and -race builds, whose
-// detector cannot see writes made in assembly — and the oracle
+// The trainer's three inner loops, in Go. On an amd64 host with AVX
+// kernels_amd64.s runs the same loops four lanes at a time on 256-bit
+// vectors of doubles; these Go loops are the kernels everywhere else — amd64
+// hosts without AVX, other architectures, and -race builds, whose detector
+// cannot see writes made in assembly — and the oracle
 // TestTrainerKernelsMatchGo holds the assembly to, bit for bit.
 //
-// Each packed lane performs the IEEE operations its Go twin performs for one
+// Each vector lane performs the IEEE operations its Go twin performs for one
 // element, on the same operands and in the same order. Go fuses a multiply
 // and an add on amd64 only where math.FMA asks, so the loops below contain
 // no fused operation the lanes would have to match.

@@ -4,12 +4,18 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// The trainer's kernels against their Go twins (kernels.go). On amd64 the
-// kernels are kernels_amd64.s; elsewhere, and under -race, they are the
-// twins themselves and these tests check only the harness.
+// The trainer's kernels against their Go twins (kernels.go), on every
+// dispatch forEachKernelPath can reach: on amd64 the AVX assembly
+// (kernels_amd64.s) where the host has AVX, and the Go twins a host without
+// it runs; elsewhere, and under -race, the kernels are the twins themselves
+// and these tests check only the harness.
 
 // sameFloat reports whether a kernel result matches the Go loop's: the same
 // bits, or NaN on both sides (which NaN comes out of two NaN operands
@@ -57,15 +63,23 @@ func newKernelCase(n int, repeat bool, next func() float64) *kernelCase {
 	return c
 }
 
-// check runs every kernel and its Go twin on copies of c's operands and
-// fails t on the first result that differs.
+// check runs every kernel, on each dispatch path, and its Go twin on copies
+// of c's operands and fails t on the first result that differs.
 func (c *kernelCase) check(t *testing.T) {
+	t.Helper()
+	forEachKernelPath(t, func(path string) {
+		t.Helper()
+		c.checkPath(t, path)
+	})
+}
+
+func (c *kernelCase) checkPath(t *testing.T, path string) {
 	t.Helper()
 	compare := func(kernel string, got, want []float64) {
 		t.Helper()
 		for i := range want {
 			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("n=%d: %s[%d] = %v (%#x), Go loop %v (%#x)", c.n, kernel, i,
+				t.Fatalf("%s, n=%d: %s[%d] = %v (%#x), Go loop %v (%#x)", path, c.n, kernel, i,
 					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
@@ -161,4 +175,29 @@ func FuzzTrainerKernels(f *testing.F) {
 		}
 		newKernelCase(n, n%2 == 1, next).check(t)
 	})
+}
+
+// TestCPUFeatureDetection holds cpuidAVX to the kernel's own report: on
+// linux/amd64 it must find AVX exactly when /proc/cpuinfo lists the avx
+// flag, which Linux clears when it does not save the YMM state.
+func TestCPUFeatureDetection(t *testing.T) {
+	detected, ok := hostAVX()
+	if !ok || runtime.GOOS != "linux" {
+		t.Skip("CPUID detection is built only for amd64 without -race; /proc/cpuinfo only on linux")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, found := strings.Cut(line, ":")
+		if !found || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		if listed := slices.Contains(strings.Fields(flags), "avx"); listed != detected {
+			t.Fatalf("cpuidAVX() = %v, /proc/cpuinfo lists avx: %v", detected, listed)
+		}
+		return
+	}
+	t.Skip("no flags line in /proc/cpuinfo")
 }

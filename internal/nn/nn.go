@@ -6,14 +6,14 @@
 // inference time. That gap is intrinsic — 66 k parameters against a
 // handful — and must not be an artifact, so the implementation is not
 // wasteful: training is batch-major, allocation-free and spread over
-// GOMAXPROCS goroutines (train.go), its three inner loops run two lanes at a
-// time on packed SSE2 doubles on amd64 (kernels.go, kernels_amd64.s), a
-// forward pass keeps four sums in flight, and LR still wins by three
-// (inference) to five (training) orders of magnitude.
+// GOMAXPROCS goroutines (train.go), its three inner loops run four lanes at
+// a time on AVX doubles on amd64 hosts that have AVX (kernels.go,
+// kernels_amd64.s), a forward pass keeps four sums in flight, and LR still
+// wins by three (inference) to five (training) orders of magnitude.
 //
 // Contract: speed never changes a result. Every sum is taken over the same
 // terms in the same order as the plain per-sample loops kept in ref_test.go,
-// and each packed lane performs one element's IEEE operations in that order
+// and each vector lane performs one element's IEEE operations in that order
 // (Go fuses no multiply-add on amd64 for a lane to miss), so weights, Adam
 // state and predictions are bit-identical to theirs at any GOMAXPROCS, with
 // or without the assembly (TestFitBitIdenticalToReference,

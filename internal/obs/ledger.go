@@ -89,9 +89,6 @@ func AttachLedger(s *server.Server, qos workload.QoS) *NodeLedger {
 	return l
 }
 
-// Inner returns the wrapped hooks.
-func (l *NodeLedger) Inner() server.Hooks { return l.inner }
-
 // Reset zeroes the tallies (in-flight decision annotations survive:
 // a request straddling the reset still gets attributed on completion).
 // Fleet runs call it at warmup end, in the same event that resets

@@ -59,13 +59,28 @@ func LoadLinear(r io.Reader) (*LinearModel, error) {
 	if in.Levels <= 0 {
 		return nil, errors.New("predict: load: non-positive level count")
 	}
+	for i, s := range in.Specs {
+		if s.Kind == workload.Categorical && s.Categories <= 0 {
+			return nil, fmt.Errorf("predict: load: categorical spec %d has %d categories", i, s.Categories)
+		}
+	}
 	layout := FeatureLayout{Specs: in.Specs, Selected: in.Selected}
 	for _, j := range in.Selected {
 		if j < 0 || j >= len(in.Specs) {
 			return nil, fmt.Errorf("predict: load: selected index %d outside specs", j)
 		}
 	}
-	cells := layout.Combos() * in.Levels
+	// Combos()·Levels, taken one factor at a time and abandoned once it
+	// exceeds the arrays, so a hostile category count cannot overflow it.
+	cells := in.Levels
+	for _, j := range in.Selected {
+		if s := in.Specs[j]; s.Kind == workload.Categorical {
+			if s.Categories > len(in.Coef)/cells {
+				return nil, fmt.Errorf("predict: load: %d cell arrays, fewer than the layout's cells", len(in.Coef))
+			}
+			cells *= s.Categories
+		}
+	}
 	if len(in.Coef) != cells || len(in.CellMean) != cells || len(in.CellOK) != cells {
 		return nil, fmt.Errorf("predict: load: cell arrays sized %d/%d/%d, want %d",
 			len(in.Coef), len(in.CellMean), len(in.CellOK), cells)

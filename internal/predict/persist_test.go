@@ -101,3 +101,22 @@ func TestProportionalWrapper(t *testing.T) {
 		t.Fatal("nil base accepted")
 	}
 }
+
+// overflowingModel has two categorical features of 2³² categories each, so
+// Combos()·Levels wraps to 0 and its empty cell arrays once passed the size
+// check; Predict then indexed them far out of range.
+const overflowingModel = `{"version":1,"specs":[{"Name":"a","Kind":1,"Categories":4294967296,"Lateness":0},` +
+	`{"Name":"b","Kind":1,"Categories":4294967296,"Lateness":0}],"selected":[0,1],"levels":1,` +
+	`"coef":[],"cell_mean":[],"cell_ok":[],"level_mean":[0],"level_ok":[false],"global_mean":0}`
+
+func TestLoadLinearRejectsOverflowingCellCount(t *testing.T) {
+	if _, err := LoadLinear(strings.NewReader(overflowingModel)); err == nil {
+		t.Fatal("a model whose cell count overflows was accepted")
+	}
+	for _, n := range []string{"0", "-1"} {
+		body := strings.ReplaceAll(overflowingModel, "4294967296", n)
+		if _, err := LoadLinear(strings.NewReader(body)); err == nil {
+			t.Errorf("categorical specs with %s categories accepted", n)
+		}
+	}
+}

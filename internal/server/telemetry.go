@@ -102,9 +102,6 @@ func AttachTelemetryWith(s *Server, reg *telemetry.Registry, app string, qos wor
 	return th
 }
 
-// Inner returns the wrapped Hooks (the power manager).
-func (t *TelemetryHooks) Inner() Hooks { return t.inner }
-
 // Arrival implements Hooks: forwards to the manager and counts drops.
 func (t *TelemetryHooks) Arrival(e *sim.Engine, w *Worker, r *workload.Request) bool {
 	ok := t.inner.Arrival(e, w, r)
