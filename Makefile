@@ -43,7 +43,7 @@
 #                        intentional change
 #   make tune-check      policy-params + digital-twin gate: params schema
 #                        round-trip/SHA pins, search-spec enumeration, and
-#                        the fixed-seed retail-tune winners table vs its
+#                        the fixed-seed retail tune winners table vs its
 #                        committed golden with -parallel 1 vs 8 byte
 #                        identity and exact winner-replay reproduction
 #   make tune-golden     rewrite the tune winners golden after an
@@ -151,14 +151,14 @@ parity-golden:
 # The cluster layer's determinism gate: dispatcher placement streams,
 # fleet runs and the routing×policy×load sweep table — byte-compared
 # against its golden and SHA-256-pinned at two seeds, plus the
-# -parallel 1 vs 8 byte-identity check, and retail-cluster -metrics-out
+# -parallel 1 vs 8 byte-identity check, and retail cluster -metrics-out
 # re-running the swept workload. cluster-golden rewrites both
 # goldens after an intentional change.
 cluster-check:
 	$(GO) test -count=1 -run 'TestDispatcher|TestNewDispatcher|TestRoundRobinDispatch|TestLeastLoadedDispatch|TestGlobalJSQDispatch|TestPowerOfTwoDispatch' ./internal/policy
 	$(GO) test -count=1 -run 'TestRunFleet' ./internal/cluster
 	$(GO) test -count=1 -run 'TestFleetSweep' ./internal/experiments
-	$(GO) test -count=1 -run 'TestMetricsSnapshot' ./cmd/retail-cluster
+	$(GO) test -count=1 -run 'TestMetricsSnapshot' ./cmd/retail
 
 cluster-golden:
 	$(GO) test -run 'TestFleetSweep(Golden|MultiSeedSHA)' -count=1 ./internal/experiments -update
@@ -201,14 +201,14 @@ workload-golden:
 # the zero-value→historical-default identity, pinned canonical SHAs, the
 # params parser's fuzz seeds (every accepted file builds all four policies),
 # search-spec enumeration contracts (grid odometer order, seeded random
-# determinism, rejection surface), and the fixed-seed retail-tune
+# determinism, rejection surface), and the fixed-seed retail tune
 # winners table byte-compared against its golden — including -parallel
 # 1 vs 8 byte-identity and the exact standalone reproduction of the
 # winner's scored metrics from its emitted params.json. tune-golden
 # rewrites the winners golden after an intentional change.
 tune-check:
 	$(GO) test -count=1 -run 'TestParams|TestMonitorGuardBand|TestQuantileFallback|FuzzParseParams' ./internal/policy
-	$(GO) test -count=1 -run 'TestSpec|TestTune' ./internal/tune
+	$(GO) test -count=1 -run 'TestSpec|TestTune|FuzzSearchSpec' ./internal/tune
 
 tune-golden:
 	$(GO) test -run TestTuneGolden -count=1 ./internal/tune -update

@@ -2,7 +2,7 @@
 // regenerates its artifact with the Quick experiment configuration and
 // reports domain metrics (power savings, RMSE ratios, drop rates) via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a compact
-// reproduction report. Run cmd/retail-bench (without -quick) for the
+// reproduction report. Run `retail bench` (without -quick) for the
 // paper-resolution sweeps.
 package main
 
@@ -149,7 +149,7 @@ func BenchmarkFig09TrainingSetSize(b *testing.B) {
 
 // BenchmarkFig11* regenerate the headline power/drop/tail sweep, one
 // benchmark per panel, on a representative application subset (run
-// cmd/retail-bench for all seven).
+// retail bench for all seven).
 
 func fig11(b *testing.B, apps []string) *experiments.Fig11Result {
 	b.Helper()

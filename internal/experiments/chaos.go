@@ -23,7 +23,7 @@ import (
 // server's interference hook) and overload bursts (plan Burst → the
 // generator's arrival rate). The wall-clock sites — DVFS write failures
 // and executor stalls — live in internal/live and are exercised by
-// experiments.RunLiveChaos and the retail-chaos command; see DESIGN.md §9
+// experiments.RunLiveChaos and the retail chaos command; see DESIGN.md §9
 // for the site ↔ runtime matrix.
 //
 // Every number in the report is deterministic for a fixed Config.Seed, so

@@ -22,7 +22,7 @@ var updateChaosGolden = flag.Bool("update", false, "rewrite the chaos golden fil
 
 // TestChaosSimGolden pins the deterministic simulator chaos matrix: two
 // in-process runs must render byte-identically, and the render must match
-// the committed golden (refresh with -update). This is the `retail-chaos
+// the committed golden (refresh with -update). This is the `retail chaos
 // -sim` output at the default seed, so the golden doubles as CLI
 // documentation.
 func TestChaosSimGolden(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure in the paper's
 // characterization (§III) and evaluation (§V, §VII) sections. Each
 // experiment is a function returning a structured result with a Render
-// method that prints the same rows/series the paper reports; cmd/retail-bench
+// method that prints the same rows/series the paper reports; retail bench
 // and the repository's benchmark harness drive them.
 //
 // Absolute numbers differ from the paper — the substrate is a calibrated

@@ -9,7 +9,7 @@
 // frequency, shed what provably cannot meet the deadline, and retrain
 // when the model drifts (§V-D). This package provides the *injection*
 // half of that story so the degradation machinery can be exercised
-// deterministically in tests and in the retail-chaos scenario runner.
+// deterministically in tests and in the retail chaos scenario runner.
 //
 // Design constraints, in the repo's usual order:
 //

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// The named plans replayed by retail-chaos, make chaos-check and the
+// The named plans replayed by retail chaos, make chaos-check and the
 // nightly chaos workflow. Timelines are written for a canonical
 // 10-second scenario (warmup ends ≈ 2 s in); use Plan.Scaled to compress
 // them to a test's wall-clock budget.

@@ -83,7 +83,7 @@ type traceSnapshot struct {
 //	                 retail=ingress pprof labels so profiles split the
 //	                 two hot paths
 //
-// Mount it alongside a telemetry Registry's Handler; cmd/retail-live does
+// Mount it alongside a telemetry Registry's Handler; retail live does
 // so under -metrics-addr.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()

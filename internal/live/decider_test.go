@@ -158,7 +158,7 @@ func TestLiveMonitorRecoversAfterBurst(t *testing.T) {
 }
 
 // TestLivePoliciesEndToEnd: every baseline serves real traffic over the
-// wire — the acceptance check that `retail-live -policy rubik|gemini|eetl`
+// wire — the acceptance check that `retail live -policy rubik|gemini|eetl`
 // is not just constructible but functional.
 func TestLivePoliciesEndToEnd(t *testing.T) {
 	if testing.Short() {

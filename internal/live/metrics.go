@@ -10,7 +10,7 @@ import (
 
 // liveMetrics holds the wall-clock runtime's instrument handles. They
 // are the same metric families the simulator records (telemetry.Metric*
-// schema), so a scrape of retail-live looks exactly like a scrape of a
+// schema), so a scrape of retail live looks exactly like a scrape of a
 // simulated run — just with wall-clock seconds in the histograms.
 type liveMetrics struct {
 	completed  *telemetry.Counter

@@ -29,11 +29,10 @@ const ParamsVersion = 1
 // (the simulator's monitor span differs from the live server's, for
 // example); Params only overrides the fields a config file sets.
 //
-// Params is the unit the digital-twin loop searches over: retail-tune
+// Params is the unit the digital-twin loop searches over: retail tune
 // mutates fields within declared bounds, replays a recorded trace under
-// each candidate, and emits the winner as a params.json that
-// retail-sim/retail-live/retail-cluster/retail-chaos all accept via
-// -params.
+// each candidate, and emits the winner as a params.json that retail sim,
+// live, cluster and chaos all accept via -params.
 type Params struct {
 	// Version is the schema version (ParamsVersion). 0 in a literal is
 	// filled on parse; a file carrying a different version is rejected.
@@ -205,7 +204,7 @@ func DefaultParams() Params { return Params{Version: ParamsVersion} }
 func (p Params) ClassTargets() ClassTargets { return NewClassTargets(p.ClassScales) }
 
 // Validate rejects params no construction path could honor. Bounds are
-// deliberately loose — retail-tune explores aggressive corners — but
+// deliberately loose — retail tune explores aggressive corners — but
 // values that are semantically impossible (negative durations, an EWMA
 // factor past 1, an unknown dispatch rule) fail here, up front, rather
 // than deep inside a runtime.
@@ -283,7 +282,7 @@ func (p *Params) Validate() error {
 
 // CanonicalJSON returns the params' canonical byte encoding: the strict
 // schema marshaled with Go's deterministic field order. These are the
-// bytes SHA fingerprints, and the bytes retail-tune writes as the
+// bytes SHA fingerprints, and the bytes retail tune writes as the
 // winning params.json — parsing them back yields a bit-identical value.
 func (p Params) CanonicalJSON() ([]byte, error) {
 	if p.Version == 0 {

@@ -10,7 +10,7 @@ import (
 // Policy is one DVFS policy — ReTail or one of the Rubik/Gemini/EETL
 // baselines — as both runtimes host it. New builds it; the simulator
 // adapters (internal/manager) and the wall-clock server (internal/live)
-// drive the same value, so `retail-live -policy <name>` decides with the
+// drive the same value, so `retail live -policy <name>` decides with the
 // code the simulator evaluates.
 //
 // A Policy performs no locking; each runtime serializes its calls.

@@ -133,7 +133,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reproduce the recording's horizon, as retail-sim -replay does.
+	// Reproduce the recording's horizon, as retail sim -replay does.
 	warmup, dur := cfg.Trace.Window()
 
 	cells := make([]experiments.SweepCell[*core.Result], len(cands))

@@ -153,6 +153,9 @@ func (s *Spec) Validate() error {
 			if a.Steps < 2 {
 				return fmt.Errorf("tune: axes[%d] (%s): grid axis needs values or min/max with steps ≥ 2", i, a.Field)
 			}
+			if a.Steps > MaxCandidates {
+				return fmt.Errorf("tune: axes[%d] (%s): steps %d exceeds %d candidates", i, a.Field, a.Steps, MaxCandidates)
+			}
 			if !(a.Min < a.Max) {
 				return fmt.Errorf("tune: axes[%d] (%s): want min < max, got [%v, %v]", i, a.Field, a.Min, a.Max)
 			}
@@ -165,8 +168,8 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if s.Mode == "random" && s.Samples < 1 {
-		return fmt.Errorf("tune: random mode needs samples ≥ 1")
+	if s.Mode == "random" && (s.Samples < 1 || s.Samples > MaxCandidates) {
+		return fmt.Errorf("tune: random mode needs 1 ≤ samples ≤ %d, got %d", MaxCandidates, s.Samples)
 	}
 	return nil
 }
@@ -210,14 +213,22 @@ func (s *Spec) Candidates() ([]Candidate, error) {
 	var assigns [][]float64
 	switch s.Mode {
 	case "grid":
-		points := make([][]float64, len(s.Axes))
+		// Size the product before expanding any axis, so a huge grid fails
+		// without allocating it. The running total stays ≤ MaxCandidates
+		// and Validate caps Steps, so the product cannot overflow.
 		total := 1
-		for i, a := range s.Axes {
-			points[i] = a.gridPoints()
-			total *= len(points[i])
-			if total > MaxCandidates {
+		for _, a := range s.Axes {
+			n := len(a.Values)
+			if n == 0 {
+				n = a.Steps
+			}
+			if total *= n; total > MaxCandidates {
 				return nil, fmt.Errorf("tune: grid exceeds %d candidates", MaxCandidates)
 			}
+		}
+		points := make([][]float64, len(s.Axes))
+		for i, a := range s.Axes {
+			points[i] = a.gridPoints()
 		}
 		idx := make([]int, len(points))
 		for {
@@ -240,9 +251,6 @@ func (s *Spec) Candidates() ([]Candidate, error) {
 			}
 		}
 	case "random":
-		if s.Samples > MaxCandidates {
-			return nil, fmt.Errorf("tune: samples %d exceeds %d", s.Samples, MaxCandidates)
-		}
 		rng := splitmix.NewStream(uint64(s.Seed))
 		for n := 0; n < s.Samples; n++ {
 			v := make([]float64, len(s.Axes))
@@ -254,10 +262,9 @@ func (s *Spec) Candidates() ([]Candidate, error) {
 	}
 	cands := make([]Candidate, len(assigns))
 	for n, v := range assigns {
+		// Candidates share the base's slices: the registry sets scalars
+		// only, and a copy each would cost MaxCandidates times the base.
 		p := s.Base
-		// Copy slice-typed fields so candidates don't alias the base.
-		p.ClassScales = append([]float64(nil), s.Base.ClassScales...)
-		p.Dispatch.Weights = append([]float64(nil), s.Base.Dispatch.Weights...)
 		for i, a := range s.Axes {
 			set, _ := setter(a.Field)
 			set(&p, v[i])

@@ -1,75 +1,98 @@
-// Smoke test: build the examples and commands, then execute each with a
-// tiny workload. This is the "does the repo still run end-to-end" gate —
-// it catches broken flag parsing, panics on startup and bit-rotted
-// example code that unit tests never touch. Skipped under -short.
+// Smoke test: build the examples and the retail command, then execute each
+// example and every retail subcommand with a tiny workload. This is the
+// "does the repo still run end-to-end" gate — it catches broken flag
+// parsing, panics on startup and bit-rotted example code that unit tests
+// never touch. Skipped under -short.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
 
-// smokeTargets lists main packages with the arguments that give the
-// fastest meaningful run (measured well under 10 s each). It is not every
-// one: retail-tune needs a recorded trace and a search file, and
-// benchjson reads benchmark output. A target with a check runs in a
-// temporary directory, which check then inspects; run invokes the same
-// binary again there and returns its output.
+// smokeTargets lists the examples and the retail subcommands with the
+// arguments that give the fastest meaningful run (measured well under 10 s
+// each). It is not every surface: benchjson reads benchmark output. A
+// target with a check runs in a temporary directory, which check then
+// inspects; run invokes the same binary again there and returns its
+// output. exit is the status the target's own run must end with.
 var smokeTargets = []struct {
 	pkg   string // package path relative to the module root
 	args  []string
+	exit  int
 	check func(t *testing.T, dir string, run func(args ...string) []byte)
 }{
-	{"./examples/quickstart", nil, nil},
-	{"./examples/colocation", nil, nil},
-	{"./examples/database", nil, nil},
-	{"./examples/multitier", nil, nil},
-	{"./examples/replay", nil, nil},
-	{"./examples/websearch", nil, nil},
-	{"./cmd/retail-sim", []string{"-workers", "4", "-duration", "2", "-samples", "200"}, nil},
+	{"./examples/quickstart", nil, 0, nil},
+	{"./examples/colocation", nil, 0, nil},
+	{"./examples/database", nil, 0, nil},
+	{"./examples/multitier", nil, 0, nil},
+	{"./examples/replay", nil, 0, nil},
+	{"./examples/websearch", nil, 0, nil},
+	// With no subcommand, retail lists them and exits as on a usage error.
+	{"./cmd/retail", nil, 2, func(t *testing.T, dir string, run func(args ...string) []byte) {
+		out := run("help")
+		for _, sub := range []string{"sim", "cluster", "tune", "chaos", "bench", "characterize", "live", "loadgen"} {
+			if !bytes.Contains(out, []byte("\n  "+sub+" ")) {
+				t.Fatalf("subcommand list lacks %s:\n%s", sub, out)
+			}
+		}
+	}},
+	{"./cmd/retail", []string{"sim", "-workers", "4", "-duration", "2", "-samples", "200"}, 0, nil},
 	// The workload flags end to end: record a cohort spec's stream, then
-	// replay the file, whose class table must come back with it.
-	{"./cmd/retail-sim", []string{
-		"-workers", "4", "-rps", "400", "-duration", "1", "-samples", "200",
+	// replay the file, whose class table must come back with it. Then the
+	// digital-twin loop on that trace: tune a 2×2 grid and replay the
+	// winning params.
+	{"./cmd/retail", []string{
+		"sim", "-workers", "4", "-rps", "400", "-duration", "1", "-samples", "200",
 		"-spec", "slo-mix", "-record", "t.trace",
-	}, func(t *testing.T, dir string, run func(args ...string) []byte) {
-		out := run("-workers", "4", "-rps", "400", "-samples", "200", "-replay", "t.trace")
+	}, 0, func(t *testing.T, dir string, run func(args ...string) []byte) {
+		out := run("sim", "-workers", "4", "-rps", "400", "-samples", "200", "-replay", "t.trace")
 		if !bytes.Contains(out, []byte("class        interactive")) {
 			t.Fatalf("replay of the recorded trace lost its class table:\n%s", out)
 		}
+		search := `{"version":1,"mode":"grid","axes":[` +
+			`{"field":"monitor.guard_band","values":[0.85,0.95]},{"field":"monitor.alpha","values":[0.5,1]}]}`
+		if err := os.WriteFile(filepath.Join(dir, "s.json"), []byte(search), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out = run("tune", "-trace", "t.trace", "-search", "s.json", "-workers", "4", "-samples", "200", "-out", "p.json")
+		if !bytes.Contains(out, []byte("wrote p.json")) {
+			t.Fatalf("tune wrote no params:\n%s", out)
+		}
+		run("sim", "-workers", "4", "-samples", "200", "-replay", "t.trace", "-params", "p.json")
 	}},
-	{"./cmd/retail-characterize", []string{"-quick"}, nil},
-	{"./cmd/retail-bench", []string{"-list"}, nil},
+	{"./cmd/retail", []string{"characterize", "-quick"}, 0, nil},
+	{"./cmd/retail", []string{"bench", "-list"}, 0, nil},
 	// Exercises the full wall-clock path including the Prometheus
 	// exposition server (bound to an ephemeral port).
-	{"./cmd/retail-live", []string{
-		"-rps", "200", "-duration", "500ms", "-metrics-addr", "127.0.0.1:0",
-	}, nil},
+	{"./cmd/retail", []string{
+		"live", "-rps", "200", "-duration", "500ms", "-metrics-addr", "127.0.0.1:0",
+	}, 0, nil},
 	// Replays a compressed fault plan against the live runtime: injector,
 	// degradation machinery and the report path all run end-to-end.
-	{"./cmd/retail-chaos", []string{
-		"-plan", "overload-burst", "-seconds", "4", "-scale", "0.25", "-samples", "200",
-	}, nil},
+	{"./cmd/retail", []string{
+		"chaos", "-plan", "overload-burst", "-seconds", "4", "-scale", "0.25", "-samples", "200",
+	}, 0, nil},
 	// A two-dispatcher, one-policy fleet sweep at quick scale: the whole
 	// cluster layer (routing, per-node managers, sweep merge) end-to-end.
-	{"./cmd/retail-cluster", []string{
-		"-quick", "-loads", "0.5", "-policies", "retail",
+	{"./cmd/retail", []string{
+		"cluster", "-quick", "-loads", "0.5", "-policies", "retail",
 		"-dispatchers", "round-robin,global-jsq", "-requests", "1200",
-	}, nil},
+	}, 0, nil},
 	// The open-loop client against an in-process server, once on a Poisson
 	// schedule and once on a cohort spec's classed schedule, whose report
 	// must carry a block per SLO class.
-	{"./cmd/retail-loadgen", []string{"-selfhost", "-rps", "2000", "-duration", "300ms"}, nil},
-	{"./cmd/retail-loadgen", []string{
-		"-selfhost", "-spec", "slo-mix", "-rps", "2000", "-duration", "300ms", "-report", "report.json",
-	}, func(t *testing.T, dir string, _ func(...string) []byte) {
+	{"./cmd/retail", []string{"loadgen", "-selfhost", "-rps", "2000", "-duration", "300ms"}, 0, nil},
+	{"./cmd/retail", []string{
+		"loadgen", "-selfhost", "-spec", "slo-mix", "-rps", "2000", "-duration", "300ms", "-report", "report.json",
+	}, 0, func(t *testing.T, dir string, _ func(...string) []byte) {
 		b, err := os.ReadFile(filepath.Join(dir, "report.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -96,38 +119,49 @@ func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test builds and runs every binary")
 	}
+	// One build for every package: each binary lands in bindir under its
+	// package's base name.
 	bindir := t.TempDir()
-	for i, tgt := range smokeTargets {
-		tgt := tgt
+	pkgs := []string{}
+	for _, tgt := range smokeTargets {
+		if !slices.Contains(pkgs, tgt.pkg) {
+			pkgs = append(pkgs, tgt.pkg)
+		}
+	}
+	build := exec.Command("go", append([]string{"build", "-o", bindir + string(filepath.Separator)}, pkgs...)...)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tgt := range smokeTargets {
+		bin := filepath.Join(bindir, filepath.Base(tgt.pkg))
+		// A subcommand's leg is named retail-<subcommand>.
 		name := filepath.Base(tgt.pkg)
+		if len(tgt.args) > 0 {
+			name += "-" + tgt.args[0]
+		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bin := filepath.Join(bindir, fmt.Sprintf("%s-%d", name, i))
-			build := exec.Command("go", "build", "-o", bin, tgt.pkg)
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build %s: %v\n%s", tgt.pkg, err, out)
-			}
 			dir := ""
 			if tgt.check != nil {
 				dir = t.TempDir()
 			}
-			run := func(args ...string) []byte {
+			run := func(exit int, args ...string) []byte {
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
 				cmd := exec.CommandContext(ctx, bin, args...)
 				cmd.Dir = dir
 				out, err := cmd.CombinedOutput()
-				if err != nil {
-					t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+				if code := cmd.ProcessState.ExitCode(); code != exit {
+					t.Fatalf("%s %v: exit %d (%v), want %d\n%s", name, args, code, err, exit, out)
 				}
 				if len(out) == 0 {
 					t.Fatalf("%s produced no output", name)
 				}
 				return out
 			}
-			run(tgt.args...)
+			run(tgt.exit, tgt.args...)
 			if tgt.check != nil {
-				tgt.check(t, dir, run)
+				tgt.check(t, dir, func(args ...string) []byte { return run(0, args...) })
 			}
 		})
 	}
