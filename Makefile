@@ -117,10 +117,12 @@ bench-e2e:
 
 # The Chrome trace exporter's bytes are a contract (Perfetto tooling,
 # diffable artifacts): a fixed-seed simulation must serialize identically
-# on every run. trace-golden rewrites the committed file after an
-# intentional format change.
+# on every run; the flight recorder feeding it must keep its spans
+# attributed, bounded and tail-sampled, and observe without perturbing.
+# trace-golden rewrites the committed file after an intentional format
+# change.
 trace-check:
-	$(GO) test -run 'TestChromeTrace(Golden|Deterministic)' -count=1 ./internal/trace
+	$(GO) test -run 'TestChromeTrace(Golden|Deterministic)|TestFlightRecorder' -count=1 ./internal/trace
 
 trace-golden:
 	$(GO) test -run TestChromeTraceGolden -count=1 ./internal/trace -update
@@ -167,11 +169,15 @@ cluster-golden:
 # canonical report must match the committed golden byte-for-byte
 # (provenance masked), every joule and violation must reconcile between
 # ledger and fleet result, attribution must stay a zero-alloc pure
-# observer, /metrics and /debug/fleet must survive concurrent scrapes
-# mid-sweep under -race, and the append-only benchmark history must
-# parse against the benchjson baseline schema.
+# observer, the server must call observers at their fixed points around
+# the manager (drops, hook order, decision fan-out, no attribution read
+# without a sink) so that a fleet cell's artifacts do not depend on the
+# order observers register in, /metrics and /debug/fleet must survive
+# concurrent scrapes mid-sweep under -race, and the append-only
+# benchmark history must parse against the benchjson baseline schema.
 obs-check:
-	$(GO) test -count=1 -run 'TestFleetReportGolden|TestFleetLedger|TestEnergyByLevelReconciles|TestRetailDecideZeroAllocWithLedger' ./internal/experiments ./internal/cluster ./internal/cpu ./internal/manager
+	$(GO) test -count=1 -run 'TestFleetReportGolden|TestFleetLedger|TestEnergyByLevelReconciles|TestRetailDecideZeroAllocWithLedger|TestGivenThreeObservers|TestGivenReTailWithNoDecisionSink' ./internal/experiments ./internal/cluster ./internal/cpu ./internal/manager
+	$(GO) test -count=1 -run 'TestGiven' ./internal/server
 	$(GO) test -race -count=1 -run 'TestMetricsScrapeDuringFleetSweep' ./internal/experiments
 	$(GO) test -count=1 -run 'TestBenchHistorySchema|TestHistogramHDREquivalence|TestLogLinear' ./cmd/benchjson ./internal/telemetry ./internal/stats
 
@@ -181,8 +187,8 @@ obs-golden:
 # The ServeGen-class workload gate (DESIGN.md §13): per-arrival-process
 # statistical checks (mean rate, index of dispersion, diurnal phase),
 # the trace v2 header schema pin, the one table over the workload-source
-# rules (workload.Source and the CLIs' LoadSource), the spec and trace
-# parsers' fuzz seeds, and the fixed-seed cohort-spec sweep —
+# rules (workload.Source and the CLIs' LoadSource), the spec, trace and
+# replay-CSV parsers' fuzz seeds, and the fixed-seed cohort-spec sweep —
 # its rendered table (per-spec stats, per-SLO-class latency, canonical
 # trace and classed-decision SHA-256 hashes) byte-compared against the
 # committed golden, plus -parallel 1 vs 8 byte-identity. Every sweep
@@ -190,7 +196,7 @@ obs-golden:
 # the simulator and classed decision parity through the live decider.
 # workload-golden rewrites the golden after an intentional change.
 workload-check:
-	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestSpecClientBound|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema|TestReadTraceHostileCount|TestSource|FuzzParseSpec|FuzzReadTrace' ./internal/workload
+	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestSpecClientBound|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema|TestReadTraceHostileCount|TestSource|FuzzParseSpec|FuzzReadTrace|FuzzLoadReplayCSV' ./internal/workload
 	$(GO) test -count=1 -run 'TestWorkloadSweep' ./internal/experiments
 
 workload-golden:

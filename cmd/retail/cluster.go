@@ -10,6 +10,7 @@ import (
 	"retail/internal/cluster"
 	"retail/internal/experiments"
 	"retail/internal/obs"
+	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
@@ -58,6 +59,12 @@ func bindCluster(f *cmdFlags) func() error {
 		loads []float64
 	)
 	f.check(func() error {
+		if err := knownNames("dispatchers", *dispatchers, append(policy.DispatcherNames(), "weighted")); err != nil {
+			return err
+		}
+		if err := knownNames("policies", *policies, policy.Names()); err != nil {
+			return err
+		}
 		for _, part := range strings.Split(*loadsArg, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil || !(v > 0) {

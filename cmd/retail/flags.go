@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"retail/internal/experiments"
@@ -164,6 +165,20 @@ func (f *cmdFlags) samplesFlag(def int) {
 func (f *cmdFlags) rpsFlag(def float64, meaning string) {
 	f.Float64Var(&f.rps, "rps", def, "request rate in requests/s: "+meaning)
 	f.check(func() error { return atLeast("rps", f.rps, 0) })
+}
+
+// knownNames checks a comma-separated -name list against valid; the
+// empty list (the flag's default) passes.
+func knownNames(name, list string, valid []string) error {
+	if list == "" {
+		return nil
+	}
+	for _, part := range strings.Split(list, ",") {
+		if !slices.Contains(valid, part) {
+			return fmt.Errorf("unknown -%s entry %q (want one of %s)", name, part, strings.Join(valid, ", "))
+		}
+	}
+	return nil
 }
 
 func atLeast[T int | float64](name string, v, min T) error {

@@ -58,6 +58,9 @@ func TestValidateFlags(t *testing.T) {
 		{"sim", "missing params file", []string{"-params", "does-not-exist.json"}, "does-not-exist.json"},
 		{"sim", "stray argument", []string{"-workers", "4", "2"}, `unexpected argument "2"`},
 		{"sim", "unknown flag", []string{"-nope"}, "-nope"},
+		{"sim", "unknown manager", []string{"-manager", "bogus"}, `unknown -manager "bogus"`},
+		{"sim", "baseline manager ok", []string{"-manager", "maxfreq"}, ""},
+		{"sim", "policy manager ok", []string{"-manager", "eetl"}, ""},
 
 		// A load ≤ 0 or malformed fails here, not after calibration.
 		{"cluster", "defaults", nil, ""},
@@ -67,6 +70,10 @@ func TestValidateFlags(t *testing.T) {
 		{"cluster", "loads ok", []string{"-loads", "0.4, 0.8"}, ""},
 		{"cluster", "negative parallel", []string{"-parallel", "-1"}, "-parallel"},
 		{"cluster", "zero workers", []string{"-workers", "0"}, "-workers"},
+		// Dispatcher and policy names fail here too, naming the flag.
+		{"cluster", "unknown policy", []string{"-policies", "retail,bogus"}, `unknown -policies entry "bogus"`},
+		{"cluster", "unknown dispatcher", []string{"-dispatchers", "nope"}, `unknown -dispatchers entry "nope"`},
+		{"cluster", "names ok", []string{"-policies", "retail,eetl", "-dispatchers", "global-jsq,weighted"}, ""},
 
 		// -sim runs a fixed matrix, so the live runtime's flags set
 		// explicitly beside it are errors rather than ignored.

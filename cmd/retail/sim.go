@@ -4,16 +4,23 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"retail/internal/core"
 	"retail/internal/manager"
 	"retail/internal/obs"
+	"retail/internal/policy"
 	"retail/internal/server"
 	"retail/internal/sim"
 	"retail/internal/telemetry"
 	"retail/internal/trace"
 	"retail/internal/workload"
 )
+
+// simBaselines are the -manager names beside the four policies: managers
+// only the simulator runs.
+var simBaselines = []string{"adrenaline", "pegasus", "maxfreq"}
 
 // bindSim is `retail sim`: a single measured simulation — one
 // application, one power manager, one load point. It prints the run
@@ -46,7 +53,10 @@ func bindSim(f *cmdFlags) func() error {
 		metrics    = f.Bool("metrics", false, "attach the telemetry registry and print a Prometheus text summary after the run")
 	)
 	f.check(func() error {
+		managers := append(policy.Names(), simBaselines...)
 		switch {
+		case !slices.Contains(managers, *mgrName):
+			return fmt.Errorf("unknown -manager %q (want one of %s)", *mgrName, strings.Join(managers, ", "))
 		case f.rps == 0 && *load <= 0:
 			return fmt.Errorf("-load must be positive when -rps is unset, got %g", *load)
 		case *duration < 0:
@@ -80,7 +90,7 @@ func bindSim(f *cmdFlags) func() error {
 			m = cal.NewPegasus()
 		case "maxfreq":
 			m = cal.NewMaxFreq()
-		default: // the four managed policies; NewManagerParams rejects other names
+		default: // the four managed policies
 			if m, err = cal.NewManagerParams(*mgrName, f.geminiNN(), f.params); err != nil {
 				return err
 			}
@@ -95,8 +105,9 @@ func bindSim(f *cmdFlags) func() error {
 			warmup, dur = src.Replay.Window()
 		}
 
-		// Optional observers, installed through the core.Run instrument hook
-		// so they wrap the manager's hooks chain after Attach.
+		// Optional observers, registered through the core.Run instrument
+		// hook; the ledger and the flight recorder also take the manager's
+		// decisions from the server.
 		var (
 			flight *trace.FlightRecorder
 			reg    *telemetry.Registry
@@ -113,22 +124,14 @@ func bindSim(f *cmdFlags) func() error {
 		}
 		instrument := func(e *sim.Engine, s *server.Server) {
 			srvRef = s
-			var sink server.DecisionSink
 			if flight != nil {
-				flight.Attach(s)
-				sink = flight
+				s.Observe(flight)
 			}
 			if f.report != "" {
 				led = obs.AttachLedger(s, app.QoS())
 				// Reset in the same virtual instant core.Run resets energy, so
 				// ledger counts and socket joules share the measurement epoch.
 				e.At(warmup, "obs.ledger.reset", func(*sim.Engine) { led.Reset() })
-				sink = obs.TeeDecisionSink(sink, led)
-			}
-			if ds, ok := m.(interface{ SetDecisionSink(server.DecisionSink) }); ok && sink != nil {
-				ds.SetDecisionSink(sink)
-			} else if flight != nil {
-				log.Printf("note: manager %q emits no decision attribution; trace will carry lifecycle spans only", m.Name())
 			}
 			if reg != nil {
 				server.AttachTelemetry(s, reg, app.Name(), app.QoS())
@@ -195,6 +198,9 @@ transitions  %d frequency changes
 		}
 
 		if flight != nil {
+			if len(flight.FreqPoints()) == 0 {
+				log.Printf("note: manager %q emits no decision attribution; trace will carry lifecycle spans only", m.Name())
+			}
 			write := flight.WriteChrome
 			if *traceFmt == "csv" {
 				write = flight.WriteCSV

@@ -79,6 +79,11 @@ type FleetConfig struct {
 	// but the benchmarked hot path should not pay even observer costs
 	// unless a run asked for attribution.
 	Ledger bool
+
+	// observe, when set, registers more observers on node i's server
+	// after the ones above; the package's tests use it to attach flight
+	// recorders and to vary the registration order.
+	observe func(e *sim.Engine, i int, s *server.Server)
 }
 
 // NodeStats is one node's share of a fleet run's measurement window.
@@ -256,16 +261,15 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if cfg.Registry != nil {
 			labels := append(append([]telemetry.Label{},
 				cfg.Labels...), telemetry.L("node", strconv.Itoa(i)))
-			server.AttachTelemetryWith(n.srv, cfg.Registry, app.Name(), qos, labels...)
+			server.AttachTelemetry(n.srv, cfg.Registry, app.Name(), qos, labels...)
 		}
 		if cfg.Ledger {
-			led := obs.AttachLedger(n.srv, qos)
-			// Managers without a decision sink (EETL) still get energy and
+			// Managers that emit no decisions (EETL) still get energy and
 			// violation tallies; causes then use the no-decision fallback.
-			if ds, ok := mgr.(interface{ SetDecisionSink(server.DecisionSink) }); ok {
-				ds.SetDecisionSink(led)
-			}
-			ledgers = append(ledgers, led)
+			ledgers = append(ledgers, obs.AttachLedger(n.srv, qos))
+		}
+		if cfg.observe != nil {
+			cfg.observe(e, i, n.srv)
 		}
 		idx := i
 		n.srv.CompletedSink = func(en *sim.Engine, r *workload.Request) {

@@ -445,9 +445,9 @@ type RunConfig struct {
 	// warmup offset is NOT applied; times are absolute virtual times).
 	Events []TimedEvent
 	// Instrument, when non-nil, runs after the manager is attached and
-	// before load starts — the place to chain observers (trace flight
-	// recorders, telemetry hook adapters) around the manager's hooks
-	// without core depending on the observer packages.
+	// before load starts — the place to register observers (trace flight
+	// recorders, telemetry, ledgers) with Server.Observe without core
+	// depending on the observer packages.
 	Instrument func(e *sim.Engine, s *server.Server)
 }
 

@@ -103,15 +103,14 @@ func (g *Grid) Clamp(l Level) Level {
 // (§VII-B). StaticW burns regardless of activity; an idle core pays only
 // StaticW + IdleW.
 type PowerModel struct {
-	StaticW  float64 // per-core leakage, always paid
-	IdleW    float64 // residual clocked-idle power on top of static
-	DynCoef  float64 // dynamic coefficient (W per V²·GHz)
-	VMin     float64 // voltage at grid minimum frequency
-	VMax     float64 // voltage at grid maximum frequency
-	FMinGHz  float64 // frequency where VMin applies
-	FMaxGHz  float64 // frequency where VMax applies
-	UncoreW  float64 // socket-level constant (LLC, memory controller, DRAM background)
-	MemBusyW float64 // extra Watts while a core waits on memory (activity-dependent uncore)
+	StaticW float64 // per-core leakage, always paid
+	IdleW   float64 // residual clocked-idle power on top of static
+	DynCoef float64 // dynamic coefficient (W per V²·GHz)
+	VMin    float64 // voltage at grid minimum frequency
+	VMax    float64 // voltage at grid maximum frequency
+	FMinGHz float64 // frequency where VMin applies
+	FMaxGHz float64 // frequency where VMax applies
+	UncoreW float64 // socket-level constant (LLC, memory controller, DRAM background)
 }
 
 // DefaultPowerModel returns coefficients loosely calibrated to a 20-core
@@ -121,15 +120,14 @@ type PowerModel struct {
 // the paper's testbed.
 func DefaultPowerModel(g *Grid) PowerModel {
 	return PowerModel{
-		StaticW:  0.9,
-		IdleW:    0.2,
-		DynCoef:  2.4,
-		VMin:     0.62,
-		VMax:     0.95,
-		FMinGHz:  g.MinFreq(),
-		FMaxGHz:  g.MaxFreq(),
-		UncoreW:  11,
-		MemBusyW: 0.8,
+		StaticW: 0.9,
+		IdleW:   0.2,
+		DynCoef: 2.4,
+		VMin:    0.62,
+		VMax:    0.95,
+		FMinGHz: g.MinFreq(),
+		FMaxGHz: g.MaxFreq(),
+		UncoreW: 11,
 	}
 }
 
@@ -195,8 +193,7 @@ type Core struct {
 	target    Level // last requested level
 	pending   sim.EventRef
 
-	busy       bool
-	memStalled bool
+	busy bool
 
 	lastUpdate sim.Time
 	energyJ    float64
@@ -206,7 +203,7 @@ type Core struct {
 	// split; Σ energyByLevelJ == energyJ holds at every instant.
 	energyByLevelJ []float64
 	transitions    int
-	writes      int // SetLevel/SetLevelImmediate requests, incl. coalesced ones
+	writes         int // SetLevel/SetLevelImmediate requests, incl. coalesced ones
 	// OnChange, when set, fires after a new frequency takes effect.
 	OnChange func(e *sim.Engine, effective Level)
 
@@ -273,11 +270,7 @@ func (c *Core) currentPowerW() float64 {
 	if !c.busy {
 		return c.model.IdleTotalW()
 	}
-	p := c.model.ActiveW(c.grid.Freq(c.effective))
-	if c.memStalled {
-		p += c.model.MemBusyW
-	}
-	return p
+	return c.model.ActiveW(c.grid.Freq(c.effective))
 }
 
 // advance integrates energy up to now.
@@ -294,16 +287,6 @@ func (c *Core) advance(now sim.Time) {
 func (c *Core) SetBusy(e *sim.Engine, busy bool) {
 	c.advance(e.Now())
 	c.busy = busy
-	if !busy {
-		c.memStalled = false
-	}
-}
-
-// SetMemStalled marks whether the running request is in a memory-bound
-// phase (affects uncore-ish activity power only).
-func (c *Core) SetMemStalled(e *sim.Engine, stalled bool) {
-	c.advance(e.Now())
-	c.memStalled = stalled
 }
 
 // SetLevel requests a new frequency level. The change takes effect after a

@@ -249,22 +249,6 @@ func TestCoreEnergyAcrossFrequencyChange(t *testing.T) {
 	}
 }
 
-func TestMemStallPower(t *testing.T) {
-	g := DefaultGrid()
-	pm := DefaultPowerModel(g)
-	e := sim.NewEngine()
-	c := NewCore(0, g, pm, DefaultTransitionModel(), rand.New(rand.NewSource(1)))
-	c.SetBusy(e, true)
-	c.SetMemStalled(e, true)
-	if got := c.currentPowerW(); math.Abs(got-(pm.ActiveW(g.MaxFreq())+pm.MemBusyW)) > 1e-12 {
-		t.Fatalf("stalled power = %v", got)
-	}
-	c.SetBusy(e, false)
-	if c.memStalled {
-		t.Fatal("idle core cannot stay mem-stalled")
-	}
-}
-
 func TestSocketAggregation(t *testing.T) {
 	g := DefaultGrid()
 	pm := DefaultPowerModel(g)
@@ -325,7 +309,7 @@ func TestEnergyBounds(t *testing.T) {
 		}
 		e.RunAll()
 		energy := c.EnergyJoules(1)
-		maxP := pm.ActiveW(g.MaxFreq()) + pm.MemBusyW
+		maxP := pm.ActiveW(g.MaxFreq())
 		minP := pm.IdleTotalW()
 		return energy >= minP*1-1e-9 && energy <= maxP*1+1e-9
 	}

@@ -212,8 +212,7 @@ func chaosRunOnce(cfg Config, cal *core.Calibration, mgrName string, rps float64
 	var flight *trace.FlightRecorder
 	if rt != nil && plan != nil {
 		flight = trace.NewFlightRecorder(trace.FlightRecorderConfig{QoS: app.QoS()})
-		flight.Attach(srv)
-		rt.SetDecisionSink(flight)
+		srv.Observe(flight)
 	}
 
 	lat := stats.NewLatencyTracker(0, true)

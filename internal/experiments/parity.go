@@ -114,32 +114,28 @@ func EncodeClassedDecisions(ds []policy.ReplayDecision) []byte {
 	return buf
 }
 
-// decisionLog collects the simulator adapter's decisions via the
-// manager's attribution sink, projected to the parity tuple.
-type decisionLog struct {
-	out []policy.ReplayDecision
-}
-
-func (l *decisionLog) RecordDecision(d server.Decision) {
-	l.out = append(l.out, policy.ReplayDecision{
-		Level:    d.Level,
-		QoSPrime: policy.Duration(d.QoSPrime),
-		Class:    d.Class,
-	})
-}
-
-// traceRecorder wraps the manager's server hooks and writes a
-// policy.Trace mirroring exactly the decisions the ReTail manager makes:
+// traceRecorder observes the ReTail manager's server and writes a
+// policy.Trace mirroring exactly the decisions the manager makes:
 // Arrival re-decides for the running head with the newcomer as the extra
 // pipeline member, Ready re-decides when fresh features land mid-run,
 // Start decides for the newly scheduled request, Complete feeds the
 // monitor. The recorder observes the same worker state at the same
-// virtual instant the manager does, so every recorded float64 equals the
-// one the manager consumed.
+// virtual instant the manager does (no manager hook changes the queue,
+// and progress read twice at one instant reads the same), so every
+// recorded float64 equals the one the manager consumed. As a decision sink it also collects the manager's
+// decisions, projected to the parity tuple.
 type traceRecorder struct {
-	inner server.Hooks
-	specs []workload.FeatureSpec
-	tr    *policy.Trace
+	specs     []workload.FeatureSpec
+	tr        *policy.Trace
+	decisions []policy.ReplayDecision
+}
+
+func (rec *traceRecorder) RecordDecision(d server.Decision) {
+	rec.decisions = append(rec.decisions, policy.ReplayDecision{
+		Level:    d.Level,
+		QoSPrime: policy.Duration(d.QoSPrime),
+		Class:    d.Class,
+	})
 }
 
 func (rec *traceRecorder) noteRequest(r *workload.Request) {
@@ -174,14 +170,13 @@ func (rec *traceRecorder) decision(e *sim.Engine, w *server.Worker, head *worklo
 	rec.tr.Events = append(rec.tr.Events, ev)
 }
 
-// Arrival mirrors manager.ReTail.Arrival's trigger: a newcomer re-decides
+// Arrived mirrors manager.ReTail.Arrival's trigger: a newcomer re-decides
 // the running head's frequency with itself as the extra member.
-func (rec *traceRecorder) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) bool {
+func (rec *traceRecorder) Arrived(e *sim.Engine, w *server.Worker, r *workload.Request, _ bool) {
 	rec.noteRequest(r)
 	if cur := w.Current(); cur != nil {
 		rec.decision(e, w, cur, w.ProgressFraction(e.Now()), r)
 	}
-	return rec.inner.Arrival(e, w, r)
 }
 
 // Ready mirrors manager.ReTail.Ready: fresh features re-decide for the
@@ -190,23 +185,20 @@ func (rec *traceRecorder) Ready(e *sim.Engine, w *server.Worker, r *workload.Req
 	if cur := w.Current(); cur != nil && cur != r {
 		rec.decision(e, w, cur, w.ProgressFraction(e.Now()), nil)
 	}
-	rec.inner.Ready(e, w, r)
 }
 
-// Start mirrors manager.ReTail.Start: every scheduled request decides.
-func (rec *traceRecorder) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
+// Started mirrors manager.ReTail.Start: every scheduled request decides.
+func (rec *traceRecorder) Started(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	rec.decision(e, w, r, 0, nil)
-	rec.inner.Start(e, w, r)
 }
 
-// Complete records the monitor observation.
-func (rec *traceRecorder) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
+// Completed records the monitor observation.
+func (rec *traceRecorder) Completed(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{
 		Kind:    policy.CompletionEvent,
 		At:      policy.Time(e.Now()),
 		Sojourn: float64(r.Sojourn()),
 	})
-	rec.inner.Complete(e, w, r)
 }
 
 // parityTimer adapts the sim engine to policy.Timer for the recorder's
@@ -258,14 +250,10 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 	// retraining, so the model replayed later is bit-identical to the one
 	// recorded.
 	m := frozenReTail(cal)
-
-	log := &decisionLog{}
-	m.SetDecisionSink(log)
-
-	tr := &policy.Trace{
+	rec := &traceRecorder{specs: app.FeatureSpecs(), tr: &policy.Trace{
 		Features: map[uint64][]float64{},
 		Gens:     map[uint64]policy.Time{},
-	}
+	}}
 	ticks := 0
 	_, err = core.Run(core.RunConfig{
 		App:      app,
@@ -275,8 +263,7 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		Duration: sim.Duration(cfg.Duration),
 		Seed:     cfg.Seed,
 		Instrument: func(e *sim.Engine, srv *server.Server) {
-			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: tr}
-			srv.Hooks = rec
+			srv.Observe(rec)
 			policy.RunMonitor(parityTimer{e}, m.MonitorSettings().Interval, "parity.tick",
 				func(now policy.Time) {
 					ticks++
@@ -288,14 +275,14 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		return nil, fmt.Errorf("parity: sim run: %w", err)
 	}
 
-	replay := live.ReplayDecisions(tr, cal.Model, platform.Grid, m.MonitorSettings(), policy.ClassTargets{})
+	replay := live.ReplayDecisions(rec.tr, cal.Model, platform.Grid, m.MonitorSettings(), policy.ClassTargets{})
 	res := &ParityResult{
-		Sim:         log.out,
+		Sim:         rec.decisions,
 		Replay:      replay,
 		Ticks:       ticks,
-		SimBytes:    EncodeDecisions(log.out),
+		SimBytes:    EncodeDecisions(rec.decisions),
 		ReplayBytes: EncodeDecisions(replay),
-		Trace:       tr,
+		Trace:       rec.tr,
 		Model:       cal.Model,
 		Grid:        platform.Grid,
 		Monitor:     m.MonitorSettings(),

@@ -77,8 +77,7 @@ func LoadSpike(cfg Config, appName string) (*LoadSpikeResult, error) {
 	var flight *trace.FlightRecorder
 	if cfg.Trace {
 		flight = trace.NewFlightRecorder(trace.FlightRecorderConfig{QoS: app.QoS()})
-		flight.Attach(srv)
-		rt.SetDecisionSink(flight)
+		srv.Observe(flight)
 	}
 	lat := newTimedTail(app.QoS().Percentile)
 	srv.CompletedSink = func(en *sim.Engine, r *workload.Request) {

@@ -200,8 +200,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 	res := &Fig14Result{InterfereAt: onset, Factor: factor}
 	if cfg.Trace {
 		res.Flight = trace.NewFlightRecorder(trace.FlightRecorderConfig{QoS: app.QoS()})
-		res.Flight.Attach(srv)
-		rt.SetDecisionSink(res.Flight)
+		srv.Observe(res.Flight)
 	}
 
 	lat := newTimedTail(app.QoS().Percentile)

@@ -192,21 +192,18 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 	// Recording run: the v2 trace taps the generator→server path while
 	// the policy trace records everything the decision core consumed.
 	m1 := frozenReTail(cal)
-	log := &decisionLog{}
-	m1.SetDecisionSink(log)
-	ptr := &policy.Trace{
+	rec := &traceRecorder{specs: app.FeatureSpecs(), tr: &policy.Trace{
 		Features: map[uint64][]float64{},
 		Gens:     map[uint64]policy.Time{},
 		Classes:  map[uint64]uint8{},
-	}
+	}}
 	trace := workload.NewTrace(scaled, cfg.Seed)
 	run := core.RunConfig{
 		App: app, Platform: platform, Manager: m1,
 		Spec: scaled, Record: trace,
 		Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
 		Instrument: func(e *sim.Engine, srv *server.Server) {
-			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: ptr}
-			srv.Hooks = rec
+			srv.Observe(rec)
 			policy.RunMonitor(parityTimer{e}, m1.MonitorSettings().Interval, "parity.tick",
 				func(now policy.Time) {
 					rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
@@ -246,14 +243,14 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 	// Live parity: replay the recorded decision inputs through the live
 	// runtime's ReTail policy with the spec's class targets and demand a
 	// byte-identical classed decision stream.
-	simStream := EncodeClassedDecisions(log.out)
-	replayed := live.ReplayDecisions(ptr, cal.Model, platform.Grid,
+	simStream := EncodeClassedDecisions(rec.decisions)
+	replayed := live.ReplayDecisions(rec.tr, cal.Model, platform.Grid,
 		m1.MonitorSettings(), policy.NewClassTargets(scales))
 	liveStream := EncodeClassedDecisions(replayed)
 	parityOK := string(simStream) == string(liveStream)
 	if !parityOK {
 		return nil, fmt.Errorf("workload %s: live policy diverged from simulator (%d vs %d decisions)",
-			spec.Name, len(log.out), len(replayed))
+			spec.Name, len(rec.decisions), len(replayed))
 	}
 	decSum := sha256.Sum256(simStream)
 
@@ -271,7 +268,7 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 		Records:   len(trace.Records),
 		RoundTrip: roundTrip,
 
-		Decisions:   len(log.out),
+		Decisions:   len(rec.decisions),
 		DecisionSHA: hex.EncodeToString(decSum[:]),
 		ParityOK:    parityOK,
 	}, nil

@@ -68,8 +68,6 @@ type Gemini struct {
 	inferences uint64
 	boosts     int
 	dropped    int
-	// sink receives decision-attribution records (nil = tracing off).
-	sink server.DecisionSink
 }
 
 // NewGemini builds the manager around cfg.Policy.
@@ -92,11 +90,6 @@ func (m *Gemini) Inferences() uint64 { return m.inferences }
 
 // Boosts returns how many two-step boosts fired.
 func (m *Gemini) Boosts() int { return m.boosts }
-
-// SetDecisionSink attaches a decision-attribution sink (nil = off). The
-// emitted Decision reuses the prediction the two-step DVFS logic already
-// computed, so tracing never perturbs the inference count or timing.
-func (m *Gemini) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 
 // Attach implements Manager.
 func (m *Gemini) Attach(e *sim.Engine, s *server.Server) {
@@ -178,8 +171,10 @@ func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	chosen, predicted := m.cfg.Policy.Decide(float64(e.Now()), &m.pipe)
 	m.pipe.r = nil
 	maxLvl := m.grid.MaxLevel()
-	if m.sink != nil {
-		m.sink.RecordDecision(server.Decision{
+	// The Decision reuses the prediction the two-step DVFS logic already
+	// computed, so observing never perturbs the inference count or timing.
+	if w.WantsDecisions() {
+		w.RecordDecision(server.Decision{
 			At:               e.Now(),
 			Worker:           w.ID,
 			Head:             r.ID,

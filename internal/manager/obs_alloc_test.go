@@ -8,15 +8,14 @@ import (
 
 // TestRetailDecideZeroAllocWithLedger pins the observability plane's
 // acceptance criterion: the complete decision path stays at 0 allocs/op
-// in steady state even with an obs.NodeLedger on the hooks chain AND
+// in steady state even with an obs.NodeLedger observing the server AND
 // receiving the decision stream — attribution must be free enough to
 // leave on for any run that wants a report.
 func TestRetailDecideZeroAllocWithLedger(t *testing.T) {
 	rig, m := benchDecideRig(t, 8, func(cfg *ReTailConfig) {
 		cfg.InferenceCost = 1e-15
 	})
-	led := obs.AttachLedger(rig.srv, rig.app.qos)
-	m.SetDecisionSink(led)
+	obs.AttachLedger(rig.srv, rig.app.qos)
 	w := rig.srv.Workers()[0]
 	head := w.Current()
 	step := func() {

@@ -120,12 +120,10 @@ type ReTail struct {
 	// monDisabled caches the monitor ablation switch for the tick path.
 	monDisabled bool
 
-	// sink receives decision-attribution records (nil = tracing off; the
-	// decide path then stays allocation-free and byte-identical to the
-	// untraced build). bindID tracks Algorithm 1's binding request — the
-	// pipeline member whose predicted deadline forced the search past the
-	// previous level — at the cost of one scalar store per failed check.
-	sink   server.DecisionSink
+	// bindID tracks Algorithm 1's binding request — the pipeline member
+	// whose predicted deadline forced the search past the previous level —
+	// at the cost of one scalar store per failed check; decide reports it
+	// in the Decision it hands the server's decision sinks.
 	bindID uint64
 
 	// freqFree pools the deferred frequency-write callbacks so decide
@@ -202,15 +200,6 @@ func (m *ReTail) Instrument(reg *telemetry.Registry, app string) {
 		"Model-drift episodes detected (RMSE/QoS above baseline+threshold).", appLabel)
 	m.drift.OnDrift(driftCounter.Inc)
 }
-
-// SetDecisionSink attaches a decision-attribution sink (the trace flight
-// recorder). A nil sink — the default — keeps the decide path identical to
-// the untraced build; a non-nil sink receives one Decision per Algorithm 1
-// invocation carrying the chosen level, the binding request, QoS′ and the
-// predicted service time. Attaching a sink never changes simulated
-// behavior: the attribution lookups are host-side reads of the prediction
-// slots and are not charged to the modeled inference budget.
-func (m *ReTail) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 
 // SetClassTargets installs per-SLO-class QoS′ multipliers (from a cohort
 // spec's class table). The empty value restores the single-class
@@ -346,9 +335,9 @@ func (m *ReTail) predict(lvl cpu.Level, r *workload.Request) float64 {
 // simulator's own CPU and allocation cost, not the modeled runtime's work.
 // Counting slot hits therefore keeps decision delays — and every simulated
 // timing downstream of them — byte-identical to a cache-free
-// implementation. The decision sink's attribution read calls predict
-// directly: it is host-side observability, and charging it would make a
-// traced run diverge from an untraced one.
+// implementation. The decision's attribution read (decide) calls predict
+// directly: it is host-side observability, and charging it would make an
+// observed run diverge from an unobserved one.
 func (m *ReTail) predictService(lvl cpu.Level, r *workload.Request) float64 {
 	m.inferences++
 	return m.predict(lvl, r)
@@ -419,7 +408,7 @@ func (p *simPipeline) clear() { p.head, p.queue, p.extra = nil, nil, nil }
 // deadline check overwrites it, so when the search settles on level L
 // the field holds whichever request ruled out L−1 (or forced the
 // max-level fallback). A scalar store per failure keeps the hot loop
-// allocation-free whether or not a sink is attached.
+// allocation-free whether or not a decision sink is registered.
 func (m *ReTail) targetLevel(e *sim.Engine, w *server.Worker, head *workload.Request, headProgress float64, extra *workload.Request) cpu.Level {
 	m.pipe.fill(w, head, headProgress, extra)
 	// The head's SLO class scales the budget (identity when no class
@@ -477,8 +466,13 @@ func (m *ReTail) decide(e *sim.Engine, w *server.Worker, head *workload.Request,
 		m.decisionCounter.Inc()
 	}
 	cost := sim.Duration(float64(m.inferences-before)) * m.cfg.InferenceCost
-	if m.sink != nil {
-		m.sink.RecordDecision(server.Decision{
+	// With a decision sink on the server, report one Decision per
+	// Algorithm 1 invocation: the chosen level, the binding request, QoS′
+	// and the predicted service time. The prediction is a host-side read
+	// of the head's slot, not charged to the modeled inference budget, so
+	// an observed run never diverges from an unobserved one.
+	if w.WantsDecisions() {
+		w.RecordDecision(server.Decision{
 			At:               e.Now(),
 			Worker:           w.ID,
 			Head:             head.ID,

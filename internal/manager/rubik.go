@@ -35,8 +35,6 @@ type Rubik struct {
 	pol *policy.Rubik
 	// pipe is the persistent pipeline view handed to the policy.
 	pipe simPipeline
-	// sink receives decision-attribution records (nil = tracing off).
-	sink server.DecisionSink
 }
 
 // NewRubik builds the manager around the policy value policy.New built.
@@ -46,11 +44,6 @@ func (m *Rubik) Name() string { return "rubik" }
 
 // Inferences returns the tail-estimate count.
 func (m *Rubik) Inferences() uint64 { return m.pol.Estimates() }
-
-// SetDecisionSink attaches a decision-attribution sink (nil = off).
-// Attribution reads reuse values the decision loop already computed, so a
-// traced Rubik run is byte-identical to an untraced one.
-func (m *Rubik) SetDecisionSink(sink server.DecisionSink) { m.sink = sink }
 
 // Attach implements Manager.
 func (m *Rubik) Attach(e *sim.Engine, s *server.Server) { s.Hooks = m }
@@ -76,8 +69,10 @@ func (m *Rubik) decide(e *sim.Engine, w *server.Worker, head *workload.Request, 
 	bindID := m.pipe.req(bind).ID
 	queueLen := len(m.pipe.queue)
 	m.pipe.clear()
-	if m.sink != nil {
-		m.sink.RecordDecision(server.Decision{
+	// Attribution reuses values the decision loop already computed, so an
+	// observed Rubik run is byte-identical to an unobserved one.
+	if w.WantsDecisions() {
+		w.RecordDecision(server.Decision{
 			At:               now,
 			Worker:           w.ID,
 			Head:             head.ID,

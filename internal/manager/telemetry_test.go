@@ -11,7 +11,7 @@ import (
 
 // TestReTailInstrumented runs the Fig 14 drift loop with the telemetry
 // substrate attached at both layers (manager control signals + server
-// hooks chain) and checks that every exported instrument tracks the
+// observer) and checks that every exported instrument tracks the
 // manager's own accounting.
 func TestReTailInstrumented(t *testing.T) {
 	app := varApp{base: 5e-3, slope: 0.5e-3, spread: 10, qos: workload.QoS{Latency: 40e-3, Percentile: 99}}
@@ -24,8 +24,6 @@ func TestReTailInstrumented(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m.Instrument(reg, app.Name())
 	m.Attach(rig.e, rig.srv)
-	// Chain order: manager first (Attach replaces Hooks), then telemetry
-	// wraps it.
 	server.AttachTelemetry(rig.srv, reg, app.Name(), app.QoS())
 
 	gen := workload.NewGenerator(app, 0.5*2/7.5e-3, 13, rig.srv.Submit)

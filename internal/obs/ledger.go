@@ -10,9 +10,9 @@
 //   - NodeLedger (this file): an energy×QoS ledger attributing every
 //     joule to an app × node × frequency-level cell and every QoS
 //     violation to a decision cause (queueing / mispredict /
-//     decision-delay, the trace.Audit vocabulary), accumulated on the
-//     hooks chain with the same zero-alloc discipline as
-//     internal/telemetry — TestClusterLedgerDecideZeroAlloc pins it.
+//     decision-delay, the trace.Audit vocabulary), accumulated by a
+//     server observer with the same zero-alloc discipline as
+//     internal/telemetry — TestRetailDecideZeroAllocWithLedger pins it.
 //   - Report (report.go): a versioned run-report JSON with benchjson-
 //     style provenance stamps, byte-stable at a fixed seed once the
 //     provenance block is masked, so reports diff across PRs.
@@ -50,9 +50,8 @@ type pendingDecision struct {
 }
 
 // NodeLedger attributes one node's completions, violations and drops
-// per frequency level and violation cause. It is a pure observer on the
-// server's hooks chain (attach after the manager, like TelemetryHooks)
-// and implements server.DecisionSink for the cause attribution; energy
+// per frequency level and violation cause. It is a server.Observer, and
+// a server.DecisionSink for the cause attribution; energy
 // is not accumulated here — it lives in cpu.Socket.EnergyByLevel, and
 // Summary marries the two at read time so Σ joules always equals what
 // the socket reports.
@@ -61,7 +60,7 @@ type pendingDecision struct {
 // integers, the pending map holds value-type entries that recycle as
 // requests complete, and cause attribution builds a stack trace.Span.
 type NodeLedger struct {
-	inner  server.Hooks
+	server.NoopObserver
 	qos    workload.QoS
 	levels int
 
@@ -71,21 +70,18 @@ type NodeLedger struct {
 	pending     map[uint64]pendingDecision
 }
 
-// AttachLedger wraps the server's current hooks (install the power
-// manager — and any telemetry — first) with a new ledger. Hand the
-// returned ledger to the manager's SetDecisionSink (via TeeDecisionSink
-// when a flight recorder is also attached) for cause attribution;
-// without a sink every violation falls back to the mispredict cause,
+// AttachLedger registers a new ledger as an observer of s. It receives
+// the decisions of s's manager for cause attribution; under a manager
+// that emits none, every violation falls back to the mispredict cause,
 // exactly as trace.Attribute does for spans with no recorded decision.
 func AttachLedger(s *server.Server, qos workload.QoS) *NodeLedger {
 	l := &NodeLedger{
-		inner:   s.Hooks,
 		qos:     qos,
 		levels:  s.Socket.Cores[0].Grid().Levels(),
 		pending: map[uint64]pendingDecision{},
 	}
 	l.cells = make([]LevelCell, l.levels)
-	s.Hooks = l
+	s.Observe(l)
 	return l
 }
 
@@ -101,30 +97,18 @@ func (l *NodeLedger) Reset() {
 	}
 }
 
-// Arrival implements server.Hooks.
-func (l *NodeLedger) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) bool {
-	ok := l.inner.Arrival(e, w, r)
-	if !ok {
+// Arrived implements server.Observer.
+func (l *NodeLedger) Arrived(e *sim.Engine, w *server.Worker, r *workload.Request, kept bool) {
+	if !kept {
 		l.drops++
 	}
-	return ok
 }
 
-// Ready implements server.Hooks.
-func (l *NodeLedger) Ready(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	l.inner.Ready(e, w, r)
-}
-
-// Start implements server.Hooks.
-func (l *NodeLedger) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	l.inner.Start(e, w, r)
-}
-
-// Complete implements server.Hooks: tally the completion under its
+// Completed implements server.Observer: tally the completion under its
 // served level and, on a QoS violation, attribute a cause with the
 // trace.Audit rule — largest of queueing delay, positive prediction
 // error and accumulated decision delay wins.
-func (l *NodeLedger) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
+func (l *NodeLedger) Completed(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	lvl := r.ServedLevel
 	if lvl < 0 {
 		lvl = 0
@@ -152,7 +136,6 @@ func (l *NodeLedger) Complete(e *sim.Engine, w *server.Worker, r *workload.Reque
 		}
 		cell.Violations[trace.Attribute(sp)]++
 	}
-	l.inner.Complete(e, w, r)
 }
 
 // RecordDecision implements server.DecisionSink: remember the head
@@ -165,7 +148,7 @@ func (l *NodeLedger) RecordDecision(d server.Decision) {
 	l.pending[d.Head] = p
 }
 
-// Drops returns arrivals the hooks chain rejected since the last Reset.
+// Drops returns arrivals the manager rejected since the last Reset.
 func (l *NodeLedger) Drops() uint64 { return l.drops }
 
 // Completions returns completions since the last Reset.
@@ -188,7 +171,7 @@ func (l *NodeLedger) Cells() []LevelCell {
 }
 
 // Summary assembles the serializable ledger view for one node, marrying
-// the hook-side tallies with the socket-side energy split the caller
+// the observed tallies with the socket-side energy split the caller
 // reads from cpu.Socket (EnergyByLevel and UncoreJoules over the same
 // measurement epoch as the last Reset). Every level appears, active or
 // not, so reports are fixed-shape and diffable.
@@ -262,25 +245,4 @@ func (n NodeSummary) Completions() uint64 {
 		c += l.Completions
 	}
 	return c
-}
-
-// teeSink fans decisions out to two sinks.
-type teeSink struct{ a, b server.DecisionSink }
-
-func (t teeSink) RecordDecision(d server.Decision) {
-	t.a.RecordDecision(d)
-	t.b.RecordDecision(d)
-}
-
-// TeeDecisionSink returns a sink forwarding to both arguments, so a
-// flight recorder and a ledger can observe the same decision stream.
-// Nil arguments collapse: the other sink is returned directly.
-func TeeDecisionSink(a, b server.DecisionSink) server.DecisionSink {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return teeSink{a, b}
 }

@@ -14,9 +14,11 @@ import (
 // violation.
 //
 // The struct is passed by value and carries only scalars so emitting a
-// decision never allocates; managers skip the emission entirely when no
-// sink is attached, keeping the decision hot path identical to the
-// untraced build.
+// decision never allocates. Managers emit through the deciding worker
+// (Worker.RecordDecision), which fans the value out to every observer of
+// its server that implements DecisionSink; they skip the emission
+// entirely while Worker.WantsDecisions is false, keeping the decision hot
+// path identical to the unobserved build.
 type Decision struct {
 	// At is the virtual time the decision was computed (the frequency
 	// write lands DecisionDelay later).
@@ -53,10 +55,11 @@ type Decision struct {
 	PredictedService float64
 }
 
-// DecisionSink receives frequency decisions from a power manager.
+// DecisionSink receives frequency decisions. An Observer that implements
+// it gets every decision made on the server it observes (Server.Observe);
+// the flight recorder, the ledger and the parity recorder do.
 // Implementations must not retain pointers into manager state; the
-// Decision value is self-contained. internal/trace aliases this type as
-// trace.DecisionSink and implements it with the span flight recorder.
+// Decision value is self-contained.
 type DecisionSink interface {
 	RecordDecision(Decision)
 }

@@ -21,8 +21,11 @@ import (
 	"retail/internal/workload"
 )
 
-// Hooks is the power manager's attachment surface. All methods may be nil
-// in a Hooks implementation via NoopHooks embedding.
+// Hooks is the power manager's attachment surface: it holds the one
+// manager, whose Arrival verdict and Start frequency steer the run.
+// Components that only watch — telemetry, the ledger, the flight
+// recorder — register as Observers instead. All methods may be nil in a
+// Hooks implementation via NoopHooks embedding.
 type Hooks interface {
 	// Arrival fires when a request reaches a worker's queue, before
 	// anything else. Returning false drops the request (Gemini's load
@@ -47,6 +50,30 @@ func (NoopHooks) Arrival(*sim.Engine, *Worker, *workload.Request) bool { return 
 func (NoopHooks) Ready(*sim.Engine, *Worker, *workload.Request)        {}
 func (NoopHooks) Start(*sim.Engine, *Worker, *workload.Request)        {}
 func (NoopHooks) Complete(*sim.Engine, *Worker, *workload.Request)     {}
+
+// Observer watches a server's request lifecycle without steering it.
+// The server calls every registered observer, in registration order, at
+// fixed points around the manager's hooks: Arrived and Started after the
+// manager's Arrival and Start (Arrived with the manager's verdict; a
+// dropped request gets no further calls), Ready and Completed before the
+// manager's Ready and Complete. CompletedSink and DroppedSink run after
+// all of them, since they recycle the request. An observer that also
+// implements DecisionSink receives every decision made on the server.
+type Observer interface {
+	Arrived(e *sim.Engine, w *Worker, r *workload.Request, kept bool)
+	Ready(e *sim.Engine, w *Worker, r *workload.Request)
+	Started(e *sim.Engine, w *Worker, r *workload.Request)
+	Completed(e *sim.Engine, w *Worker, r *workload.Request)
+}
+
+// NoopObserver implements Observer with no behavior; embed it to
+// implement only some callbacks.
+type NoopObserver struct{}
+
+func (NoopObserver) Arrived(*sim.Engine, *Worker, *workload.Request, bool) {}
+func (NoopObserver) Ready(*sim.Engine, *Worker, *workload.Request)         {}
+func (NoopObserver) Started(*sim.Engine, *Worker, *workload.Request)       {}
+func (NoopObserver) Completed(*sim.Engine, *Worker, *workload.Request)     {}
 
 // DispatchPolicy selects the worker for an arriving request.
 type DispatchPolicy int
@@ -89,6 +116,9 @@ type Server struct {
 
 	interference float64
 
+	observers []Observer
+	sinks     []DecisionSink // the observers that take decisions
+
 	// CompletedSink, when set, receives every finished request.
 	CompletedSink func(e *sim.Engine, r *workload.Request)
 	// DroppedSink, when set, receives every dropped request.
@@ -122,14 +152,21 @@ func New(cfg Config) *Server {
 		// Bind the worker's event callbacks once: the per-request hot path
 		// (stage-1 ready, completion) then schedules via AtCall with no
 		// closure allocation.
-		w.readyFn = func(en *sim.Engine, arg any) {
-			w.server.Hooks.Ready(en, w, arg.(*workload.Request))
-		}
+		w.readyFn = func(en *sim.Engine, arg any) { w.ready(en, arg.(*workload.Request)) }
 		w.completeFn = func(en *sim.Engine, _ any) { w.complete(en) }
 		s.workers = append(s.workers, w)
 	}
 	s.jsqLoad = func(i int) int { return s.workers[i].Outstanding() }
 	return s
+}
+
+// Observe registers o to watch every request from now on (see Observer).
+// If o also implements DecisionSink, it receives the server's decisions.
+func (s *Server) Observe(o Observer) {
+	s.observers = append(s.observers, o)
+	if ds, ok := o.(DecisionSink); ok {
+		s.sinks = append(s.sinks, ds)
+	}
 }
 
 // Workers returns the worker pool.
@@ -288,8 +325,33 @@ func (w *Worker) fullDuration(r *workload.Request) sim.Duration {
 	return r.ServiceAt(w.core.EffectiveFreq(), g.MaxFreq(), w.server.interference)
 }
 
+// WantsDecisions reports whether any observer of w's server takes
+// decisions. Managers build a Decision — and read whatever attribution it
+// carries — only when it does, so an unwatched decide path stays as cheap
+// as one with no sink at all.
+func (w *Worker) WantsDecisions() bool { return len(w.server.sinks) > 0 }
+
+// RecordDecision hands d to every decision-taking observer of w's server.
+func (w *Worker) RecordDecision(d Decision) {
+	for _, k := range w.server.sinks {
+		k.RecordDecision(d)
+	}
+}
+
+// ready runs the stage-1-complete callbacks: observers, then the manager.
+func (w *Worker) ready(e *sim.Engine, r *workload.Request) {
+	for _, o := range w.server.observers {
+		o.Ready(e, w, r)
+	}
+	w.server.Hooks.Ready(e, w, r)
+}
+
 func (w *Worker) enqueue(e *sim.Engine, r *workload.Request) {
-	if !w.server.Hooks.Arrival(e, w, r) {
+	kept := w.server.Hooks.Arrival(e, w, r)
+	for _, o := range w.server.observers {
+		o.Arrived(e, w, r, kept)
+	}
+	if !kept {
 		r.Dropped = true
 		w.server.dropped++
 		if w.server.DroppedSink != nil {
@@ -309,7 +371,7 @@ func (w *Worker) enqueue(e *sim.Engine, r *workload.Request) {
 	w.queue = append(w.queue, r)
 	if frac == 0 {
 		// Request features only: observable the moment the packet arrives.
-		w.server.Hooks.Ready(e, w, r)
+		w.ready(e, r)
 		return
 	}
 	// Busy worker: stage 1 interrupts the running request (the paper's
@@ -352,11 +414,14 @@ func (w *Worker) start(e *sim.Engine, stage2Scale float64, stage1Charged sim.Dur
 	w.current = &w.execSlot
 	w.core.SetBusy(e, true)
 	w.server.Hooks.Start(e, w, r)
+	for _, o := range w.server.observers {
+		o.Started(e, w, r)
+	}
 	if readyFrac > 0 {
 		d1 := sim.Duration(readyFrac * float64(w.fullDuration(r)))
 		w.current.readyEv = e.AfterCall(d1, "server.ready", w.readyFn, r)
 	} else if readyFrac == 0 && !r.Stage1Done {
-		w.server.Hooks.Ready(e, w, r)
+		w.ready(e, r)
 	}
 	w.rescheduleCompletion(e)
 }
@@ -428,6 +493,9 @@ func (w *Worker) complete(e *sim.Engine) {
 	r.End = e.Now()
 	r.ServedLevel = int(w.core.EffectiveLevel())
 	w.server.completed++
+	for _, o := range w.server.observers {
+		o.Completed(e, w, r)
+	}
 	w.server.Hooks.Complete(e, w, r)
 	if w.server.CompletedSink != nil {
 		w.server.CompletedSink(e, r)

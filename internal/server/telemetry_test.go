@@ -23,7 +23,7 @@ func (v variableApp) Generate(rng *rand.Rand) *workload.Request {
 }
 
 // TestTelemetryHooksMatchLatencyTracker is the sim-side acceptance demo:
-// a simulated load run records through the telemetry hooks chain and the
+// a simulated load run records through the telemetry observer and the
 // histogram p95 must agree with stats.LatencyTracker's exact p95 within
 // one bucket width.
 func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {

@@ -1,3 +1,11 @@
+// Package trace is the simulator's request flight recorder: a server
+// observer that keeps one span per request — arrival, feature-ready,
+// start and completion plus the attribution of the frequency decisions
+// made for it — tail-samples the spans into bounded rings, and exports
+// them as a Chrome/Perfetto trace or CSV. Audit folds the retained spans
+// into per-cause violation counts and prediction-error tables: the
+// artifact an operator of the real system wants when debugging a QoS
+// violation.
 package trace
 
 import (
@@ -10,17 +18,8 @@ import (
 	"retail/internal/workload"
 )
 
-// Decision and DecisionSink are the manager-side emission surface; they
-// live in internal/server (the hooks package both managers and observers
-// already import) so that managers do not depend on this package. The
-// canonical consumer is the FlightRecorder below.
-type (
-	Decision     = server.Decision
-	DecisionSink = server.DecisionSink
-)
-
-// Span is one request's complete, decision-attributed journey: the
-// lifecycle timestamps the flat Recorder journals, plus *why* the request
+// Span is one request's complete, decision-attributed journey: its
+// lifecycle timestamps, plus *why* the request
 // ran the way it did — queue depth at arrival, the chosen frequency level,
 // the binding request that forced Algorithm 1 to that level, the
 // predictor's estimate versus the measured service time, and the internal
@@ -118,9 +117,9 @@ type FlightRecorderConfig struct {
 	FreqCapacity int
 }
 
-// FlightRecorder is the span-based flight recorder: it taps the server's
-// hooks chain (wrapping the power manager, like Recorder) for lifecycle
-// timestamps and implements DecisionSink for attribution. Completed spans
+// FlightRecorder is the span-based flight recorder: a server.Observer
+// (register it with Server.Observe) for lifecycle timestamps, and a
+// server.DecisionSink for attribution. Completed spans
 // go through tail-sampling into two bounded rings:
 //
 //   - the *interesting* ring always keeps QoS-violating spans, dropped
@@ -135,8 +134,7 @@ type FlightRecorderConfig struct {
 // observer: attaching it never changes simulated behavior (decisions,
 // timing, power) — pinned by TestFlightRecorderPreservesBehavior.
 type FlightRecorder struct {
-	inner server.Hooks
-	cfg   FlightRecorderConfig
+	cfg FlightRecorderConfig
 
 	active map[uint64]*Span
 	free   []*Span
@@ -200,14 +198,6 @@ func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	}
 }
 
-// Attach interposes the recorder between the server and its current hooks
-// (the power manager). Call after manager.Attach, and hand the recorder to
-// the manager's SetDecisionSink for attribution.
-func (fr *FlightRecorder) Attach(s *server.Server) {
-	fr.inner = s.Hooks
-	s.Hooks = fr
-}
-
 func (fr *FlightRecorder) spanFor(r *workload.Request) *Span {
 	var sp *Span
 	if n := len(fr.free); n > 0 {
@@ -225,17 +215,13 @@ func (fr *FlightRecorder) spanFor(r *workload.Request) *Span {
 	return sp
 }
 
-// Arrival implements server.Hooks.
-func (fr *FlightRecorder) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) bool {
+// Arrived implements server.Observer.
+func (fr *FlightRecorder) Arrived(e *sim.Engine, w *server.Worker, r *workload.Request, kept bool) {
 	sp := fr.spanFor(r)
 	sp.Worker = w.ID
 	sp.Arrival = e.Now()
 	sp.QueueAtArrival = len(w.Queue())
-	keep := true
-	if fr.inner != nil {
-		keep = fr.inner.Arrival(e, w, r)
-	}
-	if !keep {
+	if !kept {
 		// Dropped on arrival: the span ends here and is always retained —
 		// shed load is exactly what an operator debugging a violation
 		// storm wants to see.
@@ -246,33 +232,26 @@ func (fr *FlightRecorder) Arrival(e *sim.Engine, w *server.Worker, r *workload.R
 		fr.dropped++
 		fr.keep(sp)
 	}
-	return keep
 }
 
-// Ready implements server.Hooks.
+// Ready implements server.Observer.
 func (fr *FlightRecorder) Ready(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	if sp := fr.active[r.ID]; sp != nil {
 		sp.Ready = e.Now()
 	}
-	if fr.inner != nil {
-		fr.inner.Ready(e, w, r)
-	}
 }
 
-// Start implements server.Hooks.
-func (fr *FlightRecorder) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	if fr.inner != nil {
-		fr.inner.Start(e, w, r)
-	}
+// Started implements server.Observer.
+func (fr *FlightRecorder) Started(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	if sp := fr.active[r.ID]; sp != nil {
 		sp.Start = e.Now()
 		sp.Worker = w.ID
 	}
 }
 
-// Complete implements server.Hooks: finalize the span and run it through
-// the tail-sampling policy.
-func (fr *FlightRecorder) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
+// Completed implements server.Observer: finalize the span and run it
+// through the tail-sampling policy.
+func (fr *FlightRecorder) Completed(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	if sp := fr.active[r.ID]; sp != nil {
 		delete(fr.active, r.ID)
 		sp.End = e.Now()
@@ -296,9 +275,6 @@ func (fr *FlightRecorder) Complete(e *sim.Engine, w *server.Worker, r *workload.
 		}
 		fr.p99.Add(soj)
 	}
-	if fr.inner != nil {
-		fr.inner.Complete(e, w, r)
-	}
 }
 
 func (fr *FlightRecorder) keep(sp *Span) {
@@ -317,9 +293,9 @@ func (fr *FlightRecorder) keepSampled(sp *Span) {
 	}
 }
 
-// RecordDecision implements DecisionSink: annotate the head request's span
-// and extend the frequency counter track.
-func (fr *FlightRecorder) RecordDecision(d Decision) {
+// RecordDecision implements server.DecisionSink: annotate the head
+// request's span and extend the frequency counter track.
+func (fr *FlightRecorder) RecordDecision(d server.Decision) {
 	if sp := fr.active[d.Head]; sp != nil {
 		sp.Level = int(d.Level)
 		sp.Binding = d.Binding

@@ -13,8 +13,8 @@ import (
 	"retail/internal/workload"
 )
 
-// flightRun drives a ReTail-managed server with a FlightRecorder attached
-// and the manager's decision sink wired to it.
+// flightRun drives a ReTail-managed server with a FlightRecorder
+// observing it (and so taking the manager's decisions).
 func flightRun(t *testing.T, cfg FlightRecorderConfig, rps float64, horizon sim.Time) (*FlightRecorder, *server.Server) {
 	t.Helper()
 	app := workload.NewXapian()
@@ -34,8 +34,7 @@ func flightRun(t *testing.T, cfg FlightRecorderConfig, rps float64, horizon sim.
 	m := cal.NewReTail()
 	m.Attach(e, srv)
 	fr := NewFlightRecorder(cfg)
-	fr.Attach(srv)
-	m.SetDecisionSink(fr)
+	srv.Observe(fr)
 	gen := workload.NewGenerator(app, rps, 3, srv.Submit)
 	gen.Start(e)
 	e.Run(horizon)
@@ -134,8 +133,9 @@ func TestFlightRecorderBounded(t *testing.T) {
 }
 
 func TestFlightRecorderPreservesBehavior(t *testing.T) {
-	// Attaching the recorder and the decision sink must not change
-	// simulated behavior: same completions, same decision count.
+	// Observing with the recorder, which also takes every decision, must
+	// not change simulated behavior: same completions, same decision
+	// count, same inference count.
 	app := workload.NewImgDNN()
 	platform := core.DefaultPlatform().WithWorkers(2)
 	cal, err := core.Calibrate(app, platform, 100, 1)
@@ -151,9 +151,7 @@ func TestFlightRecorderPreservesBehavior(t *testing.T) {
 		m := cal.NewReTail()
 		m.Attach(e, srv)
 		if traced {
-			fr := NewFlightRecorder(FlightRecorderConfig{QoS: app.QoS()})
-			fr.Attach(srv)
-			m.SetDecisionSink(fr)
+			srv.Observe(NewFlightRecorder(FlightRecorderConfig{QoS: app.QoS()}))
 		}
 		gen := workload.NewGenerator(app, 300, 5, srv.Submit)
 		gen.Start(e)
@@ -183,7 +181,7 @@ func (d *dropEvery) Arrival(*sim.Engine, *server.Worker, *workload.Request) bool
 	return d.seen%d.n != 0
 }
 
-func droppedRun(t *testing.T) (*Recorder, *FlightRecorder, *server.Server) {
+func droppedRun(t *testing.T) (*FlightRecorder, *server.Server) {
 	t.Helper()
 	app := workload.NewXapian()
 	platform := core.DefaultPlatform().WithWorkers(2)
@@ -195,32 +193,18 @@ func droppedRun(t *testing.T) (*Recorder, *FlightRecorder, *server.Server) {
 	d := &dropEvery{n: 3}
 	d.Attach(e, srv)
 	fr := NewFlightRecorder(FlightRecorderConfig{QoS: app.QoS()})
-	fr.Attach(srv)
-	rec := NewRecorder(0)
-	rec.Attach(srv)
+	srv.Observe(fr)
 	gen := workload.NewGenerator(app, 400, 3, srv.Submit)
 	gen.Start(e)
 	e.Run(1)
 	gen.Stop()
-	return rec, fr, srv
+	return fr, srv
 }
 
-func TestDroppedRequestsAreJournaled(t *testing.T) {
-	rec, fr, srv := droppedRun(t)
+func TestFlightRecorderKeepsDroppedSpans(t *testing.T) {
+	fr, srv := droppedRun(t)
 	if srv.Dropped() == 0 {
 		t.Fatal("stub manager dropped nothing")
-	}
-	drops := 0
-	for _, ev := range rec.Events() {
-		if ev.Kind == EvDropped {
-			drops++
-		}
-	}
-	if drops != srv.Dropped() {
-		t.Fatalf("journal has %d EvDropped, server dropped %d", drops, srv.Dropped())
-	}
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
 	}
 	st := fr.Stats()
 	if st.Dropped != uint64(srv.Dropped()) {
@@ -237,27 +221,6 @@ func TestDroppedRequestsAreJournaled(t *testing.T) {
 	}
 	if spanDrops == 0 {
 		t.Fatal("no dropped spans retained (drops are always-keep)")
-	}
-}
-
-func TestEventsReturnsCopy(t *testing.T) {
-	rec := NewRecorder(0)
-	rec.record(Event{At: 1, Kind: EvArrival, ReqID: 7, Worker: 0, Level: 2})
-	rec.record(Event{At: 2, Kind: EvStart, ReqID: 7, Worker: 0, Level: 2})
-	evs := rec.Events()
-	evs[0].Kind = EvComplete
-	evs[0].ReqID = 999
-	evs[1].At = -5
-	fresh := rec.Events()
-	if fresh[0].Kind != EvArrival || fresh[0].ReqID != 7 || fresh[1].At != 2 {
-		t.Fatalf("caller mutation leaked into the journal: %+v", fresh)
-	}
-	if err := rec.Validate(); err != nil {
-		t.Fatalf("journal corrupted by caller mutation: %v", err)
-	}
-	// EventsUnsafe is the documented aliasing escape hatch.
-	if unsafe := rec.EventsUnsafe(); &unsafe[0] != &rec.events[0] {
-		t.Fatal("EventsUnsafe should alias the backing slice")
 	}
 }
 

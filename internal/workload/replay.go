@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -44,8 +45,13 @@ func NewReplayApp(name string, qos QoS, specs []FeatureSpec, samples []ReplaySam
 		if len(s.Features) != len(specs) {
 			return nil, fmt.Errorf("workload: replay sample %d has %d features, specs %d", i, len(s.Features), len(specs))
 		}
-		if s.Service <= 0 {
-			return nil, fmt.Errorf("workload: replay sample %d has non-positive service %v", i, s.Service)
+		if svc := float64(s.Service); !(svc > 0) || math.IsInf(svc, 1) {
+			return nil, fmt.Errorf("workload: replay sample %d has service %v, want finite and positive", i, s.Service)
+		}
+		for j, v := range s.Features {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("workload: replay sample %d feature %s is %v, want finite", i, specs[j].Name, v)
+			}
 		}
 	}
 	return &ReplayApp{name: name, qos: qos, specs: specs, samples: samples, cf: computeFrac}, nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,6 +24,16 @@ func TestReplayAppValidation(t *testing.T) {
 	neg := []ReplaySample{{Features: []float64{1}, Service: -1}}
 	if _, err := NewReplayApp("r", qos, specs, neg, 0.8); err == nil {
 		t.Fatal("negative service accepted")
+	}
+	for _, s := range []ReplaySample{
+		{Features: []float64{1}, Service: sim.Duration(math.NaN())},
+		{Features: []float64{1}, Service: sim.Duration(math.Inf(1))},
+		{Features: []float64{math.NaN()}, Service: 1e-3},
+		{Features: []float64{math.Inf(-1)}, Service: 1e-3},
+	} {
+		if _, err := NewReplayApp("r", qos, specs, []ReplaySample{s}, 0.8); err == nil {
+			t.Fatalf("non-finite sample %+v accepted", s)
+		}
 	}
 	ok := []ReplaySample{{Features: []float64{1}, Service: 1e-3}}
 	if _, err := NewReplayApp("r", qos, specs, ok, 2); err == nil {
@@ -131,4 +142,67 @@ func TestLoadReplayCSVErrors(t *testing.T) {
 	if len(got) != 1 || got[0].Service != sim.Duration(0.001) || got[0].Features[0] != 42 {
 		t.Fatalf("parsed %+v", got)
 	}
+}
+
+// FuzzLoadReplayCSV holds the replay path — LoadReplayCSV, then
+// NewReplayApp — to its contract on arbitrary bytes: it never panics;
+// every input it accepts holds only finite, positive service times and
+// finite features; and an accepted trace written back with DumpReplayCSV
+// loads to the same samples bit for bit. Seeds: a valid trace, a
+// header-only file, NaN and +Inf service times, a NaN feature, a -0
+// feature, and a row with the wrong column count.
+func FuzzLoadReplayCSV(f *testing.F) {
+	specs := []FeatureSpec{{Name: "x", Kind: Numerical}, {Name: "y", Kind: Numerical}}
+	for _, seed := range []string{
+		"service_s,x,y\n1e-3,2,3\n2.5e-4,0,1\n",
+		"service_s,x,y\n",
+		"service_s,x,y\nNaN,2,3\n",
+		"service_s,x,y\n+Inf,2,3\n",
+		"service_s,x,y\n1e-3,NaN,3\n",
+		"service_s,x,y\n1e-3,-0,3\n",
+		"service_s,x,y\n1e-3,2\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	qos := QoS{Latency: 1, Percentile: 99}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := LoadReplayCSV(bytes.NewReader(data), specs)
+		if err != nil {
+			return
+		}
+		if _, err := NewReplayApp("fuzz", qos, specs, samples, 0.8); err != nil {
+			return
+		}
+		for i, s := range samples {
+			if svc := float64(s.Service); !(svc > 0) || math.IsInf(svc, 0) {
+				t.Fatalf("sample %d: accepted service %v", i, svc)
+			}
+			for j, v := range s.Features {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("sample %d: accepted feature %d = %v", i, j, v)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := DumpReplayCSV(&buf, specs, samples); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadReplayCSV(&buf, specs)
+		if err != nil {
+			t.Fatalf("dumped trace rejected: %v\n%s", err, buf.Bytes())
+		}
+		if len(back) != len(samples) {
+			t.Fatalf("round trip kept %d of %d samples", len(back), len(samples))
+		}
+		for i := range back {
+			if math.Float64bits(float64(back[i].Service)) != math.Float64bits(float64(samples[i].Service)) {
+				t.Fatalf("sample %d: service %v became %v", i, samples[i].Service, back[i].Service)
+			}
+			for j := range back[i].Features {
+				if math.Float64bits(back[i].Features[j]) != math.Float64bits(samples[i].Features[j]) {
+					t.Fatalf("sample %d: feature %d %v became %v", i, j, samples[i].Features[j], back[i].Features[j])
+				}
+			}
+		}
+	})
 }
