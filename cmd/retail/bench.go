@@ -31,17 +31,27 @@ func bindBench(f *cmdFlags) func() error {
 	f.parallelFlag()
 	var (
 		expFlag  = f.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		appsFlag = f.String("apps", "", "comma-separated app filter for fig11/fig12/overhead (default: all)")
+		appsFlag = f.String("apps", "", "comma-separated apps for fig11/fig12/ablation/spike/overhead (default: each experiment's own)")
 		list     = f.Bool("list", false, "list experiments and exit")
 		csvDir   = f.String("csv", "", "directory to write per-experiment CSV files into")
 		traceDir = f.String("trace-dir", "", "directory to write Perfetto-viewable span traces for trace-capable experiments (spike, fig14)")
 
 		runners = experimentRunners()
 		picked  []runner
+		apps    []string
 	)
 	f.check(func() (err error) {
 		picked, err = pick(runners, strings.Split(*expFlag, ","))
 		return err
+	})
+	f.check(func() error {
+		if *appsFlag == "" {
+			return nil
+		}
+		for _, a := range strings.Split(*appsFlag, ",") {
+			apps = append(apps, strings.TrimSpace(a))
+		}
+		return knownNames("apps", strings.Join(apps, ","), experiments.AppNames())
 	})
 
 	return func() error {
@@ -53,10 +63,6 @@ func bindBench(f *cmdFlags) func() error {
 		}
 		cfg := f.config()
 		cfg.Trace = *traceDir != ""
-		var apps []string
-		if *appsFlag != "" {
-			apps = strings.Split(*appsFlag, ",")
-		}
 		return runExperiments(cfg, picked, apps, *csvDir, *traceDir)
 	}
 }

@@ -97,6 +97,10 @@ func TestValidateFlags(t *testing.T) {
 		{"bench", "unknown experiment in a list", []string{"-exp", "fig11,fig99"}, `unknown -exp id "fig99"`},
 		{"bench", "list of experiments", []string{"-exp", "fig11, fig12"}, ""},
 		{"bench", "features is characterize's", []string{"-exp", "features"}, `unknown -exp id "features"`},
+		// -apps names real apps, before any experiment runs.
+		{"bench", "unknown app", []string{"-exp", "fig1,fig11,ablation", "-quick", "-apps", "bogus"}, `unknown -apps entry "bogus"`},
+		{"bench", "empty app entry", []string{"-apps", "xapian,,shore"}, `unknown -apps entry ""`},
+		{"bench", "spaced app list", []string{"-apps", "xapian, shore"}, ""},
 
 		{"tune", "trace and search required", []string{"-trace", "t.trace"}, "-trace and -search are required"},
 		{"tune", "fields alone", []string{"-fields"}, ""},

@@ -441,21 +441,11 @@ type RunConfig struct {
 	// CollectSamples retains per-request (level, features, service)
 	// samples from the measurement window for offline RMSE evaluation.
 	CollectSamples bool
-	// Events, when non-nil, is invoked once at every listed time (after
-	// warmup offset is NOT applied; times are absolute virtual times).
-	Events []TimedEvent
 	// Instrument, when non-nil, runs after the manager is attached and
 	// before load starts — the place to register observers (trace flight
 	// recorders, telemetry, ledgers) with Server.Observe without core
 	// depending on the observer packages.
 	Instrument func(e *sim.Engine, s *server.Server)
-}
-
-// TimedEvent triggers arbitrary environment changes mid-run (interference,
-// load steps).
-type TimedEvent struct {
-	At sim.Time
-	Do func(e *sim.Engine, s *server.Server)
 }
 
 // Result aggregates a run's measurements over the window.
@@ -598,10 +588,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 
 	stopGen := src.Start(e, pool, srv.Submit)
-	for _, ev := range cfg.Events {
-		ev := ev
-		e.At(ev.At, "core.event", func(en *sim.Engine) { ev.Do(en, srv) })
-	}
 	e.At(cfg.Warmup, "core.measure", func(en *sim.Engine) {
 		measuring = true
 		srv.Socket.ResetEnergy(en.Now())

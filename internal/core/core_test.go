@@ -8,8 +8,6 @@ import (
 	"retail/internal/manager"
 	"retail/internal/nn"
 	"retail/internal/predict"
-	"retail/internal/server"
-	"retail/internal/sim"
 	"retail/internal/workload"
 )
 
@@ -199,21 +197,6 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	a, b := run(), run()
 	if a.AvgPowerW != b.AvgPowerW || a.P99 != b.P99 || a.Completed != b.Completed {
 		t.Fatalf("same-seed runs differ: %+v vs %+v", a, b)
-	}
-}
-
-func TestRunEvents(t *testing.T) {
-	p := testPlatform()
-	cal := calibrateOrDie(t, "imgdnn")
-	fired := false
-	_, err := Run(RunConfig{
-		App: cal.App, Platform: p, Manager: cal.NewMaxFreq(),
-		RPS: 500, Warmup: 0.5, Duration: 2, Seed: 3,
-		Events: []TimedEvent{{At: 1, Do: func(e *sim.Engine, s *server.Server) { fired = true }}},
-	})
-	_ = err
-	if !fired {
-		t.Fatal("timed event did not fire")
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"retail/internal/core"
 	"retail/internal/manager"
 	"retail/internal/policy"
 	"retail/internal/predict"
@@ -51,13 +50,10 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 	if app == nil {
 		return nil, fmt.Errorf("experiments: unknown app %q", appName)
 	}
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
-	res := &AblationResult{App: app.Name(), QoS: app.QoS()}
-
 	baseCfg := func(p policy.Params) manager.ReTailConfig {
 		c := retailConfig(cal, p)
 		c.Layout = cal.Layout
@@ -66,31 +62,30 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 		c.Stage1Frac = cal.Stage1Frac()
 		return c
 	}
-	variants := map[string]func() manager.Manager{
-		"full": func() manager.Manager {
+	// The variant constructors only read the shared calibration (Clone and
+	// FitLinear never mutate their source), so cells run concurrently.
+	newVariant := func(name string) (manager.Manager, error) {
+		switch name {
+		case "full":
 			m := manager.NewReTail(app.QoS(), baseCfg(policy.Params{}))
 			m.SetDriftBaseline(cal.BaselineRMSEOverQoS)
-			return m
-		},
-		"no-monitor": func() manager.Manager {
+			return m, nil
+		case "no-monitor":
 			c := baseCfg(policy.Params{Monitor: policy.MonitorParams{Disabled: true}})
-			return manager.NewReTail(app.QoS(), c)
-		},
-		"head-only": func() manager.Manager {
+			return manager.NewReTail(app.QoS(), c), nil
+		case "head-only":
 			c := baseCfg(policy.Params{Alg1: policy.Alg1Params{HeadOnly: true}})
-			return manager.NewReTail(app.QoS(), c)
-		},
-		"proportional": func() manager.Manager {
+			return manager.NewReTail(app.QoS(), c), nil
+		case "proportional":
 			c := baseCfg(policy.Params{})
 			prop, err := predict.NewProportional(cal.Model, cfg.Platform.Grid, cfg.Platform.Grid.MaxLevel())
 			if err != nil {
-				panic(err) // statically valid inputs
+				return nil, err
 			}
 			c.Model = prop
 			c.Training = nil // retraining would reintroduce per-level models
-			return manager.NewReTail(app.QoS(), c)
-		},
-		"no-stage1": func() manager.Manager {
+			return manager.NewReTail(app.QoS(), c), nil
+		case "no-stage1":
 			c := baseCfg(policy.Params{})
 			c.Stage1Frac = func(*workload.Request) float64 { return 0 }
 			// Without the split, application features of queued requests
@@ -108,42 +103,21 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 			c.Layout = predict.FeatureLayout{Specs: cal.Layout.Specs, Selected: reqOnly}
 			m, err := predict.FitLinear(cal.Training, c.Layout, cfg.Platform.Grid.Levels())
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
 			c.Model = m
-			c.Training = cal.Training.Clone()
-			return manager.NewReTail(app.QoS(), c)
-		},
-	}
-	// Canonical cell order: load-major, variant-minor. The variant
-	// constructors only read the shared calibration (Clone and FitLinear
-	// never mutate their source), so cells run concurrently.
-	var cells []SweepCell[*core.Result]
-	for _, lf := range cfg.Loads {
-		rps := maxLoad * lf
-		dur := cfg.runDuration(app, rps)
-		for _, name := range AblationVariants {
-			mk := variants[name]
-			cells = append(cells, SweepCell[*core.Result]{
-				Label: fmt.Sprintf("%s/load=%.2f/%s", app.Name(), lf, name),
-				Run: func() (*core.Result, error) {
-					return core.Run(core.RunConfig{
-						App: app, Platform: cfg.Platform, Manager: mk(),
-						RPS: rps, Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
-					})
-				},
-			})
+			return manager.NewReTail(app.QoS(), c), nil
 		}
+		return nil, fmt.Errorf("experiments: unknown ablation variant %q", name)
 	}
-	runs, err := RunSweep(cfg.Parallel, cells)
+	runs, err := runSteady(cfg, app, maxLoad, cfg.Loads, AblationVariants, newVariant, nil)
 	if err != nil {
 		return nil, err
 	}
-	idx := 0
-	for _, lf := range cfg.Loads {
-		for _, name := range AblationVariants {
-			r := runs[idx]
-			idx++
+	res := &AblationResult{App: app.Name(), QoS: app.QoS()}
+	for li, lf := range cfg.Loads {
+		for vi, name := range AblationVariants {
+			r := runs[li][vi]
 			res.Cells = append(res.Cells, AblationCell{
 				Variant: name, Load: lf,
 				PowerW: r.AvgPowerW, Tail: r.TailAtQoSPct, QoSMet: r.QoSMet, Drops: r.Dropped,
@@ -155,31 +129,21 @@ func Ablation(cfg Config, appName string) (*AblationResult, error) {
 
 // Render prints power and QoS per variant across loads.
 func (r *AblationResult) Render() string {
-	loads := []float64{}
-	seen := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seen[c.Load] {
-			seen[c.Load] = true
-			loads = append(loads, c.Load)
-		}
-	}
+	loads, rows := loadRows(r.Cells, func(c AblationCell) float64 { return c.Load },
+		func(c AblationCell) string { return c.Variant })
 	header := []string{"variant"}
 	for _, l := range loads {
-		header = append(header, fmt.Sprintf("W@%s", pct(l)), fmt.Sprintf("tail@%s", pct(l)))
+		header = append(header, "W@"+pct(l), "tail@"+pct(l))
 	}
 	t := &table{header: header}
 	for _, v := range AblationVariants {
 		row := []string{v}
-		for _, l := range loads {
-			for _, c := range r.Cells {
-				if c.Variant == v && c.Load == l {
-					tail := dur(c.Tail)
-					if !c.QoSMet {
-						tail += "!"
-					}
-					row = append(row, f2(c.PowerW), tail)
-				}
+		for _, c := range rows[v] {
+			tail := dur(c.Tail)
+			if !c.QoSMet {
+				tail += "!"
 			}
+			row = append(row, f2(c.PowerW), tail)
 		}
 		t.add(row...)
 	}

@@ -100,11 +100,11 @@ func ChaosAllBursty(cfg Config) (*ChaosResult, error) {
 
 func chaosAll(cfg Config, spec *workload.Spec) (*ChaosResult, error) {
 	app := workload.ByName("moses")
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	rps := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed) * 0.4
+	rps := maxLoad * 0.4
 	res := &ChaosResult{App: app.Name(), RPS: rps, Audits: map[string]string{}}
 	if spec != nil {
 		res.Spec = spec.Name

@@ -35,23 +35,21 @@ type Fig1Result struct {
 func Fig1(cfg Config) (*Fig1Result, error) {
 	app := workload.ByName("imgdnn")
 	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
+	runs, err := runSteady(cfg, app, maxLoad, cfg.Loads, []string{"maxfreq"},
+		func(string) (manager.Manager, error) { return manager.NewMaxFreq(), nil },
+		func(float64, string) bool { return true })
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig1Result{App: app.Name()}
-	for _, lf := range cfg.Loads {
-		rps := maxLoad * lf
-		dur := cfg.runDuration(app, rps)
-		r, err := core.Run(core.RunConfig{
-			App: app, Platform: cfg.Platform, Manager: manager.NewMaxFreq(),
-			RPS: rps, Warmup: dur / 5, Duration: dur, Seed: cfg.Seed, CollectSamples: true,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for li, lf := range cfg.Loads {
+		r := runs[li][0]
 		svc := make([]float64, len(r.Samples))
 		for i, s := range r.Samples {
 			svc[i] = s.Service
 		}
 		res.Points = append(res.Points, Fig1Point{
-			RPS:        rps,
+			RPS:        maxLoad * lf,
 			MeanSvc:    stats.Percentile(svc, 50),
 			P50Sojourn: r.P50,
 			P99Sojourn: r.P99,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"retail/internal/core"
 	"retail/internal/features"
@@ -53,12 +54,10 @@ func Fig12(cfg Config, appName string) (*Fig12Result, error) {
 	if app == nil {
 		return nil, fmt.Errorf("experiments: unknown app %q", appName)
 	}
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
-	res := &Fig12Result{App: app.Name(), QoS: app.QoS()}
 
 	// Request-only feature space: rerun selection with every application
 	// feature rejected (lateness threshold just above zero).
@@ -76,16 +75,10 @@ func Fig12(cfg Config, appName string) (*Fig12Result, error) {
 
 	// Models for both feature spaces are trained up front (deterministic:
 	// seeded fits on the shared training set); the runs themselves then
-	// fan out as independent cells in canonical space-major, load-major,
-	// mechanism-minor order. Iterating Fig12Mechanisms (not a map) also
-	// pins the Cells slice — and hence the CSV export — to a stable order.
-	type cellKey struct {
-		space string
-		load  float64
-		mech  string
-	}
-	var keys []cellKey
-	var cells []SweepCell[*core.Result]
+	// fan out as one steady sweep whose variants are the (space,
+	// mechanism) pairs.
+	var variants []string
+	mechanisms := map[string]func() manager.Manager{}
 	for _, space := range spaces {
 		layout := predict.FeatureLayout{Specs: app.FeatureSpecs(), Selected: space.selected}
 		lrModel, err := predict.FitLinear(cal.Training, layout, cfg.Platform.Grid.Levels())
@@ -96,7 +89,7 @@ func Fig12(cfg Config, appName string) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mechanisms := map[string]func() manager.Manager{
+		perSpace := map[string]func() manager.Manager{
 			"coarse": func() manager.Manager { return manager.NewPegasus(app.QoS()) },
 			"adrenaline": func() manager.Manager {
 				return cal.NewAdrenaline()
@@ -117,33 +110,30 @@ func Fig12(cfg Config, appName string) (*Fig12Result, error) {
 				return manager.NewReTail(app.QoS(), c)
 			},
 		}
-		for _, lf := range cfg.Loads {
-			rps := maxLoad * lf
-			dur := cfg.runDuration(app, rps)
-			for _, mech := range Fig12Mechanisms {
-				mk := mechanisms[mech]
-				keys = append(keys, cellKey{space.name, lf, mech})
-				cells = append(cells, SweepCell[*core.Result]{
-					Label: fmt.Sprintf("%s/%s/load=%.2f/%s", app.Name(), space.name, lf, mech),
-					Run: func() (*core.Result, error) {
-						return core.Run(core.RunConfig{
-							App: app, Platform: cfg.Platform, Manager: mk(),
-							RPS: rps, Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
-						})
-					},
-				})
-			}
+		for _, mech := range Fig12Mechanisms {
+			v := space.name + "/" + mech
+			variants = append(variants, v)
+			mechanisms[v] = perSpace[mech]
 		}
 	}
-	runs, err := RunSweep(cfg.Parallel, cells)
+	runs, err := runSteady(cfg, app, maxLoad, cfg.Loads, variants,
+		func(v string) (manager.Manager, error) { return mechanisms[v](), nil }, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range runs {
-		res.Cells = append(res.Cells, Fig12Cell{
-			FeatureSpace: keys[i].space, Mechanism: keys[i].mech, Load: keys[i].load,
-			PowerW: r.AvgPowerW, Tail: r.TailAtQoSPct, QoSMet: r.QoSMet,
-		})
+	// Iterating Fig12Mechanisms (not a map) pins the Cells slice — and
+	// hence the CSV export — to space-major, load, mechanism order.
+	res := &Fig12Result{App: app.Name(), QoS: app.QoS()}
+	for _, space := range spaces {
+		for li, lf := range cfg.Loads {
+			for _, mech := range Fig12Mechanisms {
+				r := runs[li][slices.Index(variants, space.name+"/"+mech)]
+				res.Cells = append(res.Cells, Fig12Cell{
+					FeatureSpace: space.name, Mechanism: mech, Load: lf,
+					PowerW: r.AvgPowerW, Tail: r.TailAtQoSPct, QoSMet: r.QoSMet,
+				})
+			}
+		}
 	}
 	return res, nil
 }
@@ -181,11 +171,7 @@ func fitSpaceNN(cfg Config, cal *core.Calibration, selected []int) (*predict.NNM
 			inputs = []int{0}
 		}
 	}
-	nncfg := nn.TunedConfig(len(inputs), 2, 32, 30, 32)
-	if cfg.GeminiNN != nil {
-		nncfg = *cfg.GeminiNN
-		nncfg.InputDim = len(inputs)
-	}
+	nncfg := cfg.nnConfig(nn.TunedConfig(len(inputs), 2, 32, 30, 32), len(inputs))
 	return predict.FitNN(cal.Training, cfg.Platform.Grid, nncfg, cfg.Platform.Grid.MaxLevel(), inputs)
 }
 
@@ -200,39 +186,25 @@ func stage1For(cal *core.Calibration, space string) func(*workload.Request) floa
 
 // Render prints one row per (space, mechanism) with power across loads.
 func (r *Fig12Result) Render() string {
-	// Collect loads in order.
-	loadSet := []float64{}
-	seen := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seen[c.Load] {
-			seen[c.Load] = true
-			loadSet = append(loadSet, c.Load)
-		}
-	}
+	loads, rows := loadRows(r.Cells, func(c Fig12Cell) float64 { return c.Load },
+		func(c Fig12Cell) [2]string { return [2]string{c.FeatureSpace, c.Mechanism} })
 	header := []string{"feature space", "mechanism"}
-	for _, l := range loadSet {
-		header = append(header, fmt.Sprintf("W@%s", pct(l)))
+	for _, l := range loads {
+		header = append(header, "W@"+pct(l))
 	}
 	header = append(header, "QoS")
 	t := &table{header: header}
 	for _, space := range []string{"request-only", "request+app"} {
 		for _, mech := range Fig12Mechanisms {
 			row := []string{space, mech}
-			met := true
-			for _, l := range loadSet {
-				for _, c := range r.Cells {
-					if c.FeatureSpace == space && c.Mechanism == mech && c.Load == l {
-						row = append(row, f2(c.PowerW))
-						met = met && c.QoSMet
-					}
+			verdict := "OK"
+			for _, c := range rows[[2]string{space, mech}] {
+				row = append(row, f2(c.PowerW))
+				if !c.QoSMet {
+					verdict = "violations"
 				}
 			}
-			verdict := "OK"
-			if !met {
-				verdict = "violations"
-			}
-			row = append(row, verdict)
-			t.add(row...)
+			t.add(append(row, verdict)...)
 		}
 	}
 	return "Fig 12 — ReTail decomposition for " + r.App + "\n" + t.String()

@@ -92,6 +92,17 @@ func (c Config) runDuration(app workload.App, rps float64) sim.Duration {
 	return d
 }
 
+// nnConfig is the network structure an experiment fits on n inputs:
+// GeminiNN resized to them when set, def otherwise.
+func (c Config) nnConfig(def nn.Config, n int) nn.Config {
+	if c.GeminiNN == nil {
+		return def
+	}
+	g := *c.GeminiNN
+	g.InputDim = n
+	return g
+}
+
 // table renders rows of columns with aligned widths.
 type table struct {
 	header []string

@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 
 	"retail/internal/cluster"
-	"retail/internal/core"
 	"retail/internal/obs"
 	"retail/internal/policy"
 	"retail/internal/sim"
@@ -124,11 +123,12 @@ type FleetSweepResult struct {
 }
 
 // FleetSweep runs the grid. Cells fan out through RunSweep under
-// cfg.Parallel, sharing one read-only calibration (the Gemini network is
-// trained before the fan-out, since its memoization is not
-// goroutine-safe); results merge in canonical order — load-major,
-// dispatcher, policy innermost — so output is byte-identical at every
-// parallelism setting.
+// cfg.Parallel, sharing one read-only calibration. Its Gemini network is
+// memoized behind a sync.Once, so cells may share it; it is trained
+// before the fan-out so that a training error fails the sweep before any
+// cell runs. Results merge in canonical order — load-major, dispatcher,
+// policy innermost — so output is byte-identical at every parallelism
+// setting.
 func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 	opt = opt.withDefaults(cfg)
 	// A spec or replay names its own app, overriding App.
@@ -143,7 +143,7 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 			len(opt.Loads), len(opt.Dispatchers), len(opt.Policies))
 	}
 	platform := cfg.Platform.WithWorkers(opt.WorkersPerNode)
-	cal, err := core.Calibrate(app, platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxPerNode, err := calibrate(cfg, app, platform)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,6 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 			}
 		}
 	}
-	maxPerNode := core.CalibrateMaxLoad(app, platform, cfg.Seed)
 
 	res := &FleetSweepResult{
 		App: app.Name(), QoS: app.QoS(),

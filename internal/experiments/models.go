@@ -48,14 +48,7 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 	// accuracy columns are deterministic; the train/infer wall-times are
 	// host measurements and were never run-to-run stable, so concurrent
 	// cells only add to their existing jitter.
-	cells := make([]SweepCell[[]ModelRow], 0, 3)
-	for _, name := range []string{"xapian", "moses", "sphinx"} {
-		cells = append(cells, SweepCell[[]ModelRow]{
-			Label: "table4/" + name,
-			Run:   func() ([]ModelRow, error) { return tableIVApp(cfg, name) },
-		})
-	}
-	rows, err := RunSweep(cfg.Parallel, cells)
+	rows, err := perApp(cfg, "table4", []string{"xapian", "moses", "sphinx"}, tableIVApp)
 	if err != nil {
 		return nil, err
 	}
@@ -101,11 +94,7 @@ func tableIVApp(cfg Config, name string) ([]ModelRow, error) {
 	out = append(out, lrRow)
 
 	// NN-G: Gemini's 5×128.
-	gcfg := nn.GeminiConfig(len(inputs))
-	if cfg.GeminiNN != nil {
-		gcfg = *cfg.GeminiNN
-		gcfg.InputDim = len(inputs)
-	}
+	gcfg := cfg.nnConfig(nn.GeminiConfig(len(inputs)), len(inputs))
 	nng, err := predict.FitNN(cal.Training, grid, gcfg, grid.MaxLevel(), inputs)
 	if err != nil {
 		return nil, err
@@ -206,11 +195,7 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 		return nil, err
 	}
 	inputs := cal.Selection.Selected
-	gcfg := nn.GeminiConfig(len(inputs))
-	if cfg.GeminiNN != nil {
-		gcfg = *cfg.GeminiNN
-		gcfg.InputDim = len(inputs)
-	}
+	gcfg := cfg.nnConfig(nn.GeminiConfig(len(inputs)), len(inputs))
 	nng, err := predict.FitNN(cal.Training, grid, gcfg, grid.MaxLevel(), inputs)
 	if err != nil {
 		return nil, err
@@ -296,14 +281,7 @@ type Fig9Result struct {
 func Fig9(cfg Config) (*Fig9Result, error) {
 	res := &Fig9Result{}
 	// One sweep cell per application, merged back in the paper's app order.
-	var cells []SweepCell[Fig9App]
-	for _, app := range workload.All() {
-		cells = append(cells, SweepCell[Fig9App]{
-			Label: "fig9/" + app.Name(),
-			Run:   func() (Fig9App, error) { return fig9App(cfg, app) },
-		})
-	}
-	apps, err := RunSweep(cfg.Parallel, cells)
+	apps, err := perApp(cfg, "fig9", AppNames(), fig9App)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +290,8 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 }
 
 // fig9App computes one application's convergence curve.
-func fig9App(cfg Config, app workload.App) (Fig9App, error) {
+func fig9App(cfg Config, name string) (Fig9App, error) {
+	app := workload.ByName(name)
 	grid := cfg.Platform.Grid
 	sizes := []int{25, 50, 100, 200, 400, 1000}
 	cal, err := core.Calibrate(app, cfg.Platform, 64, cfg.Seed)

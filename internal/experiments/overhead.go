@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"retail/internal/core"
 	"retail/internal/cpu"
+	"retail/internal/manager"
 	"retail/internal/sim"
 	"retail/internal/workload"
 )
@@ -34,18 +34,17 @@ func Overhead(cfg Config, appName string) (*OverheadResult, error) {
 	if app == nil {
 		return nil, fmt.Errorf("experiments: unknown app %q", appName)
 	}
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	rps := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed) * 0.6
-	rt := cal.NewReTail()
-	dur := cfg.runDuration(app, rps)
-	r, err := core.Run(core.RunConfig{App: app, Platform: cfg.Platform, Manager: rt,
-		RPS: rps, Warmup: dur / 5, Duration: dur, Seed: cfg.Seed})
+	runs, err := runSteady(cfg, app, maxLoad, []float64{0.6}, []string{"retail"},
+		func(string) (manager.Manager, error) { return cal.NewReTail(), nil }, nil)
 	if err != nil {
 		return nil, err
 	}
+	r := runs[0][0]
+	rt := r.mgr.(*manager.ReTail)
 	res := &OverheadResult{
 		App:         app.Name(),
 		Decisions:   rt.Decisions(),

@@ -51,39 +51,29 @@ func Fig11(cfg Config, appNames []string) (*Fig11Result, error) {
 	if appNames == nil {
 		appNames = AppNames()
 	}
+	for _, name := range appNames {
+		if workload.ByName(name) == nil {
+			return nil, fmt.Errorf("experiments: unknown app %q", name)
+		}
+	}
 	// Two levels of fan-out: one cell per app (whose calibration and
 	// Gemini NN training dominate the wall clock), and inside each app a
 	// second sweep over (load × manager) runs. Both merge in canonical
 	// order, so the result is independent of scheduling.
-	cells := make([]SweepCell[*Fig11App], 0, len(appNames))
-	for _, name := range appNames {
-		app := workload.ByName(name)
-		if app == nil {
-			return nil, fmt.Errorf("experiments: unknown app %q", name)
-		}
-		cells = append(cells, SweepCell[*Fig11App]{
-			Label: "fig11/" + name,
-			Run:   func() (*Fig11App, error) { return fig11App(cfg, app) },
-		})
-	}
-	fas, err := RunSweep(cfg.Parallel, cells)
+	apps, err := perApp(cfg, "fig11", appNames, fig11App)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	res := &Fig11Result{}
-	for _, fa := range fas {
-		res.Apps = append(res.Apps, *fa)
-	}
-	return res, nil
+	return &Fig11Result{Apps: apps}, nil
 }
 
-func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+func fig11App(cfg Config, name string) (Fig11App, error) {
+	app := workload.ByName(name)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
-		return nil, err
+		return Fig11App{}, err
 	}
-	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
-	fa := &Fig11App{App: app.Name(), QoS: app.QoS(), MaxLoad: maxLoad, RMSE: map[string]float64{}}
+	fa := Fig11App{App: app.Name(), QoS: app.QoS(), MaxLoad: maxLoad, RMSE: map[string]float64{}}
 
 	// Fresh manager state per run; Gemini's trained network is reused
 	// (training it is the expensive part and it is immutable, trained once
@@ -95,42 +85,17 @@ func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
 		}
 		return cal.NewManagerParams(name, cfg.GeminiNN, cfg.Params)
 	}
-
-	// Canonical cell order: load-major, manager-minor. Every cell is an
-	// independent simulation sharing only the read-only calibration.
-	cellManagers := append([]string{"maxfreq"}, ManagerNames...)
-	var cells []SweepCell[*core.Result]
-	for _, lf := range cfg.Loads {
-		lf := lf
-		rps := maxLoad * lf
-		dur := cfg.runDuration(app, rps)
-		lastLoad := lf == cfg.Loads[len(cfg.Loads)-1]
-		for _, mname := range cellManagers {
-			mname := mname
-			cells = append(cells, SweepCell[*core.Result]{
-				Label: fmt.Sprintf("%s/load=%.2f/%s", app.Name(), lf, mname),
-				Run: func() (*core.Result, error) {
-					m, err := newManager(mname)
-					if err != nil {
-						return nil, err
-					}
-					return core.Run(core.RunConfig{App: app, Platform: cfg.Platform,
-						Manager: m, RPS: rps, Warmup: dur / 5, Duration: dur,
-						Seed:           cfg.Seed,
-						CollectSamples: lastLoad && mname != "maxfreq"})
-				},
-			})
-		}
-	}
-	runs, err := RunSweep(cfg.Parallel, cells)
+	// Table V scores the managers on the samples of the highest load.
+	isLast := func(lf float64) bool { return lf == cfg.Loads[len(cfg.Loads)-1] }
+	variants := append([]string{"maxfreq"}, ManagerNames...)
+	runs, err := runSteady(cfg, app, maxLoad, cfg.Loads, variants, newManager,
+		func(lf float64, mname string) bool { return isLast(lf) && mname != "maxfreq" })
 	if err != nil {
-		return nil, err
+		return Fig11App{}, err
 	}
 
-	// Merge in the same canonical order the cells were laid out in.
 	var sumRubik, sumGemini float64
-	idx := 0
-	for _, lf := range cfg.Loads {
+	for li, lf := range cfg.Loads {
 		pt := Fig11Point{
 			Load: lf, RPS: maxLoad * lf,
 			PowerW:   map[string]float64{},
@@ -139,10 +104,8 @@ func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
 			MeanLat:  map[string]float64{},
 			QoSMet:   map[string]bool{},
 		}
-		lastLoad := lf == cfg.Loads[len(cfg.Loads)-1]
-		for _, mname := range cellManagers {
-			r := runs[idx]
-			idx++
+		for vi, mname := range variants {
+			r := runs[li][vi]
 			if mname == "maxfreq" {
 				pt.MaxFreqW = r.AvgPowerW
 				continue
@@ -152,7 +115,7 @@ func fig11App(cfg Config, app workload.App) (*Fig11App, error) {
 			pt.Tail[mname] = r.TailAtQoSPct
 			pt.MeanLat[mname] = r.MeanLatency
 			pt.QoSMet[mname] = r.QoSMet
-			if lastLoad {
+			if isLast(lf) {
 				fa.RMSE[mname] = liveRMSE(cal, mname, r.Samples)
 			}
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"retail/internal/core"
 	"retail/internal/manager"
 	"retail/internal/sim"
 	"retail/internal/trace"
@@ -44,14 +43,7 @@ type LoadSpikeResult struct {
 // the scenarios run concurrently under Config.Parallel while the results
 // come back in the given app order.
 func LoadSpikes(cfg Config, appNames []string) ([]*LoadSpikeResult, error) {
-	cells := make([]SweepCell[*LoadSpikeResult], 0, len(appNames))
-	for _, name := range appNames {
-		cells = append(cells, SweepCell[*LoadSpikeResult]{
-			Label: "spike/" + name,
-			Run:   func() (*LoadSpikeResult, error) { return LoadSpike(cfg, name) },
-		})
-	}
-	return RunSweep(cfg.Parallel, cells)
+	return perApp(cfg, "spike", appNames, LoadSpike)
 }
 
 // LoadSpike runs the spike scenario for one application.
@@ -60,11 +52,10 @@ func LoadSpike(cfg Config, appName string) (*LoadSpikeResult, error) {
 	if app == nil {
 		return nil, fmt.Errorf("experiments: unknown app %q", appName)
 	}
-	cal, err := core.Calibrate(app, cfg.Platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	maxLoad := core.CalibrateMaxLoad(app, cfg.Platform, cfg.Seed)
 	baseRPS := maxLoad * 0.4
 	spikeRPS := maxLoad * 1.2
 

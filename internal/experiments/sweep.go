@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"retail/internal/server"
 )
 
 // This file implements the parallel sweep runner. Every experiment in this
@@ -103,14 +101,4 @@ func RunSweep[T any](parallel int, cells []SweepCell[T]) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// CellSeed derives a decorrelated, reproducible seed for one cell of a
-// replicated sweep from the sweep's base seed and the cell's canonical
-// index. Experiments that replay the paper's single-seed methodology keep
-// passing Config.Seed straight through (identical streams across managers
-// are the point of the comparison); replication studies use CellSeed so
-// each replica sees an independent request stream.
-func CellSeed(base int64, idx int) int64 {
-	return server.RandomizedSeed(base, int64(idx))
 }

@@ -82,20 +82,6 @@ func TestRunSweepRunsEveryCellOnce(t *testing.T) {
 	}
 }
 
-func TestCellSeedDistinctPerIndex(t *testing.T) {
-	seen := map[int64]int{}
-	for i := 0; i < 64; i++ {
-		s := CellSeed(42, i)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("CellSeed(42,%d) == CellSeed(42,%d) == %d", i, prev, s)
-		}
-		seen[s] = i
-	}
-	if CellSeed(42, 3) != CellSeed(42, 3) {
-		t.Fatal("CellSeed is not deterministic")
-	}
-}
-
 // TestSweepParallelismDeterministic is the ISSUE's acceptance criterion: the
 // same sweep run sequentially (-parallel 1) and with a worker pool
 // (-parallel 8) must produce byte-identical rendered tables and CSV bytes.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"retail/internal/colocate"
 	"retail/internal/core"
@@ -42,13 +43,11 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 		half = 1
 	}
 	mkTenant := func(name string, workers int, seed int64) (*colocate.Tenant, error) {
-		app := workload.ByName(name)
-		cal, err := core.Calibrate(app, platform.WithWorkers(workers), cfg.SamplesPerLevel, cfg.Seed)
+		cal, maxLoad, err := calibrate(cfg, workload.ByName(name), platform.WithWorkers(workers))
 		if err != nil {
 			return nil, err
 		}
-		rps := core.CalibrateMaxLoad(app, platform.WithWorkers(workers), cfg.Seed) * 0.5
-		return &colocate.Tenant{Cal: cal, Workers: workers, RPS: rps, Seed: seed}, nil
+		return &colocate.Tenant{Cal: cal, Workers: workers, RPS: maxLoad * 0.5, Seed: seed}, nil
 	}
 	moses, err := mkTenant("moses", half, cfg.Seed+1)
 	if err != nil {
@@ -182,11 +181,11 @@ type Fig14Result struct {
 func Fig14(cfg Config) (*Fig14Result, error) {
 	app := workload.ByName("moses")
 	platform := cfg.Platform
-	cal, err := core.Calibrate(app, platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxLoad, err := calibrate(cfg, app, platform)
 	if err != nil {
 		return nil, err
 	}
-	rps := core.CalibrateMaxLoad(app, platform, cfg.Seed) * 0.2
+	rps := maxLoad * 0.2
 	rt := cal.NewReTail()
 	rt.EnableTraces()
 
@@ -330,13 +329,8 @@ func (t *timedTail) tail(now sim.Time, span float64) (float64, bool) {
 }
 
 func percentileOf(xs []float64, p float64) float64 {
-	cp := append([]float64(nil), xs...)
-	// simple insertion sort; windows are small
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	idx := int(p / 100 * float64(len(cp)-1))
 	return cp[idx]
 }

@@ -126,11 +126,10 @@ func WorkloadSweep(cfg Config, opt WorkloadOptions) (*WorkloadSweepResult, error
 		}
 	}
 	platform := cfg.Platform.WithWorkers(opt.Workers)
-	cal, err := core.Calibrate(app, platform, cfg.SamplesPerLevel, cfg.Seed)
+	cal, maxRPS, err := calibrate(cfg, app, platform)
 	if err != nil {
 		return nil, err
 	}
-	maxRPS := core.CalibrateMaxLoad(app, platform, cfg.Seed)
 	rps := opt.Load * maxRPS
 	dur := sim.Duration(float64(opt.RequestsPerCell) / rps)
 	if dur < 2 {
