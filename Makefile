@@ -4,6 +4,8 @@
 #   make test    tier-1 test suite (what CI gates on)
 #   make race    full suite under the race detector
 #   make vet     static analysis
+#   make linkcheck       every production function under internal/ is linked
+#                        into a binary (cmd/, examples/, bench/) or allowlisted
 #   make portable-check  vet the tree as arm64 and build it as 386: the Go
 #                        kernels internal/nn runs off amd64 (no download;
 #                        amd64 without AVX is covered by the kernel tests)
@@ -74,7 +76,7 @@ GO ?= go
 HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|GeminiStart|LatencyTrackerAdd|NNFit(Gemini|Tuned)|InferenceGemini|Wire(RequestDecode|ResponseEncode)|Sweep|Cluster)|BenchmarkQueue/calendar/fleetShape'
 HOT_PKGS  = ./internal/sim ./internal/manager ./internal/stats ./internal/nn ./internal/live ./internal/experiments ./internal/cluster
 
-.PHONY: build test race vet portable-check bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
+.PHONY: build test race vet linkcheck portable-check bench bench-check bench-baseline bench-e2e trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
 
 build:
 	$(GO) build ./...
@@ -87,6 +89,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Code that only tests call belongs in the tests: builds every binary with
+# inlining off and fails on a function under internal/ that none of them
+# links and that tools/linkcheck's allowlist does not name.
+linkcheck:
+	$(GO) run ./tools/linkcheck
 
 # internal/nn's trainer runs AVX assembly on amd64 hosts that have AVX and
 # its Go loops everywhere else (amd64 without AVX runs them through the same

@@ -147,7 +147,7 @@ func BenchmarkFig09TrainingSetSize(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11* regenerate the headline power/drop/tail sweep, one
+// BenchmarkFig11… regenerate the headline power/drop/tail sweep, one
 // benchmark per panel, on a representative application subset (run
 // retail bench for all seven).
 
@@ -356,8 +356,11 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		if !ok {
 			t.Fatal("tracker empty")
 		}
-		got := h.Quantile(q / 100)
-		if tol := telemetry.BucketWidthAt(exact); math.Abs(got-exact) > tol {
+		got := h.Snapshot().Quantile(q / 100)
+		// One bucket of the histogram's log-linear layout: 2^5
+		// sub-buckets per octave of nanoseconds.
+		lo, hi := stats.LogLinearBounds(stats.LogLinearIndex(uint64(exact*1e9), 5), 5)
+		if tol := float64(hi-lo) / 1e9; math.Abs(got-exact) > tol {
 			t.Errorf("p%g: histogram %.6f vs exact %.6f (tolerance %.6f)", q, got, exact, tol)
 		}
 	}

@@ -231,12 +231,3 @@ func (p *Pipeline) ResetEnergy(e *sim.Engine) {
 		t.srv.Socket.ResetEnergy(e.Now())
 	}
 }
-
-// Servers exposes tier servers (tests inspect frequency behavior).
-func (p *Pipeline) Servers() []*server.Server {
-	out := make([]*server.Server, len(p.Tiers))
-	for i, t := range p.Tiers {
-		out[i] = t.srv
-	}
-	return out
-}

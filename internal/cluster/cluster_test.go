@@ -193,8 +193,8 @@ func TestTwoTierPipelineMeetsEndToEndQoS(t *testing.T) {
 	// Each tier actually downclocked: mean effective level below max on
 	// at least one tier (light load on both).
 	belowMax := false
-	for _, srv := range pipe.Servers() {
-		for _, c := range srv.Socket.Cores {
+	for _, tier := range pipe.Tiers {
+		for _, c := range tier.srv.Socket.Cores {
 			if c.EffectiveLevel() < c.Grid().MaxLevel() {
 				belowMax = true
 			}

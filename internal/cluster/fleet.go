@@ -157,12 +157,6 @@ type FleetResult struct {
 	Ledger []obs.NodeSummary
 }
 
-// MeanServedLevel returns the fleet-wide completion-weighted mean level.
-func (r *FleetResult) MeanServedLevel() float64 {
-	n := NodeStats{Residency: r.Residency}
-	return n.MeanServedLevel()
-}
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211

@@ -190,11 +190,10 @@ func TestRunFleetTelemetryPerNode(t *testing.T) {
 	}
 }
 
-// TestRunFleetImbalanceOrdering: informed rules beat the blind cycle on
-// tail latency or at worst tie it; more importantly the load-aware rules
-// keep per-node outstanding counts consistent (the counter never goes
-// negative, which the race of a wrong sink would cause — asserted
-// indirectly by completions matching routed minus in-flight).
+// TestRunFleetAccounting: a least-loaded fleet run accounts for every
+// request — no more completions than routed requests, a measured tail with
+// p50 ≤ p99, no negative residency, and per-node completions summing to
+// the fleet's.
 func TestRunFleetAccounting(t *testing.T) {
 	r, err := RunFleet(quickFleet(t, "least-loaded", "retail", 9))
 	if err != nil {

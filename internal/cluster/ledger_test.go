@@ -20,7 +20,7 @@ func ledgerFleetConfig(t *testing.T, policy string, load float64) FleetConfig {
 	return FleetConfig{
 		Cal: cal, Nodes: 4, WorkersPerNode: 2,
 		Policy: policy, Dispatcher: "power-of-two",
-		RPS: 4 * load * core.CalibrateMaxLoad(app, platform, 42),
+		RPS:    4 * load * core.CalibrateMaxLoad(app, platform, 42),
 		Warmup: 1 * sim.Second, Duration: 5 * sim.Second, Seed: 42,
 	}
 }
@@ -62,7 +62,12 @@ func TestFleetLedgerReconciles(t *testing.T) {
 				if ns.Node != i || ns.App != res.App {
 					t.Fatalf("node %d summary mislabeled: %+v", i, ns)
 				}
-				if got, want := ns.Completions(), uint64(st.Completed); got != want {
+				completions, energy := uint64(0), ns.UncoreJ
+				for _, l := range ns.Levels {
+					completions += l.Completions
+					energy += l.EnergyJ
+				}
+				if got, want := completions, uint64(st.Completed); got != want {
 					t.Errorf("node %d: ledger completions %d, fleet %d", i, got, want)
 				}
 				if got, want := ns.Violations(), uint64(st.Violations); got != want {
@@ -76,10 +81,10 @@ func TestFleetLedgerReconciles(t *testing.T) {
 						t.Errorf("node %d level %d: ledger %d completions, residency %d", i, lvl, got, c)
 					}
 				}
-				if got, want := ns.EnergyJ(), st.EnergyJ; math.Abs(got-want) > 1e-9*math.Max(1, want) {
+				if got, want := energy, st.EnergyJ; math.Abs(got-want) > 1e-9*math.Max(1, want) {
 					t.Errorf("node %d: ledger energy %v J, fleet %v J", i, got, want)
 				}
-				ledgerEnergy += ns.EnergyJ()
+				ledgerEnergy += energy
 			}
 			if math.Abs(ledgerEnergy-res.EnergyJ) > 1e-9*math.Max(1, res.EnergyJ) {
 				t.Errorf("fleet: ledger energy %v J, result %v J", ledgerEnergy, res.EnergyJ)

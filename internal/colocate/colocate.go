@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"retail/internal/core"
-	"retail/internal/cpu"
 	"retail/internal/manager"
 	"retail/internal/server"
 	"retail/internal/sim"
@@ -110,24 +109,6 @@ func (n *Node) PowerW(now sim.Time) float64 {
 	return total
 }
 
-// Interferer injects the §VII-G batch job: from Start on, every tenant's
-// service times inflate by Factor (shared cores and LLC ways are split
-// with the batch job).
-type Interferer struct {
-	Start  sim.Time
-	Factor float64
-}
-
-// Arm schedules the interference onset on the given servers.
-func (iv Interferer) Arm(e *sim.Engine, servers ...*server.Server) {
-	for _, s := range servers {
-		s := s
-		e.At(iv.Start, "colocate.interfere", func(en *sim.Engine) {
-			s.SetInterference(en, iv.Factor)
-		})
-	}
-}
-
 // MeanLevel reports the average effective frequency level across a
 // server's cores — the "frequency of a core running Moses" trace in
 // Fig 14.
@@ -138,6 +119,3 @@ func MeanLevel(s *server.Server) float64 {
 	}
 	return sum / float64(len(s.Socket.Cores))
 }
-
-// GridOf returns the grid used by a server (helper for trace rendering).
-func GridOf(s *server.Server) *cpu.Grid { return s.Socket.Cores[0].Grid() }

@@ -113,20 +113,6 @@ func TestEnableReTailReducesPower(t *testing.T) {
 	}
 }
 
-func TestInterfererInflatesService(t *testing.T) {
-	node, _ := testNode(t)
-	e := sim.NewEngine()
-	node.Start(e)
-	Interferer{Start: 1, Factor: 2}.Arm(e, node.Tenants[0].Server)
-	e.Run(2)
-	if got := node.Tenants[0].Server.Interference(); got != 2 {
-		t.Fatalf("interference = %v, want 2", got)
-	}
-	if got := node.Tenants[1].Server.Interference(); got != 1 {
-		t.Fatalf("unarmed tenant interference = %v, want 1", got)
-	}
-}
-
 func TestMeanLevel(t *testing.T) {
 	node, _ := testNode(t)
 	e := sim.NewEngine()
@@ -139,8 +125,5 @@ func TestMeanLevel(t *testing.T) {
 	want := (1.0 + 11.0) / 2
 	if got := MeanLevel(srv); got != want {
 		t.Fatalf("mean level = %v, want %v", got, want)
-	}
-	if GridOf(srv) == nil {
-		t.Fatal("GridOf nil")
 	}
 }

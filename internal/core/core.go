@@ -242,10 +242,6 @@ func (c *Calibration) Stage1Frac() func(*workload.Request) float64 {
 // NewRubik constructs the Rubik baseline from the offline profile.
 func (c *Calibration) NewRubik() *manager.Rubik { return c.mustManager("rubik").(*manager.Rubik) }
 
-// NewEETL constructs the progress-threshold baseline (related work §II)
-// from the offline profile.
-func (c *Calibration) NewEETL() *manager.EETL { return c.mustManager("eetl").(*manager.EETL) }
-
 // mustManager is NewManagerParams under zero Params for a policy that
 // cannot fail to build from a calibration (it always carries a grid and a
 // profile).

@@ -50,6 +50,11 @@ func TestRunPooledMatchesUnpooled(t *testing.T) {
 		wantReplay  = "c7fd0214e167f9cee1deed1645082916268000b51031becdd98548e19ebb7ed0"
 	)
 	p := testPlatform()
+	// maxLoad is the app's 100% load: ~72% of the worker pool at max
+	// frequency.
+	maxLoad := func(a workload.App) float64 {
+		return 0.72 * float64(p.Workers) / workload.MeanServiceAtMax(a)
+	}
 
 	// Poisson generator, an app with a late feature (stage-1 readiness is
 	// live), queues deep enough that recycled requests are in flight next
@@ -57,7 +62,7 @@ func TestRunPooledMatchesUnpooled(t *testing.T) {
 	xap := calibrateOrDie(t, "xapian")
 	res, err := Run(RunConfig{
 		App: xap.App, Platform: p, Manager: xap.NewReTail(),
-		RPS: 0.9 * workload.MaxLoadRPS(xap.App, p.Workers), Warmup: 0.5, Duration: 2, Seed: 7,
+		RPS: 0.9 * maxLoad(xap.App), Warmup: 0.5, Duration: 2, Seed: 7,
 		CollectSamples: true,
 	})
 	if err != nil {
@@ -76,7 +81,7 @@ func TestRunPooledMatchesUnpooled(t *testing.T) {
 	tr := workload.NewTrace(spec, 3)
 	res, err = Run(RunConfig{
 		App: mos.App, Platform: p, Manager: mos.NewReTail(),
-		Spec: spec, RPS: 0.8 * workload.MaxLoadRPS(mos.App, p.Workers), Warmup: 0.5, Duration: 3, Seed: 3,
+		Spec: spec, RPS: 0.8 * maxLoad(mos.App), Warmup: 0.5, Duration: 3, Seed: 3,
 		Record: tr,
 	})
 	if err != nil {

@@ -21,10 +21,10 @@ func TestSameTickWriteCoalescing(t *testing.T) {
 	c.SetLevel(e, 3)
 	c.SetLevel(e, 5)
 	c.SetLevel(e, 5) // exact duplicate of the pending target: fully elided
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("pending transitions = %d, want 1 (same-tick writes must coalesce)", got)
-	}
 	e.RunAll()
+	if got := e.Fired(); got != 1 {
+		t.Fatalf("transition events = %d, want 1 (same-tick writes must coalesce)", got)
+	}
 	if c.EffectiveLevel() != 5 {
 		t.Fatalf("effective = %d, want 5 (last write wins)", c.EffectiveLevel())
 	}
@@ -37,8 +37,9 @@ func TestSameTickWriteCoalescing(t *testing.T) {
 
 	// Rewriting the settled level costs nothing at all.
 	c.SetLevel(e, 5)
-	if e.Pending() != 0 || c.Transitions() != 1 {
-		t.Fatalf("no-op rewrite scheduled work: pending=%d transitions=%d", e.Pending(), c.Transitions())
+	e.RunAll()
+	if e.Fired() != 1 || c.Transitions() != 1 {
+		t.Fatalf("no-op rewrite scheduled work: events=%d transitions=%d", e.Fired(), c.Transitions())
 	}
 	if c.DVFSWrites() != 4 {
 		t.Fatalf("writes = %d, want 4", c.DVFSWrites())

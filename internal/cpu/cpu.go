@@ -248,9 +248,6 @@ func (c *Core) EffectiveLevel() Level { return c.effective }
 // EffectiveFreq returns the applied frequency in GHz.
 func (c *Core) EffectiveFreq() float64 { return c.grid.Freq(c.effective) }
 
-// TargetLevel returns the most recently requested level.
-func (c *Core) TargetLevel() Level { return c.target }
-
 // Transitions returns how many frequency changes have taken effect.
 func (c *Core) Transitions() int { return c.transitions }
 
@@ -262,9 +259,6 @@ func (c *Core) Transitions() int { return c.transitions }
 // SysfsBackend's batched SetLevels realizes the same semantics against
 // real cpufreq files.
 func (c *Core) DVFSWrites() int { return c.writes }
-
-// Busy reports whether the core is executing a request.
-func (c *Core) Busy() bool { return c.busy }
 
 func (c *Core) currentPowerW() float64 {
 	if !c.busy {

@@ -128,7 +128,7 @@ func TestCoreStartsAtMax(t *testing.T) {
 	if c.EffectiveLevel() != c.Grid().MaxLevel() {
 		t.Fatal("core should boot at max frequency")
 	}
-	if c.Busy() {
+	if c.busy {
 		t.Fatal("core should boot idle")
 	}
 }
@@ -139,7 +139,7 @@ func TestCoreTransitionDelay(t *testing.T) {
 	if c.EffectiveLevel() != c.Grid().MaxLevel() {
 		t.Fatal("level changed before transition latency elapsed")
 	}
-	if c.TargetLevel() != 0 {
+	if c.target != 0 {
 		t.Fatal("target not recorded")
 	}
 	e.Run(1 * sim.Millisecond)
@@ -154,14 +154,11 @@ func TestCoreTransitionDelay(t *testing.T) {
 func TestCoreRedundantSetLevelIsNoop(t *testing.T) {
 	e, c := newTestCore(1)
 	c.SetLevel(e, c.Grid().MaxLevel()) // already there
-	if e.Pending() != 0 {
-		t.Fatal("no-op SetLevel scheduled a transition")
-	}
 	c.SetLevel(e, 3)
-	pend := e.Pending()
 	c.SetLevel(e, 3) // same target again while pending
-	if e.Pending() != pend {
-		t.Fatal("duplicate target re-armed the transition")
+	e.RunAll()
+	if e.Fired() != 1 {
+		t.Fatalf("%d transition events, want 1: a no-op or duplicate SetLevel scheduled one", e.Fired())
 	}
 }
 
@@ -203,7 +200,7 @@ func TestCoreOnChangeFires(t *testing.T) {
 func TestCoreSetLevelImmediate(t *testing.T) {
 	e, c := newTestCore(1)
 	c.SetLevelImmediate(e, 2)
-	if c.EffectiveLevel() != 2 || c.TargetLevel() != 2 {
+	if c.EffectiveLevel() != 2 || c.target != 2 {
 		t.Fatal("immediate level not applied")
 	}
 	if c.Transitions() != 1 {

@@ -44,7 +44,7 @@ func TestEnergyByLevelReconciles(t *testing.T) {
 		c := s.Cores[rng.Intn(len(s.Cores))]
 		switch rng.Intn(3) {
 		case 0:
-			c.SetBusy(e, !c.Busy())
+			c.SetBusy(e, !c.busy)
 		case 1:
 			c.SetLevel(e, Level(rng.Intn(g.Levels())))
 		case 2:
@@ -66,7 +66,7 @@ func TestEnergyByLevelReconciles(t *testing.T) {
 		e.Run(now)
 		c := s.Cores[rng.Intn(len(s.Cores))]
 		if rng.Intn(2) == 0 {
-			c.SetBusy(e, !c.Busy())
+			c.SetBusy(e, !c.busy)
 		} else {
 			c.SetLevel(e, Level(rng.Intn(g.Levels())))
 		}

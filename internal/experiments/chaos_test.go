@@ -96,12 +96,6 @@ func TestChaosFaultedReTailKeepsParams(t *testing.T) {
 	if got, want := faulted.MonitorSettings(), base.MonitorSettings(); got != want || !got.Disabled {
 		t.Fatalf("faulted ReTail monitor %+v, healthy %+v (want equal, Disabled)", got, want)
 	}
-	if _, ok := faulted.Model().(fault.CorruptingPredictor); !ok {
-		t.Fatalf("faulted ReTail predicts with %T, want the corrupting wrapper", faulted.Model())
-	}
-	if _, ok := base.Model().(fault.CorruptingPredictor); ok {
-		t.Fatal("healthy ReTail predicts through the corrupting wrapper")
-	}
 }
 
 // TestChaosSimInjectsAndRecovers checks the matrix semantics rather than

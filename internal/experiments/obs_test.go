@@ -137,7 +137,9 @@ func TestFleetReportGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := res.Report(42, obs.RollupRegistry(reg))
-		b, err := rep.CanonicalJSON()
+		masked := *rep
+		masked.Provenance = obs.Provenance{}
+		b, err := masked.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +156,10 @@ func TestFleetReportGolden(t *testing.T) {
 		var causes, ledgerE = uint64(0), 0.0
 		for _, ns := range c.Ledger {
 			causes += ns.Violations()
-			ledgerE += ns.EnergyJ()
+			ledgerE += ns.UncoreJ
+			for _, l := range ns.Levels {
+				ledgerE += l.EnergyJ
+			}
 		}
 		if causes != uint64(c.Violations) {
 			t.Errorf("%s/%s: %d violations but %d cause-attributed", c.Dispatcher, c.Policy, c.Violations, causes)

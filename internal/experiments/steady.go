@@ -6,6 +6,7 @@ import (
 
 	"retail/internal/core"
 	"retail/internal/manager"
+	"retail/internal/policy"
 	"retail/internal/workload"
 )
 
@@ -17,6 +18,19 @@ func calibrate(cfg Config, app workload.App, p core.Platform) (*core.Calibration
 		return nil, 0, err
 	}
 	return cal, core.CalibrateMaxLoad(app, p, cfg.Seed), nil
+}
+
+// retailConfig is the paper's ReTail configuration for cal's application
+// around a fresh policy value built from p; callers fill the model,
+// layout and training set.
+func retailConfig(cal *core.Calibration, p policy.Params) manager.ReTailConfig {
+	pol, err := policy.New("retail", p, manager.SimEnv(cal.App.QoS(), cal.Platform.Grid, nil, p))
+	if err != nil {
+		panic(err) // a grid and the simulator posture are all retail needs
+	}
+	c := manager.DefaultReTailConfig()
+	c.Policy = pol.(*policy.Retail)
+	return c
 }
 
 // steadyRun is one steady cell's measurement and the manager that ran it.

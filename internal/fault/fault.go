@@ -265,7 +265,6 @@ type siteState struct {
 type Injector struct {
 	seed  uint64
 	clock func() float64 // seconds on the scenario clock; nil = 0
-	plan  *Plan
 	sites [NumSites]siteState
 }
 
@@ -276,7 +275,7 @@ func New(seed int64, plan *Plan) *Injector {
 	if plan == nil {
 		return nil
 	}
-	inj := &Injector{seed: uint64(seed), plan: plan}
+	inj := &Injector{seed: uint64(seed)}
 	for _, sp := range plan.Sites {
 		if sp.Site >= NumSites || len(sp.Kinds) == 0 {
 			continue
@@ -291,14 +290,6 @@ func New(seed int64, plan *Plan) *Injector {
 		st.magnitude = sp.Magnitude
 	}
 	return inj
-}
-
-// Plan returns the plan the injector executes (nil for a nil injector).
-func (i *Injector) Plan() *Plan {
-	if i == nil {
-		return nil
-	}
-	return i.plan
 }
 
 // WithClock sets the scenario clock used for windowed site plans and
@@ -373,14 +364,6 @@ func (i *Injector) Record(site Site, n uint64) {
 	if st.counter != nil {
 		st.counter.Add(n)
 	}
-}
-
-// Calls returns how many Fire (plus Record) calls the site has seen.
-func (i *Injector) Calls(site Site) uint64 {
-	if i == nil || site >= NumSites {
-		return 0
-	}
-	return i.sites[site].calls.Load()
 }
 
 // Fired returns how many faults the site has injected.

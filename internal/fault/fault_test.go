@@ -72,9 +72,9 @@ func TestInjectorProbability(t *testing.T) {
 	if got < 0.23 || got > 0.27 {
 		t.Fatalf("fire rate %.4f, want ≈0.25", got)
 	}
-	if inj.Calls(SiteDVFSWrite) != n || inj.Fired(SiteDVFSWrite) != uint64(fired) {
+	if calls := inj.sites[SiteDVFSWrite].calls.Load(); calls != n || inj.Fired(SiteDVFSWrite) != uint64(fired) {
 		t.Fatalf("counters calls=%d fired=%d, want %d/%d",
-			inj.Calls(SiteDVFSWrite), inj.Fired(SiteDVFSWrite), n, fired)
+			calls, inj.Fired(SiteDVFSWrite), n, fired)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestInjectorNilSafety(t *testing.T) {
 	inj.Record(SiteDrift, 3)
 	inj.Instrument(telemetry.NewRegistry(), "x")
 	inj.WithClock(func() float64 { return 0 })
-	if inj.FiredTotal() != 0 || inj.Calls(SiteExec) != 0 || inj.Plan() != nil {
+	if inj.FiredTotal() != 0 {
 		t.Fatal("nil injector reported nonzero state")
 	}
 }

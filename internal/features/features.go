@@ -29,16 +29,6 @@ type Dataset struct {
 	Service []float64   // N measured service times (seconds)
 }
 
-// FromRequests builds a Dataset from completed requests.
-func FromRequests(specs []workload.FeatureSpec, reqs []*workload.Request) Dataset {
-	d := Dataset{Specs: specs}
-	for _, r := range reqs {
-		d.X = append(d.X, r.Features)
-		d.Service = append(d.Service, float64(r.ServiceTime()))
-	}
-	return d
-}
-
 // Validate checks dimensional consistency.
 func (d Dataset) Validate() error {
 	if len(d.Specs) == 0 {
@@ -107,27 +97,6 @@ type Result struct {
 	CombinedCD float64
 	Rejected   []Rejection
 	Steps      []Step
-}
-
-// SelectedSpecs maps the result back to specs.
-func (r Result) SelectedSpecs(specs []workload.FeatureSpec) []workload.FeatureSpec {
-	out := make([]workload.FeatureSpec, 0, len(r.Selected))
-	for _, i := range r.Selected {
-		out = append(out, specs[i])
-	}
-	return out
-}
-
-// MaxLateness returns the largest lateness among selected features — the
-// stage-1 split point the server needs.
-func (r Result) MaxLateness(specs []workload.FeatureSpec) float64 {
-	m := 0.0
-	for _, i := range r.Selected {
-		if specs[i].Lateness > m {
-			m = specs[i].Lateness
-		}
-	}
-	return m
 }
 
 // Options tune the selection thresholds.

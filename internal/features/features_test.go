@@ -130,10 +130,6 @@ func TestXapianSelectsDocCountRejectsLateFeature(t *testing.T) {
 	if !found {
 		t.Fatal("sorted_bytes not in rejections")
 	}
-	// The selected set's stage-1 split point is doc_count's lateness.
-	if got := res.MaxLateness(specs); math.Abs(got-0.05) > 1e-12 {
-		t.Fatalf("max lateness = %v, want 0.05", got)
-	}
 }
 
 func TestOLTPSelectsTypeAndCounts(t *testing.T) {
@@ -266,25 +262,6 @@ func TestCombinedCDRobustToTinyGroups(t *testing.T) {
 	cd := CombinedCD(d, []int{0, 1})
 	if math.IsNaN(cd) || cd < 0 || cd > 1 {
 		t.Fatalf("combined CD = %v", cd)
-	}
-}
-
-func TestFromRequests(t *testing.T) {
-	app := workload.NewMoses()
-	rng := rand.New(rand.NewSource(11))
-	var reqs []*workload.Request
-	for i := 0; i < 50; i++ {
-		r := app.Generate(rng)
-		r.Start = 0
-		r.End = r.ServiceBase // so ServiceTime() == ServiceBase
-		reqs = append(reqs, r)
-	}
-	d := FromRequests(app.FeatureSpecs(), reqs)
-	if len(d.X) != 50 || len(d.Service) != 50 {
-		t.Fatalf("dataset size %d/%d", len(d.X), len(d.Service))
-	}
-	if d.Service[0] != float64(reqs[0].ServiceBase) {
-		t.Fatalf("service[0] = %v, want %v", d.Service[0], float64(reqs[0].ServiceBase))
 	}
 }
 

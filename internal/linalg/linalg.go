@@ -53,17 +53,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // CholeskySolve solves A·x = b for symmetric positive-definite A, in place
 // of a general solver. A is not modified.
 func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
@@ -161,86 +150,6 @@ func OLS(x *Matrix, y []float64) ([]float64, error) {
 		return nil, ErrSingular
 	}
 	return beta, nil
-}
-
-// Diagnostics summarizes an OLS fit's quality: per-coefficient standard
-// errors and t-statistics (the explainability companion to the point
-// estimates — a near-zero t means the coefficient is noise), residual
-// variance and R².
-type Diagnostics struct {
-	Beta   []float64
-	StdErr []float64
-	TStat  []float64
-	Sigma2 float64 // residual variance (n−p degrees of freedom)
-	R2     float64
-	N, Deg int // samples and residual degrees of freedom
-}
-
-// OLSWithDiagnostics fits like OLS and additionally computes coefficient
-// standard errors from (XᵀX)⁻¹·σ². Degenerate designs fall back to the
-// ridge fit with NaN-free but inflated standard errors.
-func OLSWithDiagnostics(x *Matrix, y []float64) (*Diagnostics, error) {
-	beta, err := OLS(x, y)
-	if err != nil {
-		return nil, err
-	}
-	n, p := x.Rows, x.Cols
-	pred := x.MulVec(beta)
-	var ssRes, ssTot float64
-	mean := 0.0
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	for i := range y {
-		r := y[i] - pred[i]
-		ssRes += r * r
-		d := y[i] - mean
-		ssTot += d * d
-	}
-	deg := n - p
-	d := &Diagnostics{Beta: beta, N: n, Deg: deg}
-	if ssTot > 0 {
-		d.R2 = 1 - ssRes/ssTot
-	} else if ssRes == 0 {
-		d.R2 = 1
-	}
-	if deg <= 0 {
-		return d, nil // exact fit; no residual variance to speak of
-	}
-	d.Sigma2 = ssRes / float64(deg)
-	// Invert XᵀX by solving against unit vectors (p is tiny).
-	xtx := NewMatrix(p, p)
-	for i := 0; i < n; i++ {
-		row := x.Data[i*p : (i+1)*p]
-		for a := 0; a < p; a++ {
-			for b := a; b < p; b++ {
-				xtx.Data[a*p+b] += row[a] * row[b]
-			}
-		}
-	}
-	for a := 0; a < p; a++ {
-		for b := 0; b < a; b++ {
-			xtx.Data[a*p+b] = xtx.Data[b*p+a]
-		}
-	}
-	d.StdErr = make([]float64, p)
-	d.TStat = make([]float64, p)
-	for j := 0; j < p; j++ {
-		e := make([]float64, p)
-		e[j] = 1
-		col, err := CholeskySolve(xtx, e)
-		if err != nil {
-			// Singular design: leave this coefficient's error unknown.
-			d.StdErr[j] = math.Inf(1)
-			continue
-		}
-		d.StdErr[j] = math.Sqrt(d.Sigma2 * col[j])
-		if d.StdErr[j] > 0 {
-			d.TStat[j] = beta[j] / d.StdErr[j]
-		}
-	}
-	return d, nil
 }
 
 // LinearFit fits y ≈ a·x + b for a single regressor and returns (a, b).

@@ -17,10 +17,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 2) != 3 || m.At(1, 1) != 5 {
 		t.Fatal("Set/At mismatch")
 	}
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 0) != 3 || tr.At(1, 1) != 5 {
-		t.Fatal("Transpose wrong")
-	}
 	v := m.MulVec([]float64{1, 1, 1})
 	if v[0] != 4 || v[1] != 5 {
 		t.Fatalf("MulVec = %v", v)
@@ -302,61 +298,5 @@ func BenchmarkOLSThreeFeatures(b *testing.B) {
 		if _, err := OLS(x, y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestOLSWithDiagnostics(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 500
-	feats := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x1 := rng.Float64() * 10
-		noise := rng.Float64() * 10 // pure noise regressor
-		feats[i] = []float64{x1, noise}
-		y[i] = 2*x1 + 1 + rng.NormFloat64()*0.5
-	}
-	x, _ := DesignMatrix(feats)
-	d, err := OLSWithDiagnostics(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N != n || d.Deg != n-3 {
-		t.Fatalf("N/Deg = %d/%d", d.N, d.Deg)
-	}
-	if d.R2 < 0.97 {
-		t.Fatalf("R² = %v", d.R2)
-	}
-	// Residual variance ≈ 0.25 (noise std 0.5).
-	if d.Sigma2 < 0.15 || d.Sigma2 > 0.4 {
-		t.Fatalf("σ² = %v, want ≈0.25", d.Sigma2)
-	}
-	// The real regressor is hugely significant; the noise one is not.
-	if math.Abs(d.TStat[1]) < 20 {
-		t.Fatalf("x1 t-stat = %v, want large", d.TStat[1])
-	}
-	if math.Abs(d.TStat[2]) > 4 {
-		t.Fatalf("noise t-stat = %v, want near 0", d.TStat[2])
-	}
-	// Coefficient recovered within ~3 standard errors.
-	if math.Abs(d.Beta[1]-2) > 3*d.StdErr[1] {
-		t.Fatalf("slope %v ± %v excludes 2", d.Beta[1], d.StdErr[1])
-	}
-}
-
-func TestOLSWithDiagnosticsExactFit(t *testing.T) {
-	// Two points, two params (after intercept): zero residual dof.
-	feats := [][]float64{{1}, {2}}
-	y := []float64{3, 5}
-	x, _ := DesignMatrix(feats)
-	d, err := OLSWithDiagnostics(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Deg != 0 || d.StdErr != nil {
-		t.Fatalf("exact fit should skip errors: %+v", d)
-	}
-	if d.R2 != 1 {
-		t.Fatalf("exact-fit R² = %v", d.R2)
 	}
 }

@@ -311,16 +311,6 @@ func (b *SysfsBackend) reconcile(core int) {
 	delete(b.known, core) // hardware state unknown
 }
 
-// Applied returns the last reconciled hardware level for the core and
-// whether it is known (false before the first successful write or after
-// an unreconcilable failure).
-func (b *SysfsBackend) Applied(core int) (cpu.Level, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	lvl, ok := b.known[core]
-	return lvl, ok
-}
-
 // ---------------------------------------------------------------------------
 // Fault-injecting backend wrapper.
 
@@ -348,10 +338,6 @@ func NewFaultyBackend(inner Backend, inj *fault.Injector) *FaultyBackend {
 
 // Grid implements Backend.
 func (b *FaultyBackend) Grid() *cpu.Grid { return b.inner.Grid() }
-
-// Unwrap returns the inner backend (tests reach through to assert
-// hardware state).
-func (b *FaultyBackend) Unwrap() Backend { return b.inner }
 
 // SetLevels implements BatchBackend: each coalesced write consults the
 // injector independently — a batch of N changes is N chances to fault,

@@ -109,8 +109,12 @@ func TestRubikRMSEAgainst(t *testing.T) {
 	rmse := m.RMSEAgainstAt(g, atMax, svc)
 	// The tail-as-prediction error must dwarf an LR fit's (which would be
 	// near the noise floor here: the relationship is exactly linear).
-	if rmse < stats.StdDev(svc) {
-		t.Fatalf("Rubik RMSE %v suspiciously low (std %v)", rmse, stats.StdDev(svc))
+	mean, ss := stats.Mean(svc), 0.0
+	for _, v := range svc {
+		ss += (v - mean) * (v - mean)
+	}
+	if std := math.Sqrt(ss / float64(len(svc))); rmse < std {
+		t.Fatalf("Rubik RMSE %v suspiciously low (std %v)", rmse, std)
 	}
 	if m.RMSEAgainstAt(g, nil, nil) != 0 {
 		t.Fatal("empty actuals should give 0")
@@ -184,7 +188,7 @@ func TestGeminiTwoStepBoost(t *testing.T) {
 		t.Fatal("two-step DVFS never boosted")
 	}
 	// After the boost the core sits at max.
-	if got := rig.srv.Workers()[0].Core().TargetLevel(); got != rig.grid.MaxLevel() {
+	if got := rig.srv.Workers()[0].Core().EffectiveLevel(); got != rig.grid.MaxLevel() {
 		t.Fatalf("post-boost level = %d", got)
 	}
 }
@@ -204,7 +208,7 @@ func TestGeminiDecisionLatency(t *testing.T) {
 	// The request (≈350µs at level 2) finished before the 500µs-delayed
 	// decision landed; the stale decision must not re-target the core
 	// after completion.
-	if lvl := rig.srv.Workers()[0].Core().TargetLevel(); lvl != 2 {
+	if lvl := rig.srv.Workers()[0].Core().EffectiveLevel(); lvl != 2 {
 		t.Fatalf("stale-decision guard failed: level = %d, want 2", lvl)
 	}
 }
@@ -244,8 +248,8 @@ func TestAdrenalineClassification(t *testing.T) {
 	rig.e.At(0, "short", func(*sim.Engine) { rig.submit(2) })
 	rig.e.At(0.1, "long", func(*sim.Engine) { rig.submit(19) })
 	var shortLvl, longLvl cpu.Level
-	rig.e.At(0.05, "c1", func(*sim.Engine) { shortLvl = rig.srv.Workers()[0].Core().TargetLevel() })
-	rig.e.At(0.15, "c2", func(*sim.Engine) { longLvl = rig.srv.Workers()[0].Core().TargetLevel() })
+	rig.e.At(0.05, "c1", func(*sim.Engine) { shortLvl = rig.srv.Workers()[0].Core().EffectiveLevel() })
+	rig.e.At(0.15, "c2", func(*sim.Engine) { longLvl = rig.srv.Workers()[0].Core().EffectiveLevel() })
 	rig.e.Run(0.5)
 	if longLvl != g.MaxLevel() {
 		t.Fatalf("long request level = %d, want max", longLvl)
@@ -253,8 +257,7 @@ func TestAdrenalineClassification(t *testing.T) {
 	if shortLvl >= longLvl {
 		t.Fatalf("short request not slowed: %d vs %d", shortLvl, longLvl)
 	}
-	s, l := m.Classified()
-	if s != 1 || l != 1 {
+	if s, l := m.shortCount, m.longCount; s != 1 || l != 1 {
 		t.Fatalf("classified %d short / %d long", s, l)
 	}
 }
@@ -267,7 +270,7 @@ func TestAdrenalineNoFeatureRunsMax(t *testing.T) {
 	m.Attach(rig.e, rig.srv)
 	rig.e.At(0, "sub", func(*sim.Engine) { rig.submit(0) })
 	rig.e.Run(0.1)
-	if got := rig.srv.Workers()[0].Core().TargetLevel(); got != g.MaxLevel() {
+	if got := rig.srv.Workers()[0].Core().EffectiveLevel(); got != g.MaxLevel() {
 		t.Fatalf("featureless Adrenaline level = %d, want max", got)
 	}
 }
@@ -286,12 +289,12 @@ func TestPegasusAdjustsWholeApplication(t *testing.T) {
 	gen.Stop()
 	// Light load with huge slack: the controller must have walked the
 	// whole socket down from max.
-	if m.Level() >= rig.grid.MaxLevel() {
-		t.Fatalf("Pegasus stuck at level %d", m.Level())
+	if m.level >= rig.grid.MaxLevel() {
+		t.Fatalf("Pegasus stuck at level %d", m.level)
 	}
 	for _, c := range rig.srv.Socket.Cores {
-		if c.TargetLevel() != m.Level() {
-			t.Fatalf("core %d at %d, app level %d — not coarse-grained", c.ID, c.TargetLevel(), m.Level())
+		if c.EffectiveLevel() != m.level {
+			t.Fatalf("core %d at %d, app level %d — not coarse-grained", c.ID, c.EffectiveLevel(), m.level)
 		}
 	}
 }
@@ -310,8 +313,8 @@ func TestPegasusBoostsOnViolation(t *testing.T) {
 	gen.Start(rig.e)
 	rig.e.Run(3)
 	gen.Stop()
-	if m.Level() != rig.grid.MaxLevel() {
-		t.Fatalf("violation did not jump to max: level %d", m.Level())
+	if m.level != rig.grid.MaxLevel() {
+		t.Fatalf("violation did not jump to max: level %d", m.level)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestEETLBoostsLongRequests(t *testing.T) {
 	if m.Boosts() != 1 {
 		t.Fatalf("long request not boosted (%d)", m.Boosts())
 	}
-	if got := rig.srv.Workers()[0].Core().TargetLevel(); got != rig.grid.MaxLevel() {
+	if got := rig.srv.Workers()[0].Core().EffectiveLevel(); got != rig.grid.MaxLevel() {
 		t.Fatalf("post-boost level %d", got)
 	}
 }

@@ -99,9 +99,6 @@ func (m *Adrenaline) Attach(e *sim.Engine, s *server.Server) {
 	s.Hooks = m
 }
 
-// Classified returns (short, long) request counts.
-func (m *Adrenaline) Classified() (short, long int) { return m.shortCount, m.longCount }
-
 // Start implements server.Hooks.
 func (m *Adrenaline) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	long := true
@@ -152,9 +149,6 @@ func NewPegasus(qos workload.QoS) *Pegasus {
 }
 
 func (m *Pegasus) Name() string { return "pegasus" }
-
-// Level returns the current socket-wide level.
-func (m *Pegasus) Level() cpu.Level { return m.level }
 
 // Attach implements Manager.
 func (m *Pegasus) Attach(e *sim.Engine, s *server.Server) {

@@ -587,17 +587,6 @@ func (m *ReTail) retrain(e *sim.Engine) {
 	})
 }
 
-// invalidatePredictions stales every prediction slot by bumping the model
-// generation — exactly what a live retrain does. Benchmarks use it to
-// exercise the cold (slot-miss) path.
-func (m *ReTail) invalidatePredictions() { m.modelGen++ }
-
-// Model returns the live predictor (tests and experiments inspect it).
-func (m *ReTail) Model() predict.Predictor { return m.model }
-
 // SetDriftBaseline records the healthy-state RMSE/QoS (normally set by the
 // calibration pipeline right after the initial fit).
 func (m *ReTail) SetDriftBaseline(rmseOverQoS float64) { m.drift.SetBaseline(rmseOverQoS) }
-
-// SmoothedTail exposes the monitor's EWMA tail estimate for diagnostics.
-func (m *ReTail) SmoothedTail() float64 { return m.pol.Monitor().SmoothedTail() }

@@ -59,7 +59,7 @@ func BenchmarkRetailDecideColdMemo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.invalidatePredictions()
+		m.modelGen++ // stale every prediction slot, as a live retrain does
 		m.targetLevel(rig.e, w, head, 0.25, nil)
 	}
 }

@@ -21,7 +21,7 @@ func TestReTailPicksMinimumFrequencyWithSlack(t *testing.T) {
 	rig.e.At(0, "sub", func(*sim.Engine) { rig.submit(0) })
 	rig.e.Run(0.5)
 	w := rig.srv.Workers()[0]
-	if got := w.Core().TargetLevel(); got != 0 {
+	if got := w.Core().EffectiveLevel(); got != 0 {
 		t.Fatalf("target level = %d, want 0 (max slack)", got)
 	}
 	if m.Decisions() == 0 || m.Inferences() == 0 {
@@ -37,7 +37,7 @@ func TestReTailPicksMaxFrequencyWhenTight(t *testing.T) {
 	m.Attach(rig.e, rig.srv)
 	rig.e.At(0, "sub", func(*sim.Engine) { rig.submit(0) })
 	rig.e.Run(0.5)
-	if got := rig.srv.Workers()[0].Core().TargetLevel(); got != rig.grid.MaxLevel() {
+	if got := rig.srv.Workers()[0].Core().EffectiveLevel(); got != rig.grid.MaxLevel() {
 		t.Fatalf("target level = %d, want max", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestReTailQueuePropagatesToHeadFrequency(t *testing.T) {
 		// Sample the head's target shortly after decisions land.
 		var lvl cpu.Level
 		rig.e.At(0.002, "check", func(*sim.Engine) {
-			lvl = rig.srv.Workers()[0].Core().TargetLevel()
+			lvl = rig.srv.Workers()[0].Core().EffectiveLevel()
 		})
 		rig.e.Run(0.5)
 		return lvl
@@ -82,7 +82,7 @@ func TestReTailDifferentiatesRequests(t *testing.T) {
 		rig.e.At(0, "sub", func(*sim.Engine) { rig.submit(x) })
 		var lvl cpu.Level
 		rig.e.At(0.001, "check", func(*sim.Engine) {
-			lvl = rig.srv.Workers()[0].Core().TargetLevel()
+			lvl = rig.srv.Workers()[0].Core().EffectiveLevel()
 		})
 		rig.e.Run(0.5)
 		return lvl
@@ -242,7 +242,7 @@ func TestReTailDriftRetrain(t *testing.T) {
 	// combat the reduced resources"). The refit model must therefore track
 	// the inflated service times at the level live traffic exercised —
 	// max — where the truth is 1.6 × (base + slope·x).
-	pred := m.Model().Predict(rig.grid.MaxLevel(), []float64{5})
+	pred := m.model.Predict(rig.grid.MaxLevel(), []float64{5})
 	want := (5e-3 + 0.5e-3*5) * 1.6
 	if math.Abs(pred-want)/want > 0.2 {
 		t.Fatalf("post-retrain prediction %v, want ≈%v", pred, want)
@@ -367,7 +367,7 @@ func TestReTailReadinessLivesInMemoEntry(t *testing.T) {
 		t.Fatalf("recycled request: prediction %v ready=%v, want the unready %v", got, reused.Pred.Ready, masked)
 	}
 	m.Ready(rig.e, w, reused)
-	if got, want := m.predictService(lvl, reused), m.Model().Predict(lvl, []float64{3}); got != want || got == withFeature {
+	if got, want := m.predictService(lvl, reused), m.model.Predict(lvl, []float64{3}); got != want || got == withFeature {
 		t.Fatalf("recycled request predicts %v, want %v from its own feature (previous occupant's: %v)", got, want, withFeature)
 	}
 }

@@ -52,7 +52,7 @@ func TestReTailInstrumented(t *testing.T) {
 		t.Fatalf("requests_total %d != server completed %d", got, rig.srv.Completed())
 	}
 	soj := reg.Histogram(server.MetricSojournSeconds, "", appLabel)
-	if soj.Count() == 0 {
+	if soj.Snapshot().Count == 0 {
 		t.Fatal("sojourn histogram empty")
 	}
 }

@@ -130,9 +130,6 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Config returns the network's configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // ParamCount returns the number of trainable parameters.
 func (n *Network) ParamCount() int {
 	c := 0

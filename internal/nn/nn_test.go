@@ -22,7 +22,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Defaults applied.
-	cfg := n.Config()
+	cfg := n.cfg
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LearningRate <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}

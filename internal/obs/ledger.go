@@ -64,10 +64,9 @@ type NodeLedger struct {
 	qos    workload.QoS
 	levels int
 
-	drops       uint64
-	completions uint64
-	cells       []LevelCell
-	pending     map[uint64]pendingDecision
+	drops   uint64
+	cells   []LevelCell
+	pending map[uint64]pendingDecision
 }
 
 // AttachLedger registers a new ledger as an observer of s. It receives
@@ -91,7 +90,6 @@ func AttachLedger(s *server.Server, qos workload.QoS) *NodeLedger {
 // socket energy, so counts and joules share one measurement epoch.
 func (l *NodeLedger) Reset() {
 	l.drops = 0
-	l.completions = 0
 	for i := range l.cells {
 		l.cells[i] = LevelCell{}
 	}
@@ -117,7 +115,6 @@ func (l *NodeLedger) Completed(e *sim.Engine, w *server.Worker, r *workload.Requ
 	}
 	cell := &l.cells[lvl]
 	cell.Completions++
-	l.completions++
 	p, decided := l.pending[r.ID]
 	if decided {
 		delete(l.pending, r.ID)
@@ -146,28 +143,6 @@ func (l *NodeLedger) RecordDecision(d server.Decision) {
 	p.predicted = d.PredictedService
 	p.delay += d.DecisionDelay
 	l.pending[d.Head] = p
-}
-
-// Drops returns arrivals the manager rejected since the last Reset.
-func (l *NodeLedger) Drops() uint64 { return l.drops }
-
-// Completions returns completions since the last Reset.
-func (l *NodeLedger) Completions() uint64 { return l.completions }
-
-// Violations sums attributed violations across levels and causes.
-func (l *NodeLedger) Violations() uint64 {
-	var n uint64
-	for _, c := range l.cells {
-		for _, v := range c.Violations {
-			n += v
-		}
-	}
-	return n
-}
-
-// Cells returns a copy of the per-level tallies.
-func (l *NodeLedger) Cells() []LevelCell {
-	return append([]LevelCell(nil), l.cells...)
 }
 
 // Summary assembles the serializable ledger view for one node, marrying
@@ -220,15 +195,6 @@ type LevelSummary struct {
 	Delay       uint64  `json:"violations_decision_delay"`
 }
 
-// EnergyJ sums the node's attributed joules, uncore included.
-func (n NodeSummary) EnergyJ() float64 {
-	j := n.UncoreJ
-	for _, l := range n.Levels {
-		j += l.EnergyJ
-	}
-	return j
-}
-
 // Violations sums the node's attributed violations.
 func (n NodeSummary) Violations() uint64 {
 	var v uint64
@@ -236,13 +202,4 @@ func (n NodeSummary) Violations() uint64 {
 		v += l.Queueing + l.Mispredict + l.Delay
 	}
 	return v
-}
-
-// Completions sums the node's completions.
-func (n NodeSummary) Completions() uint64 {
-	var c uint64
-	for _, l := range n.Levels {
-		c += l.Completions
-	}
-	return c
 }

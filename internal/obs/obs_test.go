@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,68 +9,6 @@ import (
 
 	"retail/internal/telemetry"
 )
-
-func TestReportRoundTripAndVersionGate(t *testing.T) {
-	rep := NewReport("sim", 7, HashConfig("sim", "xapian", 4))
-	rep.Sim = &SimReport{App: "xapian", Manager: "retail", Completed: 10}
-	path := filepath.Join(t.TempDir(), "r.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != "sim" || back.Seed != 7 || back.Sim == nil || back.Sim.Completed != 10 {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	if back.Provenance.GoVersion == "" || back.Provenance.GoOS == "" {
-		t.Fatalf("provenance not stamped: %+v", back.Provenance)
-	}
-
-	// A future-versioned report must be refused, not misread.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bumped := bytes.Replace(data,
-		[]byte(`"version": `+strconv.Itoa(ReportVersion)),
-		[]byte(`"version": `+strconv.Itoa(ReportVersion+1)), 1)
-	if err := os.WriteFile(path, bumped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch not rejected: %v", err)
-	}
-}
-
-func TestCanonicalJSONMasksOnlyProvenance(t *testing.T) {
-	rep := NewReport("loadgen", 1, "abc")
-	rep.Loadgen = &LoadgenReport{App: "xapian", Sent: 5}
-	full, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := rep.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(canon, []byte(rep.Provenance.GoVersion)) {
-		t.Fatal("canonical form leaks provenance")
-	}
-	if !bytes.Contains(full, []byte(rep.Provenance.GoVersion)) {
-		t.Fatal("full form lost provenance")
-	}
-	// Masking must not mutate the original.
-	if rep.Provenance.GoVersion == "" {
-		t.Fatal("CanonicalJSON cleared the report's own provenance")
-	}
-	for _, b := range [][]byte{full, canon} {
-		if !bytes.Contains(b, []byte(`"sent": 5`)) {
-			t.Fatal("payload missing from rendered report")
-		}
-	}
-}
 
 func TestHashConfigStableAndSensitive(t *testing.T) {
 	a := HashConfig("fleet", 4, 0.6)

@@ -22,9 +22,9 @@ const ReportVersion = 1
 // Provenance stamps where a report came from — the benchjson fields
 // (commit, go version, CPU) plus the wall-clock instant. Provenance is
 // the *only* part of a report allowed to differ between two runs at the
-// same seed; CanonicalJSON masks it so goldens pin everything else
-// byte-for-byte. It is the trace v2 header's type, so one stamp serves a
-// report and a recording alike.
+// same seed; goldens zero it and pin everything else byte-for-byte. It
+// is the trace v2 header's type, so one stamp serves a report and a
+// recording alike.
 type Provenance = workload.TraceProvenance
 
 // CollectProvenance stamps the current process. Commit and CPU are
@@ -104,15 +104,6 @@ func (r *Report) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// CanonicalJSON renders the report with the provenance block zeroed —
-// the byte-stable form goldens and cross-PR diffs compare. Two runs at
-// the same seed and config must produce identical canonical bytes.
-func (r *Report) CanonicalJSON() ([]byte, error) {
-	masked := *r
-	masked.Provenance = Provenance{}
-	return masked.JSON()
-}
-
 // WriteFile writes the full report to path (0644).
 func (r *Report) WriteFile(path string) error {
 	b, err := r.JSON()
@@ -120,22 +111,6 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadReport loads and version-checks a report file.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	if r.Version != ReportVersion {
-		return nil, fmt.Errorf("obs: %s: report version %d, this build reads %d", path, r.Version, ReportVersion)
-	}
-	return &r, nil
 }
 
 // HashConfig fingerprints a run configuration from its printable parts:
@@ -275,7 +250,7 @@ type LoadgenReport struct {
 // replay metrics in ranked order, plus the fingerprints (trace, spec,
 // winning params) that make the run re-derivable. Like the simulated
 // kinds it is a pure function of (trace, spec, config, seed), so tune
-// reports golden-pin byte-for-byte under CanonicalJSON. The field is
+// reports golden-pin byte-for-byte with provenance zeroed. The field is
 // additive: reports of the other kinds omit it and stay byte-identical.
 type TuneReport struct {
 	SpecName string `json:"spec_name,omitempty"`

@@ -143,12 +143,6 @@ func (m *Monitor) Config() MonitorConfig { return m.cfg }
 // QoSPrime returns the current internal latency target in seconds.
 func (m *Monitor) QoSPrime() Duration { return m.qosPrime }
 
-// SmoothedTail exposes the EWMA tail estimate for diagnostics.
-func (m *Monitor) SmoothedTail() float64 { return m.smoothedTail }
-
-// WindowLen returns the current sample-window occupancy (diagnostics).
-func (m *Monitor) WindowLen() int { return len(m.winVal) }
-
 // Observe records one completed request's sojourn (seconds) at the given
 // time.
 func (m *Monitor) Observe(at Time, sojourn float64) {

@@ -130,7 +130,7 @@ func TestMonitorBurstRecovery(t *testing.T) {
 		m.Tick(at + 0.1)
 	}
 	if m.QoSPrime() <= hurt {
-		t.Fatalf("QoS' stuck at %v after burst drained (window len %d)", m.QoSPrime(), m.WindowLen())
+		t.Fatalf("QoS' stuck at %v after burst drained (window len %d)", m.QoSPrime(), len(m.winVal))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestMonitorAgePruningKeepsMinimum(t *testing.T) {
 	m := testMonitor()
 	feed(m, 0, 0.1, 100, 0.005)
 	m.Tick(100.0) // everything is ancient
-	if got := m.WindowLen(); got != 60 {
+	if got := len(m.winVal); got != 60 {
 		t.Fatalf("window len = %d after pruning, want MinKeep=60", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestMonitorHardCap(t *testing.T) {
 	m := NewMonitor(MonitorConfig{Target: 0.010, Percentile: 99, MaxWindow: 128})
 	feed(m, 0, 0.1, 1000, 0.005)
 	m.Tick(0.1)
-	if got := m.WindowLen(); got != 128 {
+	if got := len(m.winVal); got != 128 {
 		t.Fatalf("window len = %d, want hard cap 128", got)
 	}
 }
@@ -171,6 +171,6 @@ func TestMonitorNeedsMinSamples(t *testing.T) {
 	feed(m, 0, 0.1, 19, 0.050)
 	m.Tick(0.1)
 	if m.QoSPrime() != 0.010 {
-		t.Fatalf("QoS' = %v moved on %d samples", m.QoSPrime(), m.WindowLen())
+		t.Fatalf("QoS' = %v moved on %d samples", m.QoSPrime(), len(m.winVal))
 	}
 }

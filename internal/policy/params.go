@@ -179,12 +179,6 @@ type DegradeParams struct {
 	RetryBackoff float64 `json:"retry_backoff_s,omitempty"`
 }
 
-// Degrade returns the shared policy-core predicates configured by the
-// budgets (the DVFS retry knobs stay with the runtime adapters).
-func (dp DegradeParams) Degrade() Degrade {
-	return Degrade{ShedFactor: dp.ShedFactor, DeadlineFactor: dp.DeadlineFactor}
-}
-
 // DispatchParams holds the cluster routing axis.
 type DispatchParams struct {
 	// Rule names the dispatcher ("" = the consuming layer's default;

@@ -129,10 +129,7 @@ func TestParamsZeroIdentity(t *testing.T) {
 			t.Errorf("max level %d: EETL threshold %v, want the 0.75 quantile's %v", maxLevel, thr, want)
 		}
 	}
-	if d := p.Degrade.Degrade(); d != (Degrade{}) {
-		t.Errorf("zero DegradeParams produced %+v", d)
-	}
-	if !p.ClassTargets().Empty() {
+	if p.ClassTargets().Len() != 0 {
 		t.Errorf("zero params ClassTargets is not the identity")
 	}
 }

@@ -30,21 +30,8 @@ func NewClassTargets(scales []float64) ClassTargets {
 	return ClassTargets{scales: append([]float64(nil), scales...)}
 }
 
-// Empty reports whether no per-class targets are configured.
-func (c ClassTargets) Empty() bool { return len(c.scales) == 0 }
-
 // Len returns the number of configured classes.
 func (c ClassTargets) Len() int { return len(c.scales) }
-
-// Scale returns the class's multiplier (1 when unconfigured or out of
-// range — unknown classes degrade to the single-class behavior rather
-// than failing).
-func (c ClassTargets) Scale(class uint8) float64 {
-	if int(class) >= len(c.scales) {
-		return 1
-	}
-	return c.scales[class]
-}
 
 // Apply scales a QoS′ value by the class's multiplier. The empty table
 // and out-of-range classes return the input untouched — bit-identical,

@@ -124,14 +124,6 @@ func (t *TrainingSet) Add(s Sample) {
 	t.mu.Unlock()
 }
 
-// CountAt returns the number of samples stored for a level.
-func (t *TrainingSet) CountAt(lvl cpu.Level) int {
-	if r := t.ring(lvl); r != nil {
-		return len(r.buf)
-	}
-	return 0
-}
-
 // Total returns the total sample count across levels.
 func (t *TrainingSet) Total() int {
 	n := 0
@@ -164,13 +156,6 @@ func (t *TrainingSet) All() []Sample {
 		out = t.rings[i].ordered(out)
 	}
 	return out
-}
-
-// Clear empties the set.
-func (t *TrainingSet) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rings = nil
 }
 
 // materialize replaces one shared level with a private deep copy in
@@ -401,22 +386,6 @@ func (m *LinearModel) Predict(lvl cpu.Level, features []float64) float64 {
 		return m.levelMean[l]
 	}
 	return m.globalMean
-}
-
-// Coefficients exposes the fitted linear function of one cell, for the
-// paper's explainability argument (§V-B point 4). ok is false for mean
-// cells.
-func (m *LinearModel) Coefficients(combo, level int) (beta []float64, ok bool) {
-	if combo < 0 || level < 0 || level >= m.levels || m.cellKey(combo, level) >= len(m.coef) {
-		return nil, false
-	}
-	b := m.coef[m.cellKey(combo, level)]
-	if b == nil {
-		return nil, false
-	}
-	out := make([]float64, len(b))
-	copy(out, b)
-	return out, true
 }
 
 // ---------------------------------------------------------------------------

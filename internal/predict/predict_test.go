@@ -45,8 +45,8 @@ func TestTrainingSetRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		set.Add(Sample{Level: 0, Features: []float64{float64(i)}, Service: float64(i)})
 	}
-	if set.CountAt(0) != 3 {
-		t.Fatalf("count = %d, want 3", set.CountAt(0))
+	if n := len(set.At(0)); n != 3 {
+		t.Fatalf("count = %d, want 3", n)
 	}
 	ss := set.At(0)
 	if ss[0].Service != 2 || ss[2].Service != 4 {
@@ -56,15 +56,11 @@ func TestTrainingSetRing(t *testing.T) {
 		t.Fatalf("total = %d", set.Total())
 	}
 	set.Add(Sample{Level: 1, Service: 9})
-	if set.Total() != 4 || set.CountAt(1) != 1 {
+	if set.Total() != 4 || len(set.At(1)) != 1 {
 		t.Fatal("second level not tracked")
 	}
 	if len(set.All()) != 4 {
 		t.Fatalf("All() = %d", len(set.All()))
-	}
-	set.Clear()
-	if set.Total() != 0 {
-		t.Fatal("Clear failed")
 	}
 }
 
@@ -73,8 +69,8 @@ func TestTrainingSetDefaultCap(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		set.Add(Sample{Level: 0, Service: 1})
 	}
-	if set.CountAt(0) != 1000 {
-		t.Fatalf("default cap = %d, want 1000 (the paper's N)", set.CountAt(0))
+	if n := len(set.At(0)); n != 1000 {
+		t.Fatalf("default cap = %d, want 1000 (the paper's N)", n)
 	}
 }
 
@@ -175,7 +171,7 @@ func TestTrainingSetMatchesNaiveModel(t *testing.T) {
 					fam[rng.Intn(len(fam))] = c
 				}
 			default:
-				p.set.Clear()
+				p.set.rings = nil
 				p.ref.lv = map[cpu.Level][]Sample{}
 			}
 			for i, m := range fam {
@@ -183,8 +179,8 @@ func TestTrainingSetMatchesNaiveModel(t *testing.T) {
 					t.Fatalf("seed %d step %d member %d: All() = %v (Total %d), model has %v", seed, step, i, got, m.set.Total(), want)
 				}
 				for lvl := cpu.Level(-1); lvl <= maxLevel; lvl++ {
-					if got, want := m.set.At(lvl), m.ref.lv[lvl]; !sameSamples(got, want) || m.set.CountAt(lvl) != len(want) {
-						t.Fatalf("seed %d step %d member %d level %d: At = %v (CountAt %d), model has %v", seed, step, i, lvl, got, m.set.CountAt(lvl), want)
+					if got, want := m.set.At(lvl), m.ref.lv[lvl]; !sameSamples(got, want) {
+						t.Fatalf("seed %d step %d member %d level %d: At = %v, model has %v", seed, step, i, lvl, got, want)
 					}
 				}
 			}
@@ -393,8 +389,8 @@ func TestCoefficientsExplainability(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	set := fillSet(app, grid, 500, 10)
 	m, _ := FitLinear(set, layoutFor(app, "word_count"), grid.Levels())
-	beta, ok := m.Coefficients(0, int(grid.MaxLevel()))
-	if !ok {
+	beta := m.coef[m.cellKey(0, int(grid.MaxLevel()))]
+	if beta == nil {
 		t.Fatal("no coefficients for the only combo at max level")
 	}
 	// Ground truth at fmax: service = 1.8ms + 0.58ms·words (± noise).
@@ -403,9 +399,6 @@ func TestCoefficientsExplainability(t *testing.T) {
 	}
 	if math.Abs(beta[0]-1.8e-3) > 0.4e-3 {
 		t.Fatalf("intercept = %v, want ≈1.8ms", beta[0])
-	}
-	if _, ok := m.Coefficients(99, 0); ok {
-		t.Fatal("out-of-range combo returned coefficients")
 	}
 }
 

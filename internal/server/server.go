@@ -178,9 +178,6 @@ func (s *Server) Completed() int { return s.completed }
 // Dropped returns the count of shed requests.
 func (s *Server) Dropped() int { return s.dropped }
 
-// Interference returns the current service-time inflation factor.
-func (s *Server) Interference() float64 { return s.interference }
-
 // SetInterference changes the service-time inflation factor (1 = none),
 // rescaling the remaining work of every in-flight request, as happens when
 // a colocated job suddenly contends for shared resources.
@@ -515,22 +512,6 @@ func (w *Worker) complete(e *sim.Engine) {
 	}
 }
 
-// Delay pauses the worker's in-flight request for d — the core is doing
-// something other than request work (e.g. an on-critical-path model
-// inference, as in Gemini). No-op when idle.
-func (w *Worker) Delay(e *sim.Engine, d sim.Duration) {
-	c := w.current
-	if c == nil || d <= 0 {
-		return
-	}
-	w.advanceProgress(e.Now())
-	if c.interruptUntil < e.Now() {
-		c.interruptUntil = e.Now()
-	}
-	c.interruptUntil += d
-	w.rescheduleCompletion(e)
-}
-
 // ProgressFraction returns how much of the running request's work has
 // completed (0 when idle, approaching 1 near completion). Real power
 // managers obtain the equivalent from hardware cycle counters (Rubik and
@@ -543,22 +524,6 @@ func (w *Worker) ProgressFraction(now sim.Time) float64 {
 	}
 	w.advanceProgress(now)
 	return c.progress
-}
-
-// EstimateRemaining returns the predicted time for the running request to
-// finish at the current frequency (0 when idle). Managers use it for
-// queueing-delay estimates.
-func (w *Worker) EstimateRemaining(now sim.Time) sim.Duration {
-	c := w.current
-	if c == nil {
-		return 0
-	}
-	w.advanceProgress(now)
-	rem := sim.Duration((1 - c.progress) * float64(w.stage2Duration()))
-	if c.interruptUntil > now {
-		rem += c.interruptUntil - now
-	}
-	return rem
 }
 
 // RandomizedSeed derives a child seed; helper for experiment plumbing.

@@ -64,8 +64,8 @@ func TestSingleRequestLifecycle(t *testing.T) {
 	if math.Abs(float64(done.Sojourn())-10e-3) > 1e-9 {
 		t.Fatalf("sojourn = %v, want 10ms", done.Sojourn())
 	}
-	if done.QueueDelay() != 0 {
-		t.Fatalf("queue delay = %v, want 0", done.QueueDelay())
+	if wait := done.Start - done.Recv; wait != 0 {
+		t.Fatalf("queue delay = %v, want 0", wait)
 	}
 	if s.Completed() != 1 {
 		t.Fatalf("completed = %d", s.Completed())
@@ -191,7 +191,7 @@ func TestInterferenceRescalesInFlight(t *testing.T) {
 	if math.Abs(float64(end)-want) > 1e-6 {
 		t.Fatalf("end = %v, want %v", end, want)
 	}
-	if s.Interference() != 2 {
+	if s.interference != 2 {
 		t.Fatal("interference not recorded")
 	}
 }
@@ -314,25 +314,6 @@ func TestRequestFeaturesReadyAtArrival(t *testing.T) {
 	e.RunAll()
 	if got := rec.readyAt[2]; got != 0.001 {
 		t.Fatalf("request-feature ready at %v, want at arrival (1ms)", got)
-	}
-}
-
-func TestEstimateRemaining(t *testing.T) {
-	app := fixedApp{service: 10 * sim.Millisecond, cf: 1}
-	s := newServer(t, app, 1, nil)
-	e := sim.NewEngine()
-	r := mkReq(10*sim.Millisecond, 1)
-	e.At(0, "s", func(en *sim.Engine) { s.Submit(en, r) })
-	var rem sim.Duration
-	e.At(0.004, "check", func(en *sim.Engine) {
-		rem = s.Workers()[0].EstimateRemaining(en.Now())
-	})
-	e.RunAll()
-	if math.Abs(float64(rem)-0.006) > 1e-9 {
-		t.Fatalf("remaining = %v, want 6ms", rem)
-	}
-	if s.Workers()[0].EstimateRemaining(e.Now()) != 0 {
-		t.Fatal("idle worker should have zero remaining")
 	}
 }
 
@@ -463,43 +444,6 @@ func TestSlowerFrequencyNeverFaster(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWorkerDelayPausesExecution(t *testing.T) {
-	app := fixedApp{service: 10 * sim.Millisecond, cf: 1}
-	s := newServer(t, app, 1, nil)
-	e := sim.NewEngine()
-	var end sim.Time
-	s.CompletedSink = func(_ *sim.Engine, r *workload.Request) { end = r.End }
-	r := mkReq(10*sim.Millisecond, 1)
-	e.At(0, "submit", func(en *sim.Engine) { r.Gen = en.Now(); s.Submit(en, r) })
-	// Two separate 2ms delays (e.g. on-core model inferences).
-	e.At(0.003, "d1", func(en *sim.Engine) { s.Workers()[0].Delay(en, 2*sim.Millisecond) })
-	e.At(0.007, "d2", func(en *sim.Engine) { s.Workers()[0].Delay(en, 2*sim.Millisecond) })
-	e.RunAll()
-	if math.Abs(float64(end)-0.014) > 1e-9 {
-		t.Fatalf("end = %v, want 14ms (10ms work + 2×2ms delays)", end)
-	}
-	// Delay on an idle worker is a no-op.
-	s.Workers()[0].Delay(e, sim.Millisecond)
-}
-
-func TestWorkerDelayZeroOrNegativeIgnored(t *testing.T) {
-	app := fixedApp{service: 5 * sim.Millisecond, cf: 1}
-	s := newServer(t, app, 1, nil)
-	e := sim.NewEngine()
-	var end sim.Time
-	s.CompletedSink = func(_ *sim.Engine, r *workload.Request) { end = r.End }
-	r := mkReq(5*sim.Millisecond, 1)
-	e.At(0, "submit", func(en *sim.Engine) { r.Gen = en.Now(); s.Submit(en, r) })
-	e.At(0.001, "d", func(en *sim.Engine) {
-		s.Workers()[0].Delay(en, 0)
-		s.Workers()[0].Delay(en, -5)
-	})
-	e.RunAll()
-	if math.Abs(float64(end)-0.005) > 1e-9 {
-		t.Fatalf("end = %v, want 5ms", end)
 	}
 }
 

@@ -51,19 +51,20 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 	}
 
 	soj := reg.Histogram(MetricSojournSeconds, "", telemetry.L("app", "var"))
-	if got, want := soj.Count(), uint64(tracker.Count()); got != want {
+	sojSnap := soj.Snapshot()
+	if got, want := sojSnap.Count, uint64(tracker.Count()); got != want {
 		t.Fatalf("histogram count %d != tracker count %d", got, want)
 	}
 	for _, q := range []float64{0.50, 0.95, 0.99} {
 		exact, _ := tracker.Percentile(q * 100)
-		got := soj.Quantile(q)
-		if tol := telemetry.BucketWidthAt(exact); math.Abs(got-exact) > tol {
+		got := sojSnap.Quantile(q)
+		if tol := bucketWidth(exact); math.Abs(got-exact) > tol {
 			t.Errorf("sojourn q%g: histogram %.6g vs exact %.6g (tol %.3g)", q, got, exact, tol)
 		}
 	}
 	svc := reg.Histogram(MetricServiceSeconds, "", telemetry.L("app", "var"))
 	exact, _ := svcTracker.Percentile(95)
-	if got := svc.Quantile(0.95); math.Abs(got-exact) > telemetry.BucketWidthAt(exact) {
+	if got := svc.Snapshot().Quantile(0.95); math.Abs(got-exact) > bucketWidth(exact) {
 		t.Errorf("service p95: histogram %.6g vs exact %.6g", got, exact)
 	}
 
@@ -137,11 +138,20 @@ func TestTelemetrySlackAndViolations(t *testing.T) {
 		t.Fatalf("violations = %d, want 1", got)
 	}
 	slack := reg.Histogram(MetricSlackSeconds, "", telemetry.L("app", "fixed"))
-	if got := slack.Count(); got != 2 {
+	slackSnap := slack.Snapshot()
+	if got := slackSnap.Count; got != 2 {
 		t.Fatalf("slack observations = %d, want 2", got)
 	}
 	// Sum of slack ≈ 5ms (5ms from the first, 0 from the violation).
-	if got := slack.Sum(); math.Abs(got-5e-3) > 1e-6 {
+	if got := slackSnap.Sum; math.Abs(got-5e-3) > 1e-6 {
 		t.Fatalf("slack sum = %v, want ≈5ms", got)
 	}
+}
+
+// bucketWidth is the width (seconds) of the telemetry histogram bucket
+// holding v: the log-linear layout with 2^5 sub-buckets per octave of
+// nanoseconds.
+func bucketWidth(v float64) float64 {
+	lo, hi := stats.LogLinearBounds(stats.LogLinearIndex(uint64(v*1e9), 5), 5)
+	return float64(hi-lo) / 1e9
 }

@@ -16,7 +16,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time measured in seconds from the start of the
@@ -36,12 +35,6 @@ const (
 	Second      Duration = 1
 	Minute      Duration = 60
 )
-
-// Seconds reports t as a plain float64 second count.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// Std converts a virtual duration to a time.Duration for display purposes.
-func (t Time) Std() time.Duration { return time.Duration(float64(t) * 1e9) }
 
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
@@ -105,14 +98,6 @@ type EventRef struct {
 // It does not say whether the event is still pending.
 func (r EventRef) Valid() bool { return r.ev != nil }
 
-// Cancelled reports whether this scheduled instance was removed before
-// firing. It is exact until the engine recycles the node (cancelled nodes
-// are reused by later At/After calls), so check it promptly after Cancel
-// rather than arbitrarily later; a recycled node's old refs report false.
-func (r EventRef) Cancelled() bool {
-	return r.ev != nil && r.ev.gen == r.gen && r.ev.index == -2
-}
-
 // eventLess is the engine-wide total order: (At, seq).
 func eventLess(a, b *Event) bool {
 	if a.At != b.At {
@@ -168,9 +153,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.q.len() }
 
 // schedule pulls a node off the freelist (or allocates one) and stamps it
 // with a fresh sequence number. The caller fills the callback and pushes.

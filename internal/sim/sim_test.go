@@ -433,3 +433,14 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 		e.Cancel(ev)
 	}
 }
+
+// Cancelled reports whether this scheduled instance was removed before
+// firing. It is exact until the engine recycles the node (cancelled nodes
+// are reused by later At/After calls), so check it promptly after Cancel
+// rather than arbitrarily later; a recycled node's old refs report false.
+func (r EventRef) Cancelled() bool {
+	return r.ev != nil && r.ev.gen == r.gen && r.ev.index == -2
+}
+
+// Pending returns the number of scheduled, not-yet-fired events.
+func (e *Engine) Pending() int { return e.q.len() }

@@ -101,21 +101,3 @@ func (h *HDR) Quantile(q float64) int64 {
 	}
 	return h.max
 }
-
-// Merge folds o into h (o is unchanged). Writers record into private
-// histograms and merge once at the end, keeping Record lock-free.
-func (h *HDR) Merge(o *HDR) {
-	if o == nil || o.total == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.total += o.total
-}

@@ -70,34 +70,6 @@ func TestHDRRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHDRMerge: merging partials equals recording everything into one.
-func TestHDRMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var all, a, b HDR
-	for i := 0; i < 10000; i++ {
-		v := int64(rng.Intn(1 << 30))
-		all.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	var m HDR
-	m.Merge(&a)
-	m.Merge(&b)
-	m.Merge(nil)
-	if m.Count() != all.Count() || m.Min() != all.Min() || m.Max() != all.Max() {
-		t.Fatalf("merge mismatch: count %d/%d min %d/%d max %d/%d",
-			m.Count(), all.Count(), m.Min(), all.Min(), m.Max(), all.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.99} {
-		if m.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("q=%g: merged %d, direct %d", q, m.Quantile(q), all.Quantile(q))
-		}
-	}
-}
-
 // TestHDREmptyAndNegative: zero-value usability and negative clamping.
 func TestHDREmptyAndNegative(t *testing.T) {
 	var h HDR

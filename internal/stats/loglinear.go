@@ -15,12 +15,6 @@ package stats
 
 import "math/bits"
 
-// LogLinearSlots returns the number of buckets the layout needs to
-// cover every non-negative int64 value at the given resolution.
-func LogLinearSlots(subBits uint) int {
-	return (64 - int(subBits)) << subBits
-}
-
 // LogLinearIndex maps u to its bucket. Values below 2^subBits are
 // exact (width-1 buckets); larger values keep subBits+1 significant
 // bits, so the bucket containing u is at most u/2^subBits wide.

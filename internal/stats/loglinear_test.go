@@ -86,3 +86,9 @@ func TestLogLinearMatchesLegacyFormulas(t *testing.T) {
 		}
 	}
 }
+
+// LogLinearSlots returns the number of buckets the layout needs to
+// cover every non-negative int64 value at the given resolution.
+func LogLinearSlots(subBits uint) int {
+	return (64 - int(subBits)) << subBits
+}

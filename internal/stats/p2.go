@@ -26,9 +26,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return e
 }
 
-// N returns the number of observations seen.
-func (e *P2Quantile) N() int { return e.n }
-
 // Add incorporates one observation.
 func (e *P2Quantile) Add(x float64) {
 	e.n++

@@ -34,8 +34,8 @@ func TestP2SmallSamples(t *testing.T) {
 	if v < 1 || v > 3 {
 		t.Fatalf("small-sample fallback = %v", v)
 	}
-	if e.N() != 2 {
-		t.Fatalf("N = %d", e.N())
+	if e.n != 2 {
+		t.Fatalf("N = %d", e.n)
 	}
 }
 

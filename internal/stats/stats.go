@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,23 +27,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (divide by n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest value in xs; it panics on an empty slice.
 func Min(xs []float64) float64 {
@@ -106,17 +90,25 @@ func CorrelationRatio(categories []int, ys []float64) (float64, error) {
 		return 0, ErrTooFewSamples
 	}
 	total := Mean(ys)
-	sums := map[int]float64{}
-	counts := map[int]int{}
+	// Per-category sums live in slices indexed by the label's rank, so
+	// the between-category term adds up in category order: summed in
+	// map-iteration order, η² would change in its last bits from one
+	// call to the next.
+	labels := slices.Clone(categories)
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
+	sums := make([]float64, len(labels))
+	counts := make([]int, len(labels))
 	for i, c := range categories {
-		sums[c] += ys[i]
-		counts[c]++
+		k, _ := slices.BinarySearch(labels, c)
+		sums[k] += ys[i]
+		counts[k]++
 	}
 	var between, totalSS float64
-	for c, s := range sums {
-		m := s / float64(counts[c])
+	for k, s := range sums {
+		m := s / float64(counts[k])
 		d := m - total
-		between += float64(counts[c]) * d * d
+		between += float64(counts[k]) * d * d
 	}
 	for _, y := range ys {
 		d := y - total

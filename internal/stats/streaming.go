@@ -1,33 +1,16 @@
 package stats
 
-import "math"
-
-// Running accumulates mean and variance incrementally using Welford's
-// algorithm. The zero value is ready to use.
+// Running accumulates a count and mean incrementally using Welford's
+// update. The zero value is ready to use.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N returns the number of samples added.
@@ -35,23 +18,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the running population variance (0 when n < 2).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest sample seen (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample seen (0 when empty).
-func (r *Running) Max() float64 { return r.max }
 
 // Reset forgets all samples.
 func (r *Running) Reset() { *r = Running{} }
@@ -108,9 +74,6 @@ func (t *LatencyTracker) Count() int { return t.running.N() }
 // Mean returns the cumulative mean latency.
 func (t *LatencyTracker) Mean() float64 { return t.running.Mean() }
 
-// WindowCount returns how many samples the sliding window currently holds.
-func (t *LatencyTracker) WindowCount() int { return len(t.window) }
-
 // WindowPercentile returns the p-th percentile of the sliding window, and
 // false when the window is empty.
 func (t *LatencyTracker) WindowPercentile(p float64) (float64, bool) {
@@ -145,16 +108,6 @@ func (t *LatencyTracker) Percentile(p float64) (float64, bool) {
 		return Percentile(t.all, p), true
 	}
 	return t.WindowPercentile(p)
-}
-
-// All returns a copy of all retained samples (nil unless keepAll).
-func (t *LatencyTracker) All() []float64 {
-	if !t.keepAll {
-		return nil
-	}
-	out := make([]float64, len(t.all))
-	copy(out, t.all)
-	return out
 }
 
 // Quantiles returns the given quantiles (0..1) over all retained samples in

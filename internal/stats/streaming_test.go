@@ -18,12 +18,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	if !almost(r.Mean(), Mean(xs), 1e-9) {
 		t.Fatalf("running mean %v vs batch %v", r.Mean(), Mean(xs))
 	}
-	if !almost(r.Variance(), Variance(xs), 1e-9) {
-		t.Fatalf("running variance %v vs batch %v", r.Variance(), Variance(xs))
-	}
-	if r.Min() != Min(xs) || r.Max() != Max(xs) {
-		t.Fatal("running min/max mismatch")
-	}
 	if r.N() != 500 {
 		t.Fatalf("N = %d", r.N())
 	}
@@ -33,7 +27,7 @@ func TestRunningReset(t *testing.T) {
 	var r Running
 	r.Add(5)
 	r.Reset()
-	if r.N() != 0 || r.Mean() != 0 || r.Variance() != 0 {
+	if r.N() != 0 || r.Mean() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -41,7 +35,7 @@ func TestRunningReset(t *testing.T) {
 func TestRunningSingleSample(t *testing.T) {
 	var r Running
 	r.Add(3)
-	if r.Mean() != 3 || r.Variance() != 0 || r.Min() != 3 || r.Max() != 3 {
+	if r.Mean() != 3 || r.N() != 1 {
 		t.Fatalf("single sample stats wrong: %+v", r)
 	}
 }
@@ -51,8 +45,8 @@ func TestLatencyTrackerWindow(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tr.Add(float64(i))
 	}
-	if tr.WindowCount() != 4 {
-		t.Fatalf("window count = %d, want 4", tr.WindowCount())
+	if len(tr.window) != 4 {
+		t.Fatalf("window count = %d, want 4", len(tr.window))
 	}
 	// Window holds {7,8,9,10}; p0 is the oldest surviving sample.
 	if v, ok := tr.WindowPercentile(0); !ok || v != 7 {
@@ -81,14 +75,8 @@ func TestLatencyTrackerKeepAll(t *testing.T) {
 	if v, ok := tr.Percentile(99); !ok || !almost(v, 99.01, 0.5) {
 		t.Fatalf("p99 = %v, %v", v, ok)
 	}
-	all := tr.All()
-	if len(all) != 100 {
-		t.Fatalf("All() len = %d", len(all))
-	}
-	// Mutating the copy must not affect the tracker.
-	all[0] = -1
-	if v, _ := tr.Percentile(0); v != 1 {
-		t.Fatal("All() returned aliased storage")
+	if len(tr.all) != 100 {
+		t.Fatalf("kept %d samples, want 100", len(tr.all))
 	}
 	qs := tr.Quantiles(0.5, 0.99)
 	if len(qs) != 2 || qs[0] < qs[1] == false && qs[0] > qs[1] {
@@ -101,8 +89,8 @@ func TestLatencyTrackerKeepAll(t *testing.T) {
 
 func TestLatencyTrackerNoKeepAllFallsBack(t *testing.T) {
 	tr := NewLatencyTracker(8, false)
-	if tr.All() != nil {
-		t.Fatal("All() should be nil without keepAll")
+	if tr.all != nil {
+		t.Fatal("samples kept without keepAll")
 	}
 	for i := 0; i < 8; i++ {
 		tr.Add(float64(i))
@@ -132,22 +120,24 @@ func TestLatencyTrackerDefaultWindow(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tr.Add(1)
 	}
-	if tr.WindowCount() != 4096 {
-		t.Fatalf("default window cap = %d, want 4096", tr.WindowCount())
+	if len(tr.window) != 4096 {
+		t.Fatalf("default window cap = %d, want 4096", len(tr.window))
 	}
 }
 
-// Property: Running variance is never negative, and mean stays within
-// [min, max].
+// Property: Running's mean stays within [min, max] of its samples.
 func TestRunningInvariants(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var r Running
+		lo, hi := math.Inf(1), math.Inf(-1)
 		count := int(n)%100 + 1
 		for i := 0; i < count; i++ {
-			r.Add(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6))))
+			x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6)))
+			r.Add(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
-		return r.Variance() >= 0 && r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9
+		return r.Mean() >= lo-1e-9 && r.Mean() <= hi+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -172,8 +162,8 @@ func (w *naiveWindow) add(x float64) {
 // bit for bit.
 func checkRingAgainst(t *testing.T, tr *LatencyTracker, ref *naiveWindow, step int) {
 	t.Helper()
-	if tr.WindowCount() != len(ref.xs) {
-		t.Fatalf("step %d: WindowCount = %d, reference holds %d", step, tr.WindowCount(), len(ref.xs))
+	if len(tr.window) != len(ref.xs) {
+		t.Fatalf("step %d: WindowCount = %d, reference holds %d", step, len(tr.window), len(ref.xs))
 	}
 	for _, p := range []float64{0, 25, 50, 95, 99, 100} {
 		got, ok := tr.WindowPercentile(p)

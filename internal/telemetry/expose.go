@@ -137,12 +137,6 @@ type HTTPServer struct {
 	srv *http.Server
 }
 
-// Serve binds addr (":9090", "127.0.0.1:0", …) and serves the registry's
-// Handler on it in a background goroutine. Close to stop.
-func (r *Registry) Serve(addr string) (*HTTPServer, error) {
-	return ServeHandler(addr, r.Handler())
-}
-
 // ServeHandler binds addr and serves an arbitrary handler in a background
 // goroutine — used to co-host the registry's /metrics with a runtime's
 // /debug endpoints on one port. Close the returned server to stop.

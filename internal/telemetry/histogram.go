@@ -55,13 +55,12 @@ func bucketBounds(idx int) (lower, upper uint64) {
 }
 
 // Histogram is a fixed-layout log-linear histogram of float64 seconds.
-// Observe is lock-free (three atomic adds plus a rare min/max CAS) and
+// Observe is lock-free (two atomic adds plus a rare min/max CAS) and
 // allocation-free; Snapshot extracts a mergeable copy for quantile
 // queries and exposition. The zero value is not usable; call
 // NewHistogram or Registry.Histogram.
 type Histogram struct {
 	buckets  []atomic.Uint64
-	count    atomic.Uint64
 	sumNanos atomic.Int64 // running sum in the integer unit
 	minBits  atomic.Uint64
 	maxBits  atomic.Uint64
@@ -85,7 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	n := uint64(v * unitScale)
 	h.buckets[bucketIndex(n)].Add(1)
-	h.count.Add(1)
 	h.sumNanos.Add(int64(n))
 	// Min/max update only when the record is a new extreme — rare after
 	// warmup, so the CAS loops almost never execute.
@@ -122,7 +120,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	if moved == 0 {
 		return
 	}
-	h.count.Add(moved)
 	h.sumNanos.Add(o.sumNanos.Load())
 	for {
 		old := h.minBits.Load()
@@ -139,15 +136,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed values in seconds.
-func (h *Histogram) Sum() float64 { return float64(h.sumNanos.Load()) / unitScale }
-
-// Quantile is shorthand for Snapshot().Quantile(q).
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // Snapshot copies the histogram state. Concurrent Observe calls may land
 // between bucket reads, so a snapshot under load is a near-instant — not
@@ -246,25 +234,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		cum += c
 	}
 	return s.Max
-}
-
-// BucketWidthAt returns the bucket width (seconds) at value v — the
-// quantile resolution in v's neighborhood. Accuracy tests use it as the
-// tolerance for histogram-vs-exact comparisons.
-func BucketWidthAt(v float64) float64 {
-	if !(v > 0) {
-		v = 0
-	}
-	lo, hi := bucketBounds(bucketIndex(uint64(v * unitScale)))
-	return float64(hi-lo) / unitScale
-}
-
-// UpperBound returns the exclusive upper bound (seconds) of the bucket
-// containing v; exposition uses it as the Prometheus `le` edge.
-func UpperBound(v float64) float64 {
-	if !(v > 0) {
-		v = 0
-	}
-	_, hi := bucketBounds(bucketIndex(uint64(v * unitScale)))
-	return float64(hi) / unitScale
 }

@@ -37,7 +37,7 @@ func TestHistogramHDREquivalence(t *testing.T) {
 		want := exact[int(q*float64(n-1))]
 		tol := BucketWidthAt(want) // one subBits=5 bucket: ≤1/32 relative
 
-		got := h.Quantile(q)
+		got := h.Snapshot().Quantile(q)
 		if math.Abs(got-want) > tol {
 			t.Errorf("telemetry q%g = %v, exact %v (tol %v)", q, got, want, tol)
 		}

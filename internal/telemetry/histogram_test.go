@@ -53,13 +53,13 @@ func TestHistogramObserveEdgeCases(t *testing.T) {
 	h.Observe(-1)         // clamps to 0
 	h.Observe(0)          //
 	h.Observe(math.NaN()) // clamps to 0
-	if got := h.Count(); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
-	if got := h.Sum(); got != 0 {
-		t.Fatalf("sum = %v, want 0", got)
-	}
 	s := h.Snapshot()
+	if s.Count != 3 {
+		t.Fatalf("count = %d, want 3", s.Count)
+	}
+	if s.Sum != 0 {
+		t.Fatalf("sum = %v, want 0", s.Sum)
+	}
 	if s.Counts[0] != 3 {
 		t.Fatalf("zero bucket = %d, want 3", s.Counts[0])
 	}
@@ -67,12 +67,12 @@ func TestHistogramObserveEdgeCases(t *testing.T) {
 
 func TestQuantileEmptyAndSingle(t *testing.T) {
 	h := NewHistogram()
-	if got := h.Quantile(0.99); got != 0 {
+	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 	h.Observe(0.004)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
+		got := h.Snapshot().Quantile(q)
 		if math.Abs(got-0.004) > BucketWidthAt(0.004) {
 			t.Fatalf("single-sample q%.2f = %v, want ≈0.004", q, got)
 		}
@@ -233,4 +233,15 @@ func BenchmarkSnapshotQuantile(b *testing.B) {
 		s := h.Snapshot()
 		_ = s.Quantile(0.95)
 	}
+}
+
+// BucketWidthAt returns the bucket width (seconds) at value v — the
+// quantile resolution in v's neighborhood. Accuracy tests use it as the
+// tolerance for histogram-vs-exact comparisons.
+func BucketWidthAt(v float64) float64 {
+	if !(v > 0) {
+		v = 0
+	}
+	lo, hi := bucketBounds(bucketIndex(uint64(v * unitScale)))
+	return float64(hi-lo) / unitScale
 }

@@ -25,7 +25,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,17 +53,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -291,15 +279,5 @@ func (r *Registry) Gather() []FamilySnapshot {
 		}
 		out = append(out, fs)
 	})
-	return out
-}
-
-// Names returns the registered family names sorted alphabetically
-// (diagnostic helper for tests).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.names...)
-	sort.Strings(out)
 	return out
 }

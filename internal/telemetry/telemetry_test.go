@@ -29,12 +29,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("queue_depth", "depth")
-	g.Set(3)
-	g.Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %v, want 2", got)
-	}
-	g.Add(0.5)
+	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", got)
 	}
@@ -93,7 +88,7 @@ func TestConcurrentRecordingIsRaceClean(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := h.Count(); got != workers*per {
+	if got := h.Snapshot().Count; got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }
@@ -185,7 +180,7 @@ func TestHandlerServesMetricsAndHealthz(t *testing.T) {
 
 func TestServeBindsAndCloses(t *testing.T) {
 	r := NewRegistry()
-	hs, err := r.Serve("127.0.0.1:0")
+	hs, err := ServeHandler("127.0.0.1:0", r.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

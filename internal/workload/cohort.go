@@ -116,9 +116,6 @@ func (g *CohortGenerator) Stop() { g.stopped = true }
 // Generator.SetRPS, without disturbing per-client arrival-process state.
 func (g *CohortGenerator) SetRateScale(f float64) { g.rateScale = f }
 
-// Clients reports the population size (for logs and reports).
-func (g *CohortGenerator) Clients() int { return len(g.clients) }
-
 func (cl *cohortClient) scheduleNext(e *sim.Engine) {
 	g := cl.owner
 	if g.stopped {

@@ -111,12 +111,3 @@ func MeanServiceAtMax(a App) float64 {
 	meanServiceCache.Store(a.Name(), mean)
 	return mean
 }
-
-// MaxLoadRPS returns the request rate defined as the application's "100%
-// load" on a server with the given worker count: the paper defines max load
-// as the maximum RPS meeting QoS on the default (max-frequency) system,
-// which lands at 60–80% CPU utilization for these open-loop workloads. We
-// target ~72% utilization of the worker pool at max frequency.
-func MaxLoadRPS(a App, workers int) float64 {
-	return 0.72 * float64(workers) / MeanServiceAtMax(a)
-}

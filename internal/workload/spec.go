@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -235,18 +234,6 @@ func LoadSpec(name string) (*Spec, error) {
 	}
 	defer f.Close()
 	return ParseSpec(f)
-}
-
-// MarshalIndent renders the spec as indented JSON (for -spec-dump style
-// inspection).
-func (s *Spec) MarshalIndent() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // ---------------------------------------------------------------------------

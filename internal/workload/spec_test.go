@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -70,4 +71,16 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("round trip changed the SHA: %s became %s", s.SHA(), back.SHA())
 		}
 	})
+}
+
+// MarshalIndent renders the spec as indented JSON (for -spec-dump style
+// inspection).
+func (s *Spec) MarshalIndent() ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

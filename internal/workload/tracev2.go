@@ -31,7 +31,7 @@ import (
 // ArrivalNs, accepting the lossy conversion on their side only.
 //
 // The canonical form (CanonicalBytes/SHA) masks the header's provenance
-// block — exactly as obs.CanonicalJSON does for run reports — so the
+// block — exactly as the report goldens do for run reports — so the
 // digest of a recording is a pure function of (spec, seed, horizon) and
 // matches across machines, times and -parallel settings.
 

@@ -157,9 +157,6 @@ func (r *Request) ServiceAt(fGHz, fMaxGHz, interference float64) sim.Duration {
 	return sim.Duration(float64(r.ServiceBase) * scale * interference)
 }
 
-// QueueDelay returns Start − Recv.
-func (r *Request) QueueDelay() sim.Duration { return r.Start - r.Recv }
-
 // Sojourn returns End − Gen, the end-to-end latency the QoS constrains.
 func (r *Request) Sojourn() sim.Duration { return r.End - r.Gen }
 

@@ -1,0 +1,348 @@
+package main
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// testFuncRE matches a test, benchmark or fuzz function declaration.
+var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+
+// testFuncs returns the test, benchmark and fuzz functions declared in
+// the _test.go files under each directory (relative to the checkout root;
+// "./..." means every directory), keyed by name.
+func testFuncs(t *testing.T, dirs ...string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, dir := range dirs {
+		root, recursive := strings.TrimSuffix(dir, "/..."), strings.HasSuffix(dir, "/...")
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != root && (!recursive || skipDir(d.Name())) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testFuncRE.FindAllStringSubmatch(string(src), -1) {
+				names[m[1]] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
+}
+
+func skipDir(name string) bool {
+	return name == "testdata" || strings.HasPrefix(name, ".")
+}
+
+// goTestLine is one `go test` invocation found in a gate file.
+type goTestLine struct {
+	where string   // file:line
+	flag  string   // -run, -bench or -fuzz
+	re    string   // the selection regex
+	pkgs  []string // package directories
+}
+
+// makeVarRE matches a Makefile variable assignment, `NAME = value` or
+// `NAME ?= value`.
+var makeVarRE = regexp.MustCompile(`(?m)^(\w+)\s*\??=\s*(.*)$`)
+
+// makeVars reads the Makefile's variable assignments.
+func makeVars(src string) map[string]string {
+	vars := map[string]string{}
+	for _, m := range makeVarRE.FindAllStringSubmatch(src, -1) {
+		vars[m[1]] = strings.TrimSpace(m[2])
+	}
+	return vars
+}
+
+// shellWords splits a command line into words, honouring single quotes.
+func shellWords(s string) []string {
+	var words []string
+	var cur strings.Builder
+	in, quoted := false, false
+	for _, r := range s {
+		switch {
+		case r == '\'':
+			quoted = !quoted
+			in = true
+		case (r == ' ' || r == '\t') && !quoted:
+			if in {
+				words = append(words, cur.String())
+				cur.Reset()
+			}
+			in = false
+		default:
+			cur.WriteRune(r)
+			in = true
+		}
+	}
+	if in {
+		words = append(words, cur.String())
+	}
+	return words
+}
+
+// gateLines returns every test selection in the Makefile and the CI
+// workflows: a `go test` line's -run, -bench and -fuzz regexes with the
+// packages it names.
+func gateLines(t *testing.T) []goTestLine {
+	t.Helper()
+	var out []goTestLine
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml", ".github/workflows/chaos.yml"} {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars := makeVars(string(b))
+		expand := regexp.MustCompile(`\$\((\w+)\)`)
+		for i, line := range strings.Split(string(b), "\n") {
+			line = strings.ReplaceAll(line, "$$", "$")
+			line = expand.ReplaceAllStringFunc(line, func(v string) string {
+				if val, ok := vars[v[2:len(v)-1]]; ok {
+					return val
+				}
+				return v
+			})
+			_, cmd, ok := strings.Cut(line, "go test ")
+			if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue
+			}
+			words := shellWords(cmd)
+			var sel []goTestLine
+			var pkgs []string
+			for j := 0; j < len(words) && words[j] != "|"; j++ {
+				switch w := words[j]; {
+				case (w == "-run" || w == "-bench" || w == "-fuzz") && j+1 < len(words):
+					sel = append(sel, goTestLine{where: file + ":" + strconv.Itoa(i+1), flag: w, re: words[j+1]})
+					j++
+				case w == "-count" || w == "-timeout" || w == "-fuzztime" || w == "-benchtime" || w == "-parallel" || w == "-cpu":
+					j++
+				case w == "." || strings.HasPrefix(w, "./"):
+					pkgs = append(pkgs, w)
+				}
+			}
+			for _, s := range sel {
+				s.pkgs = pkgs
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
+// topLevelAlternatives splits a regex at the `|`s outside any group or
+// class; only a test name's top level (before a `/`) is kept.
+func topLevelAlternatives(re string) []string {
+	var alts []string
+	depth, class, start := 0, false, 0
+	for i := 0; i < len(re); i++ {
+		switch c := re[i]; {
+		case c == '\\':
+			i++
+		case class:
+			class = c != ']'
+		case c == '[':
+			class = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts = append(alts, re[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, re[start:])
+}
+
+// TestGateRegexesNameTests: every alternative of every test selection in
+// the Makefile and the CI workflows names at least one test, benchmark or
+// fuzz function of the packages it runs, so renaming or moving a test
+// cannot silently drop it from its gate.
+func TestGateRegexesNameTests(t *testing.T) {
+	lines := gateLines(t)
+	perFile := map[string]int{}
+	for _, l := range lines {
+		file, _, _ := strings.Cut(l.where, ":")
+		perFile[file]++
+	}
+	if perFile["Makefile"] < 20 || perFile[".github/workflows/chaos.yml"] == 0 {
+		t.Fatalf("found %d test selections %v; the gate parser is broken", len(lines), perFile)
+	}
+	for _, l := range lines {
+		if l.re == "^$" || l.re == "." {
+			continue // no test, or every one
+		}
+		if len(l.pkgs) == 0 {
+			t.Errorf("%s: %s %q names no package", l.where, l.flag, l.re)
+			continue
+		}
+		funcs := testFuncs(t, l.pkgs...)
+		for _, alt := range topLevelAlternatives(l.re) {
+			name, _, _ := strings.Cut(alt, "/")
+			re, err := regexp.Compile(name)
+			if err != nil {
+				t.Errorf("%s: %s alternative %q: %v", l.where, l.flag, alt, err)
+				continue
+			}
+			found := false
+			for f := range funcs {
+				if re.MatchString(f) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: %s alternative %q matches no function in %v", l.where, l.flag, alt, l.pkgs)
+			}
+		}
+	}
+}
+
+// testNameRE matches a test, benchmark or fuzz function named in prose,
+// with a trailing … when it stands for every name with that prefix.
+var testNameRE = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(…)?`)
+
+// TestDocsNameDeclaredTests: every test, benchmark or fuzz function the
+// documentation or a Go comment names exists, so a rename or deletion
+// cannot leave a doc pointing at nothing. CHANGES.md and ROADMAP.md are
+// history and may name what is gone.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	funcs := testFuncs(t, "./...")
+	check := func(where, text string) {
+		for _, m := range testNameRE.FindAllStringSubmatch(text, -1) {
+			name, prefix := m[1], m[2] != ""
+			if funcs[name] {
+				continue
+			}
+			if prefix {
+				ok := false
+				for f := range funcs {
+					ok = ok || strings.HasPrefix(f, name)
+				}
+				if ok {
+					continue
+				}
+			}
+			t.Errorf("%s names %s, which no _test.go file declares", where, m[0])
+		}
+	}
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	skills, err := filepath.Glob(".claude/skills/*/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(docs, skills...) {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			check(doc+":"+strconv.Itoa(i+1), line)
+		}
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && skipDir(d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				check(fset.Position(c.Pos()).String(), c.Text)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoldensAreRead: every file under a testdata directory is named by a
+// _test.go file of the package that owns the directory, or, in a fuzz
+// corpus (testdata/fuzz/<target>/), belongs to a fuzz target the package
+// declares. No golden is left behind when the test that read it moves
+// or goes.
+func TestGoldensAreRead(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.Contains(filepath.ToSlash(path), "/testdata/") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	if len(files) == 0 {
+		t.Fatal("no testdata files found")
+	}
+	for _, path := range files {
+		pkg, rel, _ := strings.Cut(filepath.ToSlash(path), "/testdata/")
+		if fuzz, ok := strings.CutPrefix(rel, "fuzz/"); ok {
+			target, _, _ := strings.Cut(fuzz, "/")
+			if !testFuncs(t, pkg)[target] {
+				t.Errorf("%s: %s declares no fuzz target %s", path, pkg, target)
+			}
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := false
+		for _, tf := range tests {
+			src, err := os.ReadFile(tf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read = read || strings.Contains(string(src), `"`+filepath.Base(path)+`"`)
+		}
+		if !read {
+			t.Errorf("%s: no _test.go file in %s names it", path, pkg)
+		}
+	}
+}
