@@ -7,13 +7,9 @@
 package main
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"retail/internal/experiments"
-	"retail/internal/stats"
-	"retail/internal/telemetry"
 )
 
 func quickCfg() experiments.Config { return experiments.Quick() }
@@ -292,76 +288,5 @@ func BenchmarkOverheadAccounting(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.MeanDecisionCost)*1e6, "decision-us")
-	}
-}
-
-// --- telemetry hot path -------------------------------------------------
-//
-// The acceptance bar for the metrics subsystem is <100 ns per record on
-// the hot path: instruments sit inside the live worker loop and the sim
-// Complete hook, so a slow Observe would show up as measurement skew.
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := telemetry.NewRegistry().Counter("bench_counter_total", "bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncParallel(b *testing.B) {
-	c := telemetry.NewRegistry().Counter("bench_counter_total", "bench")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := telemetry.NewRegistry().Histogram("bench_hist_seconds", "bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.0042)
-	}
-}
-
-func BenchmarkHistogramObserveParallel(b *testing.B) {
-	h := telemetry.NewRegistry().Histogram("bench_hist_seconds", "bench")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			h.Observe(0.0042)
-		}
-	})
-}
-
-// TestHistogramQuantileAccuracy cross-checks the log-linear histogram
-// against the exact-sample LatencyTracker on a heavy-tailed latency
-// distribution: every reported quantile must land within one bucket
-// width of the exact value.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	h := telemetry.NewHistogram()
-	lt := stats.NewLatencyTracker(0, true)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 50000; i++ {
-		// Lognormal-ish service times around a few milliseconds.
-		v := 0.002 * math.Exp(0.6*rng.NormFloat64())
-		h.Observe(v)
-		lt.Add(v)
-	}
-	for _, q := range []float64{50, 95, 99, 99.9} {
-		exact, ok := lt.Percentile(q)
-		if !ok {
-			t.Fatal("tracker empty")
-		}
-		got := h.Snapshot().Quantile(q / 100)
-		// One bucket of the histogram's log-linear layout: 2^5
-		// sub-buckets per octave of nanoseconds.
-		lo, hi := stats.LogLinearBounds(stats.LogLinearIndex(uint64(exact*1e9), 5), 5)
-		if tol := float64(hi-lo) / 1e9; math.Abs(got-exact) > tol {
-			t.Errorf("p%g: histogram %.6f vs exact %.6f (tolerance %.6f)", q, got, exact, tol)
-		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 // The default run drives ≥1M requests: 16 cells (4 dispatchers × 4 node
 // policies) × 70000 requests each. Output is deterministic — byte-identical
 // at every -parallel setting — and the same tables are golden-checked by
-// `make cluster-check`. -quick runs 4 nodes × 2 workers, 2500 requests a
+// `make golden-check`. -quick runs 4 nodes × 2 workers, 2500 requests a
 // cell, on the Quick calibration.
 func bindCluster(f *cmdFlags) func() error {
 	f.appFlag("xapian")

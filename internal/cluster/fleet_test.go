@@ -8,6 +8,7 @@ import (
 	"retail/internal/core"
 	"retail/internal/nn"
 	"retail/internal/policy"
+	"retail/internal/sim"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -222,19 +223,58 @@ func TestRunFleetAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterFleet drives one small fleet run end to end; tracked by
-// make bench-check so the fleet path stays on the hot-path dashboard.
+// smallFleet is BenchmarkClusterFleet's fleet: 4 retail nodes × 2
+// workers behind power-of-two at 35% load, measured for duration seconds
+// of virtual time.
+func smallFleet(cal *core.Calibration, duration sim.Duration) FleetConfig {
+	return FleetConfig{
+		Cal: cal, Nodes: 4, WorkersPerNode: 2,
+		Policy: "retail", Dispatcher: "power-of-two",
+		RPS: testFleetRPS(cal, 4, 2, 0.35), Warmup: 0.5, Duration: duration, Seed: 1,
+	}
+}
+
+// BenchmarkClusterFleet drives one small fleet run end to end; make
+// bench-check runs it once under the race detector.
 func BenchmarkClusterFleet(b *testing.B) {
 	cal := testFleetCal(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := FleetConfig{
-			Cal: cal, Nodes: 4, WorkersPerNode: 2,
-			Policy: "retail", Dispatcher: "power-of-two",
-			RPS: testFleetRPS(cal, 4, 2, 0.35), Warmup: 0.5, Duration: 2, Seed: 1,
-		}
-		if _, err := RunFleet(cfg); err != nil {
+		if _, err := RunFleet(smallFleet(cal, 2)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunFleetAllocsPerRequest holds the fleet's steady state to almost no
+// heap allocation per request, with no baseline file: the small fleet run
+// for 8 s may allocate fewer than 0.05 objects per extra completion more
+// than the same fleet run for 2 s. Setup (calibration copies, nodes,
+// managers, pools) costs the same at both horizons and cancels, so the
+// bound is the same on every host, and one allocation per completed
+// request anywhere on the request path exceeds it twentyfold.
+func TestRunFleetAllocsPerRequest(t *testing.T) {
+	cal := testFleetCal(t)
+	run := func(duration sim.Duration) (allocs float64, completed int) {
+		allocs = testing.AllocsPerRun(1, func() {
+			res, err := RunFleet(smallFleet(cal, duration))
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed = res.Completed
+		})
+		return allocs, completed
+	}
+	shortAllocs, shortDone := run(2)
+	longAllocs, longDone := run(8)
+	extra := longDone - shortDone
+	if extra <= 0 {
+		t.Fatalf("8 s run completed %d requests, 2 s run %d", longDone, shortDone)
+	}
+	perReq := (longAllocs - shortAllocs) / float64(extra)
+	t.Logf("2 s: %.0f allocs / %d completed; 8 s: %.0f allocs / %d completed; %.4f allocs per extra request",
+		shortAllocs, shortDone, longAllocs, longDone, perReq)
+	if perReq >= 0.05 {
+		t.Fatalf("%.4f allocations per extra completed request, want < 0.05", perReq)
 	}
 }

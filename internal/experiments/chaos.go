@@ -27,7 +27,7 @@ import (
 // for the site ↔ runtime matrix.
 //
 // Every number in the report is deterministic for a fixed Config.Seed, so
-// `make chaos-check` pins the rendered output against a golden file.
+// `make golden-check` pins the rendered output against a golden file.
 
 // chaosSimPlans are the built-in plans with simulator-side content.
 func chaosSimPlans() []string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,8 +16,6 @@ import (
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
-
-var updateChaosGolden = flag.Bool("update", false, "rewrite the chaos golden file")
 
 // TestChaosSimGolden pins the deterministic simulator chaos matrix: two
 // in-process runs must render byte-identically, and the render must match
@@ -41,7 +38,7 @@ func TestChaosSimGolden(t *testing.T) {
 		t.Fatal("ChaosAll is not deterministic: two runs with the same seed rendered differently")
 	}
 	golden := filepath.Join("testdata", "chaos_golden.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,10 @@ import (
 	"retail/internal/predict"
 	"retail/internal/workload"
 )
+
+// update rewrites every golden under testdata/ that a test here compares
+// against (`make golden-update`), instead of comparing.
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 func quickCfg() Config { return Quick() }
 

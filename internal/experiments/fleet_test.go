@@ -37,7 +37,7 @@ func TestFleetSweepGolden(t *testing.T) {
 	}
 	got := res.Render()
 	golden := filepath.Join("testdata", "fleet_golden.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestFleetSweepMultiSeedSHA(t *testing.T) {
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	golden := filepath.Join("testdata", "fleet_sha256.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

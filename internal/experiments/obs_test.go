@@ -177,7 +177,7 @@ func TestFleetReportGolden(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "report_golden.json")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -295,7 +295,7 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 	return res, nil
 }
 
-// TestReplayParity is the refactor's keystone check (`make parity-check`):
+// TestReplayParity is the refactor's keystone check (`make golden-check`):
 // one recorded simulator run replayed through the live runtime's policy
 // must yield a byte-identical decision sequence. A divergence means one
 // adapter grew private policy logic again.
@@ -326,7 +326,7 @@ func TestReplayParity(t *testing.T) {
 	sum := sha256.Sum256(res.SimBytes)
 	line := fmt.Sprintf("decisions=%d ticks=%d sha256=%x\n", len(res.Sim), res.Ticks, sum)
 	golden := filepath.Join("testdata", "parity_golden.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.WriteFile(golden, []byte(line), 0o644); err != nil {
 			t.Fatal(err)
 		}

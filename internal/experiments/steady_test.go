@@ -42,7 +42,7 @@ func TestSteadyFiguresGolden(t *testing.T) {
 	}
 	got := buf.String()
 	golden := filepath.Join("testdata", "steady_golden.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

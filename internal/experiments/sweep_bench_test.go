@@ -41,8 +41,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 		parallel int
 	}{
 		{"parallel=1", 1},
-		// "max" rather than the numeric GOMAXPROCS so the benchmark name —
-		// and hence the BENCH_sweep.json key — is stable across machines.
+		// "max" rather than the numeric GOMAXPROCS so the benchmark name
+		// is stable across machines.
 		{"parallel=max", runtime.GOMAXPROCS(0)},
 	}
 	for _, v := range variants {

@@ -34,9 +34,9 @@ import (
 //     policy to a byte-identical per-SLO-class decision stream
 //     (EncodeClassedDecisions: level + scaled QoS′ bits + class byte).
 //
-// A cell fails loudly when any of the three breaks, so `make
-// workload-check` is a single gate for generation determinism, trace
-// round-tripping and multi-class decision parity.
+// A cell fails loudly when any of the three breaks, so
+// TestWorkloadSweepGolden is a single gate for generation determinism,
+// trace round-tripping and multi-class decision parity.
 
 // WorkloadOptions sizes the cohort-spec sweep.
 type WorkloadOptions struct {
@@ -267,7 +267,7 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 }
 
 // Render prints the grid, the per-SLO-class breakdown, and the full
-// trace/decision hashes — the bytes `make workload-check` pins.
+// trace/decision hashes — the bytes `make golden-check` pins.
 func (r *WorkloadSweepResult) Render() string {
 	t := &table{header: []string{"spec", "clients", "rps", "completed",
 		"dropped", "p50", "p99", "tail@QoS", "QoS", "records", "roundtrip",
@@ -345,7 +345,7 @@ func TestWorkloadSweepGolden(t *testing.T) {
 	}
 	got := res.Render()
 	golden := filepath.Join("testdata", "workload_golden.txt")
-	if *updateChaosGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

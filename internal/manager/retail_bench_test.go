@@ -96,8 +96,8 @@ func TestRetailDecideZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkRetailDecideFull measures the complete decide path (Algorithm 1
-// + deferred SetLevel dispatch), the number make bench-check watches for
-// the untraced hot path.
+// + deferred SetLevel dispatch) on the untraced hot path; make bench-check
+// runs it once under the race detector.
 func BenchmarkRetailDecideFull(b *testing.B) {
 	step := decideStepper(b)
 	for i := 0; i < 64; i++ {

@@ -33,25 +33,25 @@ func TestReTailInstrumented(t *testing.T) {
 	gen.Stop()
 
 	appLabel := telemetry.L("app", app.Name())
-	if got := reg.Gauge(server.MetricQoSPrime, "", appLabel).Value(); got != float64(m.QoSPrime()) {
+	if got := reg.Gauge(telemetry.MetricQoSPrime, "", appLabel).Value(); got != float64(m.QoSPrime()) {
 		t.Fatalf("qos' gauge = %v, manager reports %v", got, float64(m.QoSPrime()))
 	}
-	if got := reg.Counter(server.MetricDecisionsTotal, "", appLabel).Value(); got != uint64(m.Decisions()) {
+	if got := reg.Counter(telemetry.MetricDecisionsTotal, "", appLabel).Value(); got != uint64(m.Decisions()) {
 		t.Fatalf("decisions counter = %d, manager reports %d", got, m.Decisions())
 	}
-	if got := reg.Counter(server.MetricRetrainsTotal, "", appLabel).Value(); got != uint64(m.Retrains()) {
+	if got := reg.Counter(telemetry.MetricRetrainsTotal, "", appLabel).Value(); got != uint64(m.Retrains()) {
 		t.Fatalf("retrains counter = %d, manager reports %d", got, m.Retrains())
 	}
 	if m.Retrains() == 0 {
 		t.Fatal("interference did not trigger a retrain; drift path untested")
 	}
-	if got := reg.Counter(server.MetricDriftTotal, "", appLabel).Value(); got < uint64(m.Retrains()) {
+	if got := reg.Counter(telemetry.MetricDriftTotal, "", appLabel).Value(); got < uint64(m.Retrains()) {
 		t.Fatalf("drift events %d < retrains %d: every retrain needs a drift episode", got, m.Retrains())
 	}
-	if got := reg.Counter(server.MetricRequestsTotal, "", appLabel).Value(); got != uint64(rig.srv.Completed()) {
+	if got := reg.Counter(telemetry.MetricRequestsTotal, "", appLabel).Value(); got != uint64(rig.srv.Completed()) {
 		t.Fatalf("requests_total %d != server completed %d", got, rig.srv.Completed())
 	}
-	soj := reg.Histogram(server.MetricSojournSeconds, "", appLabel)
+	soj := reg.Histogram(telemetry.MetricSojournSeconds, "", appLabel)
 	if soj.Snapshot().Count == 0 {
 		t.Fatal("sojourn histogram empty")
 	}

@@ -13,9 +13,9 @@
 //     decision-delay, the trace.Audit vocabulary), accumulated by a
 //     server observer with the same zero-alloc discipline as
 //     internal/telemetry — TestRetailDecideZeroAllocWithLedger pins it.
-//   - Report (report.go): a versioned run-report JSON with benchjson-
-//     style provenance stamps, byte-stable at a fixed seed once the
-//     provenance block is masked, so reports diff across PRs.
+//   - Report (report.go): a versioned run-report JSON with provenance
+//     stamps (commit, toolchain, CPU), byte-stable at a fixed seed once
+//     the provenance block is masked, so reports diff across PRs.
 //   - Rollup (rollup.go) and RuntimeSampler (runtime.go): fleet-level
 //     merges of per-node telemetry, and a runtime/metrics health
 //     sampler feeding the shared metric schema.

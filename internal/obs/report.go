@@ -19,8 +19,8 @@ import (
 // reports across versions.
 const ReportVersion = 1
 
-// Provenance stamps where a report came from — the benchjson fields
-// (commit, go version, CPU) plus the wall-clock instant. Provenance is
+// Provenance stamps where a report came from — commit, go version, OS,
+// architecture and CPU, plus the wall-clock instant. Provenance is
 // the *only* part of a report allowed to differ between two runs at the
 // same seed; goldens zero it and pin everything else byte-for-byte. It
 // is the trace v2 header's type, so one stamp serves a report and a
@@ -54,8 +54,7 @@ func cpuModel() string {
 	return ""
 }
 
-// gitCommit best-effort resolves the working tree's HEAD, the same way
-// cmd/benchjson stamps baselines.
+// gitCommit best-effort resolves the working tree's HEAD.
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
 	if err != nil {

@@ -6,24 +6,6 @@ import (
 	"retail/internal/workload"
 )
 
-// Metric names shared by the simulator and the wall-clock runtime live
-// in the telemetry package (telemetry.Metric*); these aliases keep the
-// sim-side call sites short.
-const (
-	MetricRequestsTotal   = telemetry.MetricRequestsTotal
-	MetricDroppedTotal    = telemetry.MetricDroppedTotal
-	MetricViolationsTotal = telemetry.MetricViolationsTotal
-	MetricSojournSeconds  = telemetry.MetricSojournSeconds
-	MetricServiceSeconds  = telemetry.MetricServiceSeconds
-	MetricSlackSeconds    = telemetry.MetricSlackSeconds
-	MetricQueueDepth      = telemetry.MetricQueueDepth
-	MetricFreqResidency   = telemetry.MetricFreqResidency
-	MetricQoSPrime        = telemetry.MetricQoSPrime
-	MetricRetrainsTotal   = telemetry.MetricRetrainsTotal
-	MetricDriftTotal      = telemetry.MetricDriftTotal
-	MetricDecisionsTotal  = telemetry.MetricDecisionsTotal
-)
-
 // Telemetry is the simulator's telemetry observer: it records
 // telemetry.Requests — the per-request instrument set the live server
 // records too — from the server's lifecycle. It is virtual-time aware:

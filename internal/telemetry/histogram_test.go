@@ -85,22 +85,28 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 // stream — that is what makes the telemetry tail usable for QoS′
 // steering in place of the tracker.
 func TestQuantileMatchesLatencyTracker(t *testing.T) {
-	for name, gen := range map[string]func(*rand.Rand) float64{
-		"exponential-ms": func(r *rand.Rand) float64 { return r.ExpFloat64() * 2e-3 },
-		"lognormal":      func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) * 1e-3 },
-		"bimodal": func(r *rand.Rand) float64 {
+	for _, c := range []struct {
+		name string
+		seed int64
+		gen  func(*rand.Rand) float64
+	}{
+		{"exponential-ms", 11, func(r *rand.Rand) float64 { return r.ExpFloat64() * 2e-3 }},
+		{"lognormal", 11, func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) * 1e-3 }},
+		{"bimodal", 11, func(r *rand.Rand) float64 {
 			if r.Float64() < 0.9 {
 				return 1e-3 + r.Float64()*1e-4
 			}
 			return 20e-3 + r.Float64()*5e-3
-		},
+		}},
+		// Service times of a few milliseconds with a narrower spread.
+		{"lognormal-2ms", 42, func(r *rand.Rand) float64 { return 0.002 * math.Exp(0.6*r.NormFloat64()) }},
 	} {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(c.seed))
 			h := NewHistogram()
 			lt := stats.NewLatencyTracker(0, true)
 			for i := 0; i < 50000; i++ {
-				v := gen(rng)
+				v := c.gen(rng)
 				h.Observe(v)
 				lt.Add(v)
 			}

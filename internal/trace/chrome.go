@@ -32,7 +32,7 @@ import (
 // Timestamps are microseconds of virtual time. The output is
 // deterministic: events are sorted by (ts, pid, tid, name) and floats are
 // formatted with strconv, so a fixed-seed run exports byte-identical JSON
-// (pinned by the trace-check golden test).
+// (pinned by TestChromeTraceGolden).
 
 type chromeEvent struct {
 	Name string         `json:"name"`

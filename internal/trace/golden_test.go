@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // TestChromeTraceGolden pins the Chrome trace export byte-for-byte for a
 // fixed-seed simulation: the event sort order, the float formatting and
 // the args schema are all part of the contract Perfetto-side tooling
-// (and `make trace-check`) relies on. Run with -update after an
+// (and `make golden-check`) relies on. Run with -update after an
 // intentional format change.
 func TestChromeTraceGolden(t *testing.T) {
 	if testing.Short() {

@@ -13,8 +13,7 @@ import (
 	"retail/internal/workload"
 )
 
-// TestTraceHeaderSchema validates the trace v2 header the way
-// TestBenchHistorySchema validates the benchmark history: strict-decode
+// TestTraceHeaderSchema validates the trace v2 header: strict-decode
 // the JSON line into an independent mirror of the schema, then check
 // every contract field — format tag, version, seed, index tables and the
 // go/commit/CPU provenance block — so a format drift fails in the main

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -119,13 +120,13 @@ func gateLines(t *testing.T) []goTestLine {
 		vars := makeVars(string(b))
 		expand := regexp.MustCompile(`\$\((\w+)\)`)
 		for i, line := range strings.Split(string(b), "\n") {
-			line = strings.ReplaceAll(line, "$$", "$")
 			line = expand.ReplaceAllStringFunc(line, func(v string) string {
 				if val, ok := vars[v[2:len(v)-1]]; ok {
 					return val
 				}
 				return v
 			})
+			line = strings.ReplaceAll(line, "$$", "$")
 			_, cmd, ok := strings.Cut(line, "go test ")
 			if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
 				continue
@@ -189,7 +190,7 @@ func TestGateRegexesNameTests(t *testing.T) {
 		file, _, _ := strings.Cut(l.where, ":")
 		perFile[file]++
 	}
-	if perFile["Makefile"] < 20 || perFile[".github/workflows/chaos.yml"] == 0 {
+	if perFile["Makefile"] < 6 || perFile[".github/workflows/chaos.yml"] == 0 {
 		t.Fatalf("found %d test selections %v; the gate parser is broken", len(lines), perFile)
 	}
 	for _, l := range lines {
@@ -344,5 +345,101 @@ func TestGoldensAreRead(t *testing.T) {
 		if !read {
 			t.Errorf("%s: no _test.go file in %s names it", path, pkg)
 		}
+	}
+}
+
+// TestGoldenTestsAreGated: every test whose body names a file in its
+// package's testdata/ directory (a golden; fuzz corpora aside) is
+// selected by `make golden-check`, package and name, so a new golden
+// cannot land outside the gate that `make golden-update` rewrites.
+func TestGoldenTestsAreGated(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate *goTestLine
+	for i, line := range strings.Split(string(mk), "\n") {
+		if line != "golden-check:" {
+			continue
+		}
+		recipe := "Makefile:" + strconv.Itoa(i+2)
+		for _, l := range gateLines(t) {
+			if l.where == recipe && l.flag == "-run" {
+				gate = &l
+			}
+		}
+	}
+	if gate == nil {
+		t.Fatal("Makefile has no golden-check target with a go test -run line")
+	}
+	run := regexp.MustCompile(gate.re)
+	gatedPkg := map[string]bool{}
+	for _, p := range gate.pkgs {
+		gatedPkg[filepath.Clean(p)] = true
+	}
+
+	goldens := map[string]map[string]bool{} // package dir → golden file names
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || filepath.Base(filepath.Dir(path)) != "testdata" {
+			return nil
+		}
+		pkg := filepath.Dir(filepath.Dir(path))
+		if goldens[pkg] == nil {
+			goldens[pkg] = map[string]bool{}
+		}
+		goldens[pkg][d.Name()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fset := token.NewFileSet()
+	found := 0
+	for pkg, names := range goldens {
+		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					lit, ok := n.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						return true
+					}
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil || !names[name] {
+						return true
+					}
+					found++
+					where := fset.Position(lit.Pos()).String()
+					switch {
+					case fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Test"):
+						t.Errorf("%s: %s names golden %s; only a test function may, so that golden-check can select it", where, fn.Name.Name, name)
+					case !gatedPkg[pkg] || !run.MatchString(fn.Name.Name):
+						t.Errorf("%s: %s reads golden %s but golden-check (%s %v) does not select it", where, fn.Name.Name, name, gate.re, gate.pkgs)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no test names a golden; the scan is broken")
 	}
 }

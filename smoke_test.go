@@ -19,10 +19,9 @@ import (
 
 // smokeTargets lists the examples and the retail subcommands with the
 // arguments that give the fastest meaningful run (measured well under 10 s
-// each). It is not every surface: benchjson reads benchmark output. A
-// target with a check runs in a temporary directory, which check then
-// inspects; run invokes the same binary again there and returns its
-// output. exit is the status the target's own run must end with.
+// each). A target with a check runs in a temporary directory, which
+// check then inspects; run invokes the same binary again there and
+// returns its output. exit is the status the target's own run must end with.
 var smokeTargets = []struct {
 	pkg   string // package path relative to the module root
 	args  []string
