@@ -75,7 +75,7 @@ func bindChaos(f *cmdFlags) func() error {
 			return nil
 		}
 		reg := telemetry.NewRegistry()
-		rep, err := experiments.RunLiveChaos(experiments.LiveChaosConfig{
+		rep, err := experiments.RunLiveChaos(experiments.LiveConfig{
 			Plan:            plan,
 			App:             f.src.App,
 			Workers:         f.workers,

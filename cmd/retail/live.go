@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"retail/internal/core"
+	"retail/internal/experiments"
 	"retail/internal/fault"
 	"retail/internal/live"
 	"retail/internal/obs"
@@ -31,9 +32,15 @@ import (
 // runtime, because all four are adapters of the shared decision core in
 // internal/policy.
 //
+// The runtime is experiments.NewLiveRuntime, the assembly retail chaos
+// replays its plans through: -scale compresses the whole time contract
+// (1 under -sysfs), and -fault-plan wires the plan's injector into the
+// backend, the predictor and the executor.
+//
 //	retail live -app xapian -rps 150 -duration 5s
 //	retail live -app xapian -policy rubik          # baseline on the live runtime
 //	retail live -app xapian -metrics-addr :9090   # Prometheus /metrics + /healthz
+//	retail live -app moses -rps 60 -duration 2s -fault-plan predictor-skew
 //	sudo retail live -app xapian -sysfs -cores 2,3  # real DVFS (Linux)
 func bindLive(f *cmdFlags) func() error {
 	f.appFlag("xapian")
@@ -43,7 +50,7 @@ func bindLive(f *cmdFlags) func() error {
 	var (
 		listen      = f.String("listen", "127.0.0.1:0", "server listen address")
 		duration    = f.Duration("duration", 5*time.Second, "load (or serve-only) duration")
-		scale       = f.Float64("scale", 0.2, "time compression for the demo executor")
+		scale       = f.Float64("scale", 0.2, "time compression: wall seconds per canonical second, for the QoS target, predictions, executor, monitor and -fault-plan")
 		sysfs       = f.Bool("sysfs", false, "drive real cpufreq files instead of the mock")
 		sysfsDir    = f.String("sysfs-root", "/sys/devices/system/cpu", "cpufreq root (with -sysfs)")
 		coresArg    = f.String("cores", "", "comma-separated physical cores for -sysfs")
@@ -74,69 +81,48 @@ func bindLive(f *cmdFlags) func() error {
 
 	return func() error {
 		app := f.src.App
-		platform := core.DefaultPlatform().WithWorkers(f.workers)
-		log.Printf("calibrating %s …", app.Name())
-		cal, err := core.Calibrate(app, platform, 1000, 1)
-		if err != nil {
-			return err
-		}
-
-		grid := platform.Grid
-		mock := live.NewMockBackend(grid)
-		var backend live.Backend = mock
+		var backend live.Backend
 		if *sysfs {
-			b, err := live.NewSysfsBackend(grid, *sysfsDir, cores)
+			b, err := live.NewSysfsBackend(core.DefaultPlatform().Grid, *sysfsDir, cores)
 			if err != nil {
 				return err
 			}
 			backend = b
 			*scale = 1 // real hardware runs in real time
 		}
-
-		// Optional chaos: wrap the backend with the fault injector and
-		// enable the degradation policy so the run demonstrates the
-		// recovery story.
-		var inj *fault.Injector
-		var degrade live.DegradePolicy
-		if plan != nil {
-			wall := fault.WallClock()
-			s := *scale
-			inj = fault.New(1, plan).WithClock(func() float64 { return wall() / s })
-			backend = live.NewFaultyBackend(backend, inj)
-			degrade = live.DefaultChaosPolicy()
-			log.Printf("fault plan %s", plan)
-		}
-
 		var reg *telemetry.Registry
 		if *metricsAddr != "" {
 			reg = telemetry.NewRegistry()
 		}
-		srv, err := live.NewServer(live.ServerConfig{
-			Addr:         *listen,
-			Workers:      f.workers,
-			QoS:          app.QoS(),
-			Predictor:    live.ScaledPredictor{Inner: cal.Model, Scale: *scale},
-			Backend:      backend,
-			Exec:         live.DemoExecutor(app, mock, *scale),
-			Metrics:      reg,
-			AppName:      app.Name(),
-			Faults:       inj,
-			Degrade:      degrade,
-			Policy:       *policyName,
-			Params:       f.params,
-			ProfileAtMax: scaleProfile(cal.ProfileAtMax, *scale),
+		log.Printf("calibrating %s …", app.Name())
+		rt, err := experiments.NewLiveRuntime(experiments.LiveConfig{
+			Plan:            plan,
+			App:             app,
+			Workers:         f.workers,
+			TimeScale:       *scale,
+			SamplesPerLevel: 1000,
+			Seed:            1,
+			Addr:            *listen,
+			Policy:          *policyName,
+			Params:          f.params,
+			Backend:         backend,
+			Registry:        reg,
 		})
 		if err != nil {
 			return err
 		}
+		if plan != nil {
+			log.Printf("fault plan %s", plan)
+		}
+		srv := rt.Server
 		// Establish the documented initial condition — every worker core at
 		// max frequency — in one batched backend pass (a BatchBackend
 		// coalesces it; others fall back to per-core writes).
 		initial := make([]live.LevelWrite, f.workers)
 		for i := range initial {
-			initial[i] = live.LevelWrite{Core: i, Level: grid.MaxLevel()}
+			initial[i] = live.LevelWrite{Core: i, Level: rt.Mock.Grid().MaxLevel()}
 		}
-		if err := live.ApplyLevels(backend, initial); err != nil {
+		if err := live.ApplyLevels(rt.Backend, initial); err != nil {
 			log.Printf("initial DVFS pass: %v (continuing; runtime reconciles per write)", err)
 		}
 
@@ -174,11 +160,9 @@ func bindLive(f *cmdFlags) func() error {
 			time.Sleep(*duration)
 		} else {
 			log.Printf("serving on %s (policy %s); loading at %.0f RPS for %v", srv.Addr(), srv.Policy(), f.rps, *duration)
-			// The plan's windows are on the canonical clock; the schedule is
-			// drawn in wall seconds.
 			res, err = live.RunLoad(live.LoadConfig{
 				Addr:         srv.Addr(),
-				Trace:        live.PoissonTrace(app, f.rps, *duration, 7, plan.Scaled(*scale)),
+				Trace:        live.PoissonTrace(app, f.rps, *duration, 7, rt.Plan),
 				MaxRetries:   3,
 				RetryBackoff: time.Duration(float64(2*time.Millisecond) * *scale),
 			})
@@ -192,14 +176,13 @@ func bindLive(f *cmdFlags) func() error {
 				res.Sent, res.Completed, res.Quantile(0.50), res.Quantile(0.95), res.Quantile(0.99))
 		}
 		fmt.Printf(`decisions   %d frequency decisions, %d DVFS writes, %d coalesced
-qos'        %v (target %v × scale %.2f)
-`, srv.Decisions(), mock.Writes(), srv.DegradeCounts().DVFSCoalesced, srv.QoSPrime(),
-			time.Duration(float64(app.QoS().Latency)*1e9), *scale)
-		if inj != nil && res != nil {
+qos'        %v (target %v at scale %.2f)
+`, srv.Decisions(), rt.Mock.Writes(), srv.DegradeCounts().DVFSCoalesced, srv.QoSPrime(), rt.QoS, *scale)
+		if rt.Injector != nil && res != nil {
 			deg := srv.DegradeCounts()
 			fmt.Printf(`chaos       injected %d faults; client retries %d, dropped %d
 recovery    dvfs errors %d  retries %d  fallbacks %d  shed %d  deadline drops %d  pinned %d
-`, inj.FiredTotal(), res.Retries, res.Dropped,
+`, rt.Injector.FiredTotal(), res.Retries, res.Dropped,
 				deg.DVFSWriteErrors, deg.DVFSRetries, deg.DVFSFallbacks,
 				deg.Shed, deg.DeadlineDrops, srv.PinnedWorkers())
 		}
@@ -229,17 +212,4 @@ func parseCores(arg string, workers int) ([]int, error) {
 		return nil, fmt.Errorf("-cores lists %d cores but -workers is %d: each worker needs its own core", len(cores), workers)
 	}
 	return cores, nil
-}
-
-// scaleProfile compresses the calibrated max-frequency service-time
-// profile to the demo executor's timebase, mirroring what the scaled
-// predictor does: the profile-driven baselines (Rubik's distribution
-// tail, EETL's long-request threshold) must see service times in the
-// same units the executor actually produces.
-func scaleProfile(profile []float64, s float64) []float64 {
-	out := make([]float64, len(profile))
-	for i, v := range profile {
-		out[i] = v * s
-	}
-	return out
 }

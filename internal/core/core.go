@@ -321,15 +321,15 @@ func (c *Calibration) NewManagerParams(name string, gemNN *nn.Config, p policy.P
 	}
 	switch pol := pol.(type) {
 	case *policy.Retail:
-		cfg := manager.DefaultReTailConfig()
-		cfg.Policy = pol
-		cfg.Layout = c.Layout
-		cfg.Model = c.Model
-		// Each manager instance gets its own copy of the training rings so
-		// live samples from one run never leak into another.
-		cfg.Training = c.Training.Clone()
-		cfg.Stage1Frac = c.Stage1Frac()
-		m := manager.NewReTail(qos, cfg)
+		m := manager.NewReTail(qos, manager.ReTailConfig{
+			Policy: pol,
+			Layout: c.Layout,
+			Model:  c.Model,
+			// Each manager instance gets its own copy of the training
+			// rings so live samples from one run never leak into another.
+			Training:   c.Training.Clone(),
+			Stage1Frac: c.Stage1Frac(),
+		})
 		m.SetDriftBaseline(c.BaselineRMSEOverQoS)
 		return m, nil
 	case *policy.Rubik:
@@ -339,9 +339,7 @@ func (c *Calibration) NewManagerParams(name string, gemNN *nn.Config, p policy.P
 		if err != nil {
 			return nil, err
 		}
-		cfg := manager.DefaultGeminiConfig(pol, model)
-		cfg.DropOnPredictedMiss = !p.Gemini.KeepOnPredictedMiss
-		return manager.NewGemini(qos, c.App.FeatureSpecs(), cfg), nil
+		return manager.NewGemini(qos, c.App.FeatureSpecs(), manager.GeminiConfig{Policy: pol, Model: model}), nil
 	default:
 		return manager.NewEETL(pol.(*policy.EETL)), nil
 	}

@@ -290,7 +290,7 @@ func TestLiveChaosHealth(t *testing.T) {
 			for try := 1; ; try++ {
 				reg = telemetry.NewRegistry()
 				var err error
-				rep, err = RunLiveChaos(LiveChaosConfig{
+				rep, err = RunLiveChaos(LiveConfig{
 					Plan:            plan,
 					TimeScale:       0.15,
 					SamplesPerLevel: 200,

@@ -40,9 +40,6 @@ type FleetOptions struct {
 	// RequestsPerCell targets this many offered requests per cell; each
 	// cell's measured duration is RequestsPerCell/RPS (default 20000).
 	RequestsPerCell int
-	// BudgetSamples is forwarded to cluster.AllocateBudgets when a
-	// multi-tier budget report is requested (0 = the allocator default).
-	BudgetSamples int
 	// Ledger attaches per-node obs ledgers to every cell so the sweep's
 	// Report carries full energy×QoS attribution.
 	Ledger bool

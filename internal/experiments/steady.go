@@ -28,9 +28,7 @@ func retailConfig(cal *core.Calibration, p policy.Params) manager.ReTailConfig {
 	if err != nil {
 		panic(err) // a grid and the simulator posture are all retail needs
 	}
-	c := manager.DefaultReTailConfig()
-	c.Policy = pol.(*policy.Retail)
-	return c
+	return manager.ReTailConfig{Policy: pol.(*policy.Retail)}
 }
 
 // steadyRun is one steady cell's measurement and the manager that ran it.

@@ -10,6 +10,7 @@ import (
 
 	"retail/internal/cpu"
 	"retail/internal/fault"
+	"retail/internal/policy"
 )
 
 // sysfsRootN builds a fake cpufreq tree for n cores.
@@ -180,7 +181,7 @@ func TestApplyLevelsFallback(t *testing.T) {
 func TestApplyLevelCoalesce(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	sb := &scriptedBackend{inner: NewMockBackend(grid)}
-	srv := degradeServer(t, sb, DegradePolicy{}, nil)
+	srv := degradeServer(t, sb, policy.DegradeParams{}, nil, nil)
 
 	if got := srv.applyLevel(0, 3); got != 3 {
 		t.Fatalf("applied %d, want 3", got)
@@ -209,13 +210,13 @@ func TestApplyLevelCoalesce(t *testing.T) {
 	}
 }
 
-// TestApplyLevelWriteThrough: DVFSWriteThrough (the chaos posture)
+// TestApplyLevelWriteThrough: a fault injector (the chaos posture)
 // disables the coalescer — re-deciding the standing level still drives
 // the backend, so fault plans always see write traffic.
 func TestApplyLevelWriteThrough(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	sb := &scriptedBackend{inner: NewMockBackend(grid)}
-	srv := degradeServer(t, sb, DegradePolicy{DVFSWriteThrough: true}, nil)
+	srv := degradeServer(t, sb, policy.DegradeParams{}, fault.New(1, &fault.Plan{}), nil)
 
 	if got := srv.applyLevel(0, 3); got != 3 {
 		t.Fatalf("applied %d, want 3", got)

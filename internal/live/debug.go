@@ -28,6 +28,10 @@ type LiveSpan struct {
 	Violated   bool    `json:"violated"`
 }
 
+// traceCap bounds the /debug/trace flight ring: the last 2048 completed
+// requests.
+const traceCap = 2048
+
 // recordSpan appends one completed request to the bounded flight ring
 // (overwrite-oldest). Callers must not hold s.mu.
 func (s *Server) recordSpan(sp LiveSpan) {

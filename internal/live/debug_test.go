@@ -11,6 +11,7 @@ import (
 
 	"retail/internal/core"
 	"retail/internal/cpu"
+	"retail/internal/policy"
 	"retail/internal/workload"
 )
 
@@ -31,18 +32,18 @@ func TestDebugEndpoints(t *testing.T) {
 	backend := NewMockBackend(platform.Grid)
 	const scale = 0.2
 	srv, err := NewServer(ServerConfig{
-		Addr:            "127.0.0.1:0",
-		Workers:         2,
-		QoS:             app.QoS(),
-		Predictor:       ScaledPredictor{cal.Model, scale},
-		Backend:         backend,
-		Exec:            DemoExecutor(app, backend, scale),
-		MonitorInterval: 50 * time.Millisecond,
-		TraceCapacity:   64, // small, to exercise the overwrite path
+		Addr:      "127.0.0.1:0",
+		Workers:   2,
+		QoS:       app.QoS(),
+		Predictor: ScaledPredictor{cal.Model, scale},
+		Backend:   backend,
+		Exec:      DemoExecutor(app, backend, scale),
+		Params:    policy.Params{Monitor: policy.MonitorParams{Interval: 0.05}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.spanCap = 64 // small, to exercise the overwrite path
 	srv.Start()
 	defer srv.Close()
 
@@ -80,7 +81,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/debug/trace not valid JSON: %v\n%s", err, body)
 	}
-	// Ring bounded at TraceCapacity even though far more requests ran.
+	// Ring bounded at spanCap even though far more requests ran.
 	if len(snap.Spans) != 64 {
 		t.Fatalf("flight ring has %d spans, want 64 (capacity)", len(snap.Spans))
 	}
@@ -129,24 +130,24 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 }
 
-// TestTraceCapacityDisabled checks that a negative capacity disables
-// recording entirely (the ring stays empty under load).
-func TestTraceCapacityDisabled(t *testing.T) {
+// TestTraceRingDisabled checks that a zero capacity disables
+// recording entirely (the ring stays empty).
+func TestTraceRingDisabled(t *testing.T) {
 	grid := core.DefaultPlatform().Grid
 	backend := NewMockBackend(grid)
 	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Workers:       1,
-		QoS:           workload.NewXapian().QoS(),
-		Predictor:     flatPredictor{},
-		Backend:       backend,
-		Exec:          func(Request, cpu.Level) {},
-		TraceCapacity: -1,
+		Addr:      "127.0.0.1:0",
+		Workers:   1,
+		QoS:       workload.NewXapian().QoS(),
+		Predictor: flatPredictor{},
+		Backend:   backend,
+		Exec:      func(Request, cpu.Level) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.spanCap = 0
 	srv.recordSpan(LiveSpan{ID: 1})
 	if n := len(srv.Spans()); n != 0 {
 		t.Fatalf("disabled ring recorded %d spans", n)

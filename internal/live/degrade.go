@@ -8,82 +8,23 @@ import (
 	"retail/internal/policy"
 )
 
-// DegradePolicy configures the live runtime's graceful-degradation
-// machinery. The zero value gives the safe defaults for DVFS failures
-// (bounded retry, then pin-at-max) and leaves the load-management knobs
-// — admission control and deadline timeouts — off, preserving the
-// historical behavior for existing callers.
-type DegradePolicy struct {
-	// MaxDVFSRetries bounds write retries after the first failure before
-	// falling back to pinning the worker at max frequency. 0 selects the
-	// default (3); negative disables retries (fail straight to fallback).
-	MaxDVFSRetries int
-	// DVFSRetryBackoff is the initial retry backoff, doubling per attempt
-	// (0 = 200µs). Kept small: a DVFS write is microseconds and the
-	// worker is holding a request.
-	DVFSRetryBackoff time.Duration
-	// ShedFactor > 0 enables admission control: an arrival is shed when
-	// the chosen queue's drain estimate — (depth+1) × the request's
-	// predicted service time at max frequency — exceeds ShedFactor × QoS′.
-	// Shedding at arrival is Gemini's baseline posture for requests that
-	// provably cannot meet the deadline; the client retries with backoff.
-	ShedFactor float64
-	// DeadlineFactor > 0 enables dequeue deadline timeouts: a request
-	// whose queueing delay alone already exceeds DeadlineFactor × QoS is
-	// dropped without executing — running it can only waste energy and
-	// delay requests that can still win.
-	DeadlineFactor float64
-	// DVFSWriteThrough disables the write coalescer: every decision
-	// drives the backend even when the runtime believes the hardware
-	// already holds the level. Chaos replays run write-through — a DVFS
-	// fault plan must see real write traffic to inject into, and a
-	// flaky-hardware scenario is exactly where "believes" stops being
-	// trustworthy. Production keeps coalescing: failures clear the
-	// known-level state, so real faults re-enable real writes anyway.
-	DVFSWriteThrough bool
-}
-
-// DefaultChaosPolicy returns the policy the chaos scenarios run under:
-// retries and fallback at their defaults, shedding at 1.5 × QoS′,
-// deadline drops at 2 × QoS, and DVFS write-through so fault plans see
-// every decision at the backend.
-func DefaultChaosPolicy() DegradePolicy {
-	return DegradePolicy{ShedFactor: 1.5, DeadlineFactor: 2, DVFSWriteThrough: true}
-}
-
-// withParams overlays the serializable degradation budgets from a
-// policy.Params onto the runtime policy: every non-zero Params field
-// wins, zero fields keep whatever the caller configured (historically
-// the zero value, i.e. shedding and deadline drops off). Run before
-// normalize so params-supplied retry knobs get the same defaulting.
-func (p DegradePolicy) withParams(dp policy.DegradeParams) DegradePolicy {
-	if dp.ShedFactor != 0 {
-		p.ShedFactor = dp.ShedFactor
+// dvfsRetries reads the DVFS retry budget and initial backoff from the
+// serializable degradation budgets: a zero count selects 3 retries and a
+// negative one none (fail straight to the pin-at-max fallback); a zero
+// backoff selects 200µs, doubling per attempt. Kept small: a DVFS write
+// is microseconds and the worker is holding a request.
+func dvfsRetries(dp policy.DegradeParams) (int, time.Duration) {
+	n, backoff := dp.MaxDVFSRetries, time.Duration(dp.RetryBackoff*1e9)
+	switch {
+	case n == 0:
+		n = 3
+	case n < 0:
+		n = 0
 	}
-	if dp.DeadlineFactor != 0 {
-		p.DeadlineFactor = dp.DeadlineFactor
+	if backoff <= 0 {
+		backoff = 200 * time.Microsecond
 	}
-	if dp.MaxDVFSRetries != 0 {
-		p.MaxDVFSRetries = dp.MaxDVFSRetries
-	}
-	if dp.RetryBackoff != 0 {
-		p.DVFSRetryBackoff = time.Duration(dp.RetryBackoff * 1e9)
-	}
-	return p
-}
-
-// normalize fills the retry defaults.
-func (p DegradePolicy) normalize() DegradePolicy {
-	if p.MaxDVFSRetries == 0 {
-		p.MaxDVFSRetries = 3
-	}
-	if p.MaxDVFSRetries < 0 {
-		p.MaxDVFSRetries = 0
-	}
-	if p.DVFSRetryBackoff <= 0 {
-		p.DVFSRetryBackoff = 200 * time.Microsecond
-	}
-	return p
+	return n, backoff
 }
 
 // DegradeCounts is a snapshot of the runtime's recovery work, the
@@ -171,7 +112,7 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 	// common case is a re-decision of the standing level, so this turns
 	// most per-request DVFS work into a counter bump; any failure path
 	// clears `known`, which re-enables real writes until one succeeds.
-	if !s.policy.DVFSWriteThrough {
+	if !s.writeThrough {
 		s.mu.Lock()
 		if a := s.applied[worker]; a.known && !a.pinned && a.lvl == lvl {
 			s.mu.Unlock()
@@ -180,9 +121,8 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 		}
 		s.mu.Unlock()
 	}
-	pol := s.policy
-	backoff := pol.DVFSRetryBackoff
-	for attempt := 0; attempt <= pol.MaxDVFSRetries; attempt++ {
+	backoff := s.retryBackoff
+	for attempt := 0; attempt <= s.retries; attempt++ {
 		if attempt > 0 {
 			s.deg.retries.Add(1)
 			s.metrics.incDVFSRetry()
@@ -201,7 +141,7 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 	s.deg.fallbacks.Add(1)
 	s.metrics.incDVFSFallback()
 	max := s.grid.MaxLevel()
-	for attempt := 0; attempt <= pol.MaxDVFSRetries; attempt++ {
+	for attempt := 0; attempt <= s.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2

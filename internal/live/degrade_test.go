@@ -10,6 +10,7 @@ import (
 
 	"retail/internal/cpu"
 	"retail/internal/fault"
+	"retail/internal/policy"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -38,7 +39,7 @@ func (b *scriptedBackend) SetLevel(core int, lvl cpu.Level) error {
 
 // degradeServer builds an unstarted server around the backend so tests
 // can drive applyLevel directly.
-func degradeServer(t *testing.T, backend Backend, pol DegradePolicy, reg *telemetry.Registry) *Server {
+func degradeServer(t *testing.T, backend Backend, dp policy.DegradeParams, faults *fault.Injector, reg *telemetry.Registry) *Server {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Addr:      "127.0.0.1:0",
@@ -47,7 +48,8 @@ func degradeServer(t *testing.T, backend Backend, pol DegradePolicy, reg *teleme
 		Predictor: constPredictor(0.001),
 		Backend:   backend,
 		Exec:      func(Request, cpu.Level) {},
-		Degrade:   pol,
+		Faults:    faults,
+		Params:    policy.Params{Degrade: dp},
 		Metrics:   reg,
 		AppName:   "t",
 	})
@@ -67,7 +69,7 @@ func (p constPredictor) Predict(lvl cpu.Level, f []float64) float64 { return flo
 func TestApplyLevelRetryThenSuccess(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	sb := &scriptedBackend{inner: NewMockBackend(grid), failNext: 2, err: errors.New("transient")}
-	srv := degradeServer(t, sb, DegradePolicy{DVFSRetryBackoff: time.Microsecond}, nil)
+	srv := degradeServer(t, sb, policy.DegradeParams{RetryBackoff: 1e-6}, nil, nil)
 
 	if got := srv.applyLevel(0, 3); got != 3 {
 		t.Fatalf("applied %d, want 3", got)
@@ -96,7 +98,7 @@ func TestApplyLevelFallbackPinsMax(t *testing.T) {
 	// 4 attempts at the requested level (1 + 3 retries) all fail; the pin
 	// write then succeeds.
 	sb := &scriptedBackend{inner: NewMockBackend(grid), failNext: 4, err: errors.New("broken")}
-	srv := degradeServer(t, sb, DegradePolicy{MaxDVFSRetries: 3, DVFSRetryBackoff: time.Microsecond}, reg)
+	srv := degradeServer(t, sb, policy.DegradeParams{MaxDVFSRetries: 3, RetryBackoff: 1e-6}, nil, reg)
 
 	if got := srv.applyLevel(1, 2); got != grid.MaxLevel() {
 		t.Fatalf("applied %d, want max %d", got, grid.MaxLevel())
@@ -132,7 +134,7 @@ func TestApplyLevelFallbackPinsMax(t *testing.T) {
 func TestApplyLevelTotalFailure(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	sb := &scriptedBackend{inner: NewMockBackend(grid), failNext: -1, err: errors.New("dead")}
-	srv := degradeServer(t, sb, DegradePolicy{MaxDVFSRetries: 1, DVFSRetryBackoff: time.Microsecond}, nil)
+	srv := degradeServer(t, sb, policy.DegradeParams{MaxDVFSRetries: 1, RetryBackoff: 1e-6}, nil, nil)
 
 	// Never successfully written: cores boot at max, so pace at max.
 	if got := srv.applyLevel(0, 2); got != grid.MaxLevel() {
@@ -163,7 +165,7 @@ func TestApplyLevelRetryCeilings(t *testing.T) {
 		{-1, 2}, // retries disabled → 1 + 1
 	} {
 		sb := &scriptedBackend{inner: NewMockBackend(cpu.DefaultGrid()), failNext: -1, err: errors.New("x")}
-		srv := degradeServer(t, sb, DegradePolicy{MaxDVFSRetries: tc.retries, DVFSRetryBackoff: time.Microsecond}, nil)
+		srv := degradeServer(t, sb, policy.DegradeParams{MaxDVFSRetries: tc.retries, RetryBackoff: 1e-6}, nil, nil)
 		srv.applyLevel(0, 1)
 		if sb.calls != tc.wantCalls {
 			t.Errorf("MaxDVFSRetries=%d: %d backend calls, want %d", tc.retries, sb.calls, tc.wantCalls)
@@ -309,7 +311,7 @@ func shedServer(t *testing.T, reg *telemetry.Registry) *Server {
 		Predictor: constPredictor(1.0),
 		Backend:   NewMockBackend(cpu.DefaultGrid()),
 		Exec:      func(Request, cpu.Level) {},
-		Degrade:   DegradePolicy{ShedFactor: 1.0},
+		Params:    policy.Params{Degrade: policy.DegradeParams{ShedFactor: 1.0}},
 		Metrics:   reg,
 		AppName:   "t",
 	})
@@ -400,7 +402,7 @@ func TestDeadlineDrop(t *testing.T) {
 		Exec: func(Request, cpu.Level) {
 			time.Sleep(20 * time.Millisecond)
 		},
-		Degrade: DegradePolicy{DeadlineFactor: 1},
+		Params:  policy.Params{Degrade: policy.DegradeParams{DeadlineFactor: 1}},
 		Metrics: reg,
 		AppName: "t",
 	})

@@ -9,6 +9,7 @@ import (
 
 	"retail/internal/core"
 	"retail/internal/cpu"
+	"retail/internal/policy"
 	"retail/internal/workload"
 )
 
@@ -110,13 +111,13 @@ func TestLiveEndToEnd(t *testing.T) {
 	// Compress time 5×: a ~2ms request sleeps ~0.4ms.
 	const scale = 0.2
 	srv, err := NewServer(ServerConfig{
-		Addr:            "127.0.0.1:0",
-		Workers:         2,
-		QoS:             app.QoS(),
-		Predictor:       ScaledPredictor{cal.Model, scale},
-		Backend:         backend,
-		Exec:            DemoExecutor(app, backend, scale),
-		MonitorInterval: 50 * time.Millisecond,
+		Addr:      "127.0.0.1:0",
+		Workers:   2,
+		QoS:       app.QoS(),
+		Predictor: ScaledPredictor{cal.Model, scale},
+		Backend:   backend,
+		Exec:      DemoExecutor(app, backend, scale),
+		Params:    policy.Params{Monitor: policy.MonitorParams{Interval: 0.05}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,8 +68,6 @@ type ServerConfig struct {
 	// ProfileAtMax is the offline service-time profile at max frequency
 	// (seconds), required by the profile-driven baselines (rubik, eetl).
 	ProfileAtMax []float64
-	// MonitorInterval for the QoS′ loop (0 = 100ms).
-	MonitorInterval time.Duration
 	// Metrics, when non-nil, receives the runtime's telemetry
 	// (wall-clock request histograms, queue depth, QoS′, frequency
 	// residency) under the telemetry.Metric* schema. Serve the
@@ -77,27 +75,27 @@ type ServerConfig struct {
 	Metrics *telemetry.Registry
 	// AppName labels the metrics (default "live").
 	AppName string
-	// TraceCapacity bounds the /debug/trace flight ring of recent
-	// completed requests (0 = 2048; negative disables recording).
-	TraceCapacity int
 	// Faults, when non-nil, is the chaos injector: the server consults
 	// SiteExec before running each request (latency spikes/stalls). DVFS
 	// faults arrive through the Backend (wrap it with NewFaultyBackend
 	// sharing the same injector). Nil costs the hot path one branch.
+	//
+	// A non-nil injector also turns off the DVFS write coalescer: every
+	// decision drives the backend even when the runtime believes the
+	// hardware already holds the level. A DVFS fault plan must see real
+	// write traffic to inject into, and a flaky-hardware scenario is
+	// exactly where "believes" stops being trustworthy. Without one the
+	// runtime coalesces: failures clear the known-level state, so real
+	// faults re-enable real writes anyway.
 	Faults *fault.Injector
-	// Degrade tunes the runtime-side graceful-degradation machinery (DVFS
-	// retry/fallback, write-through); the zero value keeps safe defaults.
-	// The serializable budgets — shed factor, deadline factor, retry
-	// count/backoff — come from Params.Degrade, which overrides any
-	// matching field set here.
-	Degrade DegradePolicy
-	// Params is the serializable policy parameterization (policy.Params):
-	// monitor constants, Algorithm 1's HeadOnly ablation, baseline
-	// postures, degradation budgets and the per-SLO-class QoS′
-	// multipliers indexed by Request.Class (a cohort spec's class table,
-	// workload.Spec.Classes — empty keeps the single-class behavior).
-	// The zero value reproduces the runtime's historical constants; a
-	// `-params file.json` flag feeds it from disk.
+	// Params is the runtime's one tunable surface (policy.Params): the
+	// monitor constants and period (Monitor.Interval, default 100 ms),
+	// Algorithm 1's HeadOnly ablation, baseline postures, the degradation
+	// budgets (shedding, deadline drops, DVFS retry count and backoff)
+	// and the per-SLO-class QoS′ multipliers indexed by Request.Class (a
+	// cohort spec's class table, workload.Spec.Classes — empty keeps the
+	// single-class behavior). The zero value reproduces the runtime's
+	// historical constants; a `-params file.json` flag feeds it from disk.
 	Params policy.Params
 }
 
@@ -155,8 +153,8 @@ type Server struct {
 	jsq     policy.JSQ
 	jsqLoad func(int) int
 
-	// degrade holds the shared shed/deadline predicates derived from the
-	// DegradePolicy knobs; classes the per-SLO-class QoS′ multipliers.
+	// degrade holds the shared shed/deadline predicates from
+	// Params.Degrade; classes the per-SLO-class QoS′ multipliers.
 	degrade policy.Degrade
 	classes policy.ClassTargets
 
@@ -174,13 +172,21 @@ type Server struct {
 	// path off the allocator.
 	reqPool sync.Pool
 
-	// Graceful degradation (see degrade.go): normalized policy, recovery
-	// counters, and the per-worker believed-hardware-level table.
-	policy  DegradePolicy
-	deg     degradeState
-	applied []appliedState
+	// tick is the monitor period.
+	tick time.Duration
 
-	// Flight ring for /debug/trace (guarded by mu; see debug.go).
+	// Graceful degradation (see degrade.go): the DVFS retry budget,
+	// write-through (cfg.Faults != nil), recovery counters, and the
+	// per-worker believed-hardware-level table.
+	retries      int
+	retryBackoff time.Duration
+	writeThrough bool
+	deg          degradeState
+	applied      []appliedState
+
+	// Flight ring for /debug/trace (guarded by mu; see debug.go). spanCap
+	// is traceCap; in-package tests shrink it, or zero it to disable
+	// recording.
 	spans    []LiveSpan
 	spanHead int
 	spanFull bool
@@ -239,16 +245,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Workers <= 0 || cfg.Predictor == nil || cfg.Backend == nil || cfg.Exec == nil {
 		return nil, errors.New("live: config needs Workers, Predictor, Backend and Exec")
 	}
-	if cfg.MonitorInterval <= 0 {
-		cfg.MonitorInterval = 100 * time.Millisecond
-	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
+	tick := 100 * time.Millisecond
 	if iv := cfg.Params.Monitor.Interval; iv != 0 {
 		// A tuned interval moves the monitor goroutine's tick period, not
 		// just the rate-limit floor inside the monitor.
-		cfg.MonitorInterval = durS(iv)
+		tick = durS(iv)
 	}
 	grid := cfg.Backend.Grid()
 	dec, err := policy.New(cfg.Policy, cfg.Params, policy.Env{
@@ -256,7 +260,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Percentile:   cfg.QoS.Percentile,
 		Grid:         grid,
 		ProfileAtMax: cfg.ProfileAtMax,
-		Tick:         cfg.MonitorInterval.Seconds(),
+		Tick:         tick.Seconds(),
 		Posture:      policy.LivePosture,
 	})
 	if err != nil {
@@ -275,23 +279,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		dec:     dec,
 		stop:    make(chan struct{}),
 		conns:   map[net.Conn]struct{}{},
-		policy:  cfg.Degrade.withParams(cfg.Params.Degrade).normalize(),
+		tick:    tick,
 		applied: make([]appliedState, cfg.Workers),
+		spanCap: traceCap,
 	}
 	s.pipe.s = s
 	s.boost, _ = dec.(policy.Booster)
 	s.jsqLoad = func(i int) int { return len(s.queues[i]) }
+	s.retries, s.retryBackoff = dvfsRetries(cfg.Params.Degrade)
+	s.writeThrough = cfg.Faults != nil
 	s.degrade = policy.Degrade{
-		ShedFactor:     s.policy.ShedFactor,
-		DeadlineFactor: s.policy.DeadlineFactor,
+		ShedFactor:     cfg.Params.Degrade.ShedFactor,
+		DeadlineFactor: cfg.Params.Degrade.DeadlineFactor,
 	}
 	s.classes = cfg.Params.ClassTargets()
-	switch {
-	case cfg.TraceCapacity == 0:
-		s.spanCap = 2048
-	case cfg.TraceCapacity > 0:
-		s.spanCap = cfg.TraceCapacity
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wake = append(s.wake, make(chan struct{}, 1))
 	}
@@ -495,7 +496,7 @@ func (s *Server) respond(q *queuedReq, r Response) {
 // energy and delays requests that still can.
 func (s *Server) enqueue(q *queuedReq) {
 	var svcAtMax float64
-	if s.policy.ShedFactor > 0 {
+	if s.degrade.ShedFactor > 0 {
 		svcAtMax = s.cfg.Predictor.Predict(s.grid.MaxLevel(), q.req.Features)
 	}
 	s.mu.Lock()
@@ -659,7 +660,7 @@ func (s *Server) boostFor(chosen cpu.Level, predicted float64) (delay time.Durat
 // (TestLiveMonitorRecoversAfterBurst).
 func (s *Server) monitor() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.MonitorInterval)
+	ticker := time.NewTicker(s.tick)
 	defer ticker.Stop()
 	for {
 		select {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"retail/internal/core"
+	"retail/internal/policy"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -34,15 +35,15 @@ func TestLiveMetricsExposition(t *testing.T) {
 	const scale = 0.2
 	reg := telemetry.NewRegistry()
 	srv, err := NewServer(ServerConfig{
-		Addr:            "127.0.0.1:0",
-		Workers:         2,
-		QoS:             app.QoS(),
-		Predictor:       ScaledPredictor{cal.Model, scale},
-		Backend:         backend,
-		Exec:            DemoExecutor(app, backend, scale),
-		MonitorInterval: 50 * time.Millisecond,
-		Metrics:         reg,
-		AppName:         app.Name(),
+		Addr:      "127.0.0.1:0",
+		Workers:   2,
+		QoS:       app.QoS(),
+		Predictor: ScaledPredictor{cal.Model, scale},
+		Backend:   backend,
+		Exec:      DemoExecutor(app, backend, scale),
+		Params:    policy.Params{Monitor: policy.MonitorParams{Interval: 0.05}},
+		Metrics:   reg,
+		AppName:   app.Name(),
 	})
 	if err != nil {
 		t.Fatal(err)

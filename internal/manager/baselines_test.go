@@ -131,8 +131,8 @@ func geminiFor(t testing.TB, rig *testRig, app varApp) *Gemini {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultGeminiConfig(simPolicy("gemini", app.QoS(), rig.grid, nil).(*policy.Gemini), model)
-	return NewGemini(app.QoS(), app.FeatureSpecs(), cfg)
+	return NewGemini(app.QoS(), app.FeatureSpecs(),
+		GeminiConfig{Policy: simPolicy("gemini", app.QoS(), rig.grid, nil).(*policy.Gemini), Model: model})
 }
 
 func TestGeminiDropsPredictedMisses(t *testing.T) {
@@ -162,7 +162,7 @@ func TestGeminiNoDropWhenDisabled(t *testing.T) {
 	app := varApp{base: 10e-3, slope: 0, spread: 1, qos: workload.QoS{Latency: 22e-3, Percentile: 99}}
 	rig := newRig(t, app, 1)
 	m := geminiFor(t, rig, app)
-	m.cfg.DropOnPredictedMiss = false
+	m.drop = false
 	m.Attach(rig.e, rig.srv)
 	rig.e.At(0, "burst", func(*sim.Engine) {
 		for i := 0; i < 6; i++ {
@@ -199,7 +199,7 @@ func TestGeminiDecisionLatency(t *testing.T) {
 	app := varApp{base: 200e-6, slope: 0, spread: 1, qos: workload.QoS{Latency: 5e-3, Percentile: 99}}
 	rig := newRig(t, app, 1)
 	m := geminiFor(t, rig, app)
-	m.cfg.InferenceCost = 500 * sim.Microsecond
+	m.inferenceCost = 500 * sim.Microsecond
 	m.Attach(rig.e, rig.srv)
 	// Leave the core at a low level to simulate the previous decision.
 	rig.srv.Workers()[0].Core().SetLevelImmediate(rig.e, 2)

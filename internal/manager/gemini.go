@@ -12,30 +12,18 @@ import (
 // GeminiConfig parameterizes the Gemini baseline.
 type GeminiConfig struct {
 	// Policy is the decision posture policy.New built for "gemini": the
-	// level search and the boost checkpoint. Required.
+	// level search, the boost checkpoint and whether predicted misses
+	// are shed at arrival. Required.
 	Policy *policy.Gemini
 	// Model is the NN latency predictor (request-arrival features only;
 	// proportional frequency scaling).
 	Model *predict.NNModel
-	// InferenceCost is the on-critical-path NN inference time. The paper
-	// measures > 300 µs per request for Gemini's network (Table IV /
-	// §VII-B point 3) — large enough to hurt sub-millisecond services.
-	InferenceCost sim.Duration
-	// DropOnPredictedMiss enables Gemini's load shedding: requests whose
-	// predicted completion (even at max frequency) exceeds QoS are dropped
-	// at arrival.
-	DropOnPredictedMiss bool
 }
 
-// DefaultGeminiConfig matches the paper's characterization of Gemini.
-func DefaultGeminiConfig(pol *policy.Gemini, model *predict.NNModel) GeminiConfig {
-	return GeminiConfig{
-		Policy:              pol,
-		Model:               model,
-		InferenceCost:       300 * sim.Microsecond,
-		DropOnPredictedMiss: true,
-	}
-}
+// geminiInferenceCost is the on-critical-path NN inference time. The
+// paper measures > 300 µs per request for Gemini's network (Table IV /
+// §VII-B point 3) — large enough to hurt sub-millisecond services.
+const geminiInferenceCost = 300 * sim.Microsecond
 
 // Gemini is the NN-based fine-grained baseline (§II, §VII). The paper
 // identifies four behaviors that separate it from ReTail, all reproduced:
@@ -65,6 +53,12 @@ type Gemini struct {
 	// pipe hands the request being scheduled to the policy.
 	pipe geminiPipe
 
+	// drop sheds requests predicted to miss QoS at arrival (the policy's
+	// posture); inferenceCost is geminiInferenceCost. In-package tests
+	// move both.
+	drop          bool
+	inferenceCost sim.Duration
+
 	inferences uint64
 	boosts     int
 	dropped    int
@@ -75,10 +69,11 @@ func NewGemini(qos workload.QoS, specs []workload.FeatureSpec, cfg GeminiConfig)
 	if cfg.Policy == nil {
 		panic("manager: GeminiConfig.Policy is nil")
 	}
-	if cfg.InferenceCost == 0 {
-		cfg.InferenceCost = 300 * sim.Microsecond
+	m := &Gemini{
+		cfg: cfg, qos: qos, spec: specs,
+		drop:          cfg.Policy.ShedsPredictedMisses(),
+		inferenceCost: geminiInferenceCost,
 	}
-	m := &Gemini{cfg: cfg, qos: qos, spec: specs}
 	m.pipe.m = m
 	return m
 }
@@ -136,7 +131,7 @@ func (p *geminiPipe) HeadProgress() float64                { return 0 }
 // Arrival implements server.Hooks: the admission check. The inference
 // runs on Gemini's manager core, off the workers' critical path.
 func (m *Gemini) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) bool {
-	if !m.cfg.DropOnPredictedMiss {
+	if !m.drop {
 		return true
 	}
 	// Estimate queueing ahead of r: predicted service of everything
@@ -182,7 +177,7 @@ func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 			Binding:          r.ID, // Gemini sizes the frequency to the request alone
 			QueueLen:         len(w.Queue()),
 			QoSPrime:         m.qos.Latency, // pinned: no latency monitor
-			DecisionDelay:    m.cfg.InferenceCost,
+			DecisionDelay:    m.inferenceCost,
 			PredictedService: predicted,
 		})
 	}
@@ -190,7 +185,7 @@ func (m *Gemini) Start(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	// so a later event can see the same pointer hosting a different
 	// request. IDs are never reused, so the pair is exact.
 	id := r.ID
-	e.After(m.cfg.InferenceCost, "gemini.setfreq", func(en *sim.Engine) {
+	e.After(m.inferenceCost, "gemini.setfreq", func(en *sim.Engine) {
 		if cur := w.Current(); cur != r || cur.ID != id {
 			return // already finished: the decision arrived too late
 		}

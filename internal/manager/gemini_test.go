@@ -55,7 +55,7 @@ func runGeminiNode(model *predict.NNModel, seed int64) geminiOutcome {
 		Seed:  seed,
 	})
 	m := NewGemini(app.QoS(), app.FeatureSpecs(),
-		DefaultGeminiConfig(simPolicy("gemini", app.QoS(), g, nil).(*policy.Gemini), model))
+		GeminiConfig{Policy: simPolicy("gemini", app.QoS(), g, nil).(*policy.Gemini), Model: model})
 	m.Attach(e, srv)
 	out := geminiOutcome{m: m}
 	h := sha256.New()

@@ -101,12 +101,12 @@ func (r *testRig) reset(workers int) {
 }
 
 func (r *testRig) retailConfig() ReTailConfig {
-	cfg := DefaultReTailConfig()
-	cfg.Policy = simPolicy("retail", r.app.QoS(), r.grid, nil).(*policy.Retail)
-	cfg.Layout = predict.FeatureLayout{Specs: r.app.FeatureSpecs(), Selected: []int{0}}
-	cfg.Model = r.mdl
-	cfg.Training = r.set
-	return cfg
+	return ReTailConfig{
+		Policy:   simPolicy("retail", r.app.QoS(), r.grid, nil).(*policy.Retail),
+		Layout:   predict.FeatureLayout{Specs: r.app.FeatureSpecs(), Selected: []int{0}},
+		Model:    r.mdl,
+		Training: r.set,
+	}
 }
 
 // submit injects a request with feature x at the current time.

@@ -12,8 +12,8 @@ import (
 // receiving the decision stream — attribution must be free enough to
 // leave on for any run that wants a report.
 func TestRetailDecideZeroAllocWithLedger(t *testing.T) {
-	rig, m := benchDecideRig(t, 8, func(cfg *ReTailConfig) {
-		cfg.InferenceCost = 1e-15
+	rig, m := benchDecideRig(t, 8, func(m *ReTail) {
+		m.inferenceCost = 1e-15
 	})
 	obs.AttachLedger(rig.srv, rig.app.qos)
 	w := rig.srv.Workers()[0]

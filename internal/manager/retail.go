@@ -31,18 +31,6 @@ type ReTailConfig struct {
 	// period), the HeadOnly ablation and the per-class targets. Required.
 	Policy *policy.Retail
 
-	// InferenceCost is the virtual time per LatencyPredictor call (paper:
-	// 5 µs). The ReTail runtime lives on a dedicated core, so this cost
-	// delays only when the new frequency takes effect — never the request.
-	InferenceCost sim.Duration
-	// DriftThreshold is the RMSE/QoS increase that triggers retraining
-	// (paper: 0.05); DriftWindow is the live-error window size.
-	DriftThreshold float64
-	DriftWindow    int
-	// RetrainLatency is the virtual time from drift detection until the
-	// new model is live (paper measures < 0.1 s; the old model serves
-	// predictions meanwhile).
-	RetrainLatency sim.Duration
 	// Stage1Frac, when non-nil, gives the per-request feature-extraction
 	// split point — the max lateness among the selected features *this
 	// request's category actually needs*. Nil falls back to the global
@@ -50,16 +38,17 @@ type ReTailConfig struct {
 	Stage1Frac func(*workload.Request) float64
 }
 
-// DefaultReTailConfig fills the paper's constants, leaving the policy,
-// model and layout for the calibration pipeline to provide.
-func DefaultReTailConfig() ReTailConfig {
-	return ReTailConfig{
-		InferenceCost:  5 * sim.Microsecond,
-		DriftThreshold: 0.05,
-		DriftWindow:    200,
-		RetrainLatency: 50 * sim.Millisecond,
-	}
-}
+const (
+	// retailInferenceCost is the virtual time per LatencyPredictor call
+	// (paper: 5 µs). The ReTail runtime lives on a dedicated core, so this
+	// cost delays only when the new frequency takes effect — never the
+	// request.
+	retailInferenceCost = 5 * sim.Microsecond
+	// retrainLatency is the virtual time from drift detection until the
+	// new model is live (paper measures < 0.1 s; the old model serves
+	// predictions meanwhile).
+	retrainLatency = 50 * sim.Millisecond
+)
 
 // SimEnv is the simulator's policy environment for policy.New: the
 // application's QoS, the platform grid and profile, the simulator monitor
@@ -117,6 +106,11 @@ type ReTail struct {
 
 	retraining bool
 
+	// inferenceCost and retrainLatency are retailInferenceCost and
+	// retrainLatency; in-package tests move them.
+	inferenceCost  sim.Duration
+	retrainLatency sim.Duration
+
 	// monDisabled caches the monitor ablation switch for the tick path.
 	monDisabled bool
 
@@ -157,22 +151,20 @@ func NewReTail(qos workload.QoS, cfg ReTailConfig) *ReTail {
 	if cfg.Policy == nil {
 		panic("manager: ReTailConfig.Policy is nil")
 	}
-	if cfg.InferenceCost == 0 {
-		cfg.InferenceCost = 5 * sim.Microsecond
-	}
-	if cfg.RetrainLatency == 0 {
-		cfg.RetrainLatency = 50 * sim.Millisecond
-	}
 	m := &ReTail{
-		cfg:         cfg,
-		qos:         qos,
-		model:       cfg.Model,
-		modelGen:    1,
-		pol:         cfg.Policy,
-		monDisabled: cfg.Policy.Monitor().Config().Disabled,
+		cfg:            cfg,
+		qos:            qos,
+		model:          cfg.Model,
+		modelGen:       1,
+		pol:            cfg.Policy,
+		monDisabled:    cfg.Policy.Monitor().Config().Disabled,
+		inferenceCost:  retailInferenceCost,
+		retrainLatency: retrainLatency,
 	}
 	m.pipe.m = m
-	m.drift = predict.NewDriftDetector(float64(qos.Latency), cfg.DriftThreshold, cfg.DriftWindow)
+	// The detector's defaults are the paper's: retrain when RMSE/QoS
+	// rises 0.05 above the baseline over a 200-request window.
+	m.drift = predict.NewDriftDetector(float64(qos.Latency), 0, 0)
 	return m
 }
 
@@ -465,7 +457,7 @@ func (m *ReTail) decide(e *sim.Engine, w *server.Worker, head *workload.Request,
 	if m.decisionCounter != nil {
 		m.decisionCounter.Inc()
 	}
-	cost := sim.Duration(float64(m.inferences-before)) * m.cfg.InferenceCost
+	cost := sim.Duration(float64(m.inferences-before)) * m.inferenceCost
 	// With a decision sink on the server, report one Decision per
 	// Algorithm 1 invocation: the chosen level, the binding request, QoS′
 	// and the predicted service time. The prediction is a host-side read
@@ -560,7 +552,7 @@ func (m *ReTail) retrain(e *sim.Engine) {
 		return
 	}
 	m.retraining = true
-	e.After(m.cfg.RetrainLatency, "retail.retrain", func(en *sim.Engine) {
+	e.After(m.retrainLatency, "retail.retrain", func(en *sim.Engine) {
 		m.retraining = false
 		nm, err := predict.FitLinear(m.cfg.Training, m.cfg.Layout, m.grid.Levels())
 		if err != nil {

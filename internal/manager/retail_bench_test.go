@@ -11,15 +11,14 @@ import (
 // and several queued requests, the state Algorithm 1 sees on every Arrival
 // re-examination — the hottest call in a full sweep. The optional tweak
 // adjusts the manager configuration before construction.
-func benchDecideRig(tb testing.TB, queued int, tweak func(*ReTailConfig)) (*testRig, *ReTail) {
+func benchDecideRig(tb testing.TB, queued int, tweak func(*ReTail)) (*testRig, *ReTail) {
 	tb.Helper()
 	app := varApp{base: 10e-3, slope: 1e-3, spread: 20, qos: workload.QoS{Latency: 60e-3, Percentile: 99}}
 	rig := newRig(tb, app, 1)
-	cfg := rig.retailConfig()
+	m := NewReTail(app.QoS(), rig.retailConfig())
 	if tweak != nil {
-		tweak(&cfg)
+		tweak(m)
 	}
-	m := NewReTail(app.QoS(), cfg)
 	m.Attach(rig.e, rig.srv)
 	rig.e.At(0, "sub", func(*sim.Engine) {
 		for i := 0; i <= queued; i++ {
@@ -70,8 +69,8 @@ func BenchmarkRetailDecideColdMemo(b *testing.B) {
 // so each iteration's engine step (1 ns) fires only the frequency write,
 // recycling the freqApply pool and the engine's event freelist.
 func decideStepper(tb testing.TB) func() {
-	rig, m := benchDecideRig(tb, 8, func(cfg *ReTailConfig) {
-		cfg.InferenceCost = 1e-15
+	rig, m := benchDecideRig(tb, 8, func(m *ReTail) {
+		m.inferenceCost = 1e-15
 	})
 	w := rig.srv.Workers()[0]
 	head := w.Current()

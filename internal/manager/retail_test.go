@@ -222,9 +222,8 @@ func percentile(xs []float64, p float64) float64 {
 func TestReTailDriftRetrain(t *testing.T) {
 	app := varApp{base: 5e-3, slope: 0.5e-3, spread: 10, qos: workload.QoS{Latency: 40e-3, Percentile: 99}}
 	rig := newRig(t, app, 2)
-	cfg := rig.retailConfig()
-	cfg.RetrainLatency = 20 * sim.Millisecond
-	m := NewReTail(app.QoS(), cfg)
+	m := NewReTail(app.QoS(), rig.retailConfig())
+	m.retrainLatency = 20 * sim.Millisecond
 	// Healthy baseline as calibration would set it.
 	m.SetDriftBaseline(0.005)
 	m.Attach(rig.e, rig.srv)

@@ -16,9 +16,8 @@ import (
 func TestReTailInstrumented(t *testing.T) {
 	app := varApp{base: 5e-3, slope: 0.5e-3, spread: 10, qos: workload.QoS{Latency: 40e-3, Percentile: 99}}
 	rig := newRig(t, app, 2)
-	cfg := rig.retailConfig()
-	cfg.RetrainLatency = 20 * sim.Millisecond
-	m := NewReTail(app.QoS(), cfg)
+	m := NewReTail(app.QoS(), rig.retailConfig())
+	m.retrainLatency = 20 * sim.Millisecond
 	m.SetDriftBaseline(0.005)
 
 	reg := telemetry.NewRegistry()

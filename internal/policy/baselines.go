@@ -163,15 +163,22 @@ func (r *Rubik) QoSPrime() Duration               { return r.qos }
 
 // Gemini is the NN baseline's decision posture: size the frequency to the
 // head request alone (GeminiLevel), no latency monitor (QoS′ pinned to
-// QoS), and a two-step boost checkpoint at a fraction of the predicted
-// service time.
+// QoS), a two-step boost checkpoint at a fraction of the predicted
+// service time, and arrival-time shedding of requests predicted to miss
+// QoS (GeminiAdmit) unless Params.Gemini.KeepOnPredictedMiss.
 type Gemini struct {
 	maxLvl    cpu.Level
 	qos       Duration
 	boostFrac float64
+	keepMiss  bool
 }
 
 func (g *Gemini) Name() string { return "gemini" }
+
+// ShedsPredictedMisses reports whether the simulator adapter drops, at
+// arrival, requests GeminiAdmit predicts to miss QoS. The live runtime
+// sheds through Params.Degrade instead.
+func (g *Gemini) ShedsPredictedMisses() bool { return !g.keepMiss }
 
 func (g *Gemini) Decide(now Time, p Pipeline) (cpu.Level, float64) {
 	budget := g.qos - (now - p.Gen(0))

@@ -3,6 +3,8 @@ package policy
 import (
 	"math"
 	"testing"
+
+	"retail/internal/cpu"
 )
 
 // TestQuantileFallback pins the shared out-of-range→0.75 fallback for
@@ -43,5 +45,19 @@ func TestQuantileFallback(t *testing.T) {
 				t.Fatalf("EETLThreshold with quantile %v = %v, want finite positive", tc.q, thr)
 			}
 		})
+	}
+}
+
+// TestGeminiShedsPredictedMisses: Gemini sheds predicted misses at
+// arrival unless Params.Gemini.KeepOnPredictedMiss turns it off.
+func TestGeminiShedsPredictedMisses(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		pol, err := New("gemini", Params{Gemini: GeminiParams{KeepOnPredictedMiss: keep}}, Env{Grid: cpu.DefaultGrid(), QoS: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pol.(*Gemini).ShedsPredictedMisses(); got == keep {
+			t.Errorf("KeepOnPredictedMiss %v: ShedsPredictedMisses = %v", keep, got)
+		}
 	}
 }

@@ -146,7 +146,7 @@ func New(name string, p Params, env Env) (Policy, error) {
 		if f == 0 {
 			f = geminiBoostFrac
 		}
-		return &Gemini{maxLvl: maxLvl, qos: env.QoS, boostFrac: f}, nil
+		return &Gemini{maxLvl: maxLvl, qos: env.QoS, boostFrac: f, keepMiss: p.Gemini.KeepOnPredictedMiss}, nil
 	case "eetl":
 		if err := needProfile(name, env); err != nil {
 			return nil, err

@@ -75,17 +75,6 @@ func (NoopObserver) Ready(*sim.Engine, *Worker, *workload.Request)         {}
 func (NoopObserver) Started(*sim.Engine, *Worker, *workload.Request)       {}
 func (NoopObserver) Completed(*sim.Engine, *Worker, *workload.Request)     {}
 
-// DispatchPolicy selects the worker for an arriving request.
-type DispatchPolicy int
-
-const (
-	// JoinShortestQueue sends each request to the worker with the fewest
-	// outstanding requests (running + queued), ties broken round-robin.
-	JoinShortestQueue DispatchPolicy = iota
-	// RoundRobin cycles through workers regardless of occupancy.
-	RoundRobin
-)
-
 // Config parameterizes a Server.
 type Config struct {
 	App     workload.App
@@ -94,11 +83,6 @@ type Config struct {
 	Power   cpu.PowerModel
 	Trans   cpu.TransitionModel
 	Seed    int64
-	Policy  DispatchPolicy
-	// Stage1Frac returns the fraction of a request's service time consumed
-	// by feature extraction (stage 1) — typically the maximum lateness of
-	// the selected application features. Nil means 0 (no split needed).
-	Stage1Frac func(*workload.Request) float64
 }
 
 // Server owns the worker pool and the socket the workers run on.
@@ -108,8 +92,6 @@ type Server struct {
 	Hooks  Hooks
 
 	workers    []*Worker
-	policy     DispatchPolicy
-	rrNext     int
 	jsq        policy.JSQ
 	jsqLoad    func(int) int // persistent closure: pick allocates nothing
 	stage1Frac func(*workload.Request) float64
@@ -141,8 +123,6 @@ func New(cfg Config) *Server {
 		App:          cfg.App,
 		Socket:       cpu.NewSocket(cfg.Workers, cfg.Grid, cfg.Power, cfg.Trans, cfg.Seed),
 		Hooks:        NoopHooks{},
-		policy:       cfg.Policy,
-		stage1Frac:   cfg.Stage1Frac,
 		interference: 1,
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -194,12 +174,16 @@ func (s *Server) SetInterference(e *sim.Engine, factor float64) {
 	}
 }
 
-// SetStage1Frac installs the feature-extraction split function, typically
-// after feature selection has determined which application features (and
-// hence which lateness) the predictor needs.
+// SetStage1Frac installs the feature-extraction split function: the
+// fraction of a request's service time consumed by feature extraction
+// (stage 1), typically the maximum lateness of the selected application
+// features, installed after feature selection has determined which
+// features (and hence which lateness) the predictor needs. Nil (the
+// default) means 0: no split.
 func (s *Server) SetStage1Frac(f func(*workload.Request) float64) { s.stage1Frac = f }
 
-// Submit routes a request to a worker per the dispatch policy. It is the
+// Submit routes a request to the worker with the fewest outstanding
+// requests (running + queued), ties broken round-robin. It is the
 // generator's sink.
 func (s *Server) Submit(e *sim.Engine, r *workload.Request) {
 	r.Recv = e.Now() // t2: same-host client/server, no network delay modeled
@@ -208,11 +192,6 @@ func (s *Server) Submit(e *sim.Engine, r *workload.Request) {
 }
 
 func (s *Server) pick() *Worker {
-	if s.policy == RoundRobin {
-		w := s.workers[s.rrNext]
-		s.rrNext = (s.rrNext + 1) % len(s.workers)
-		return w
-	}
 	// JSQ with rotating tie-break (policy.JSQ — the shared rule both
 	// runtimes dispatch with; see that type for why the rotation pointer
 	// follows the chosen index).

@@ -31,16 +31,16 @@ func (f fixedApp) Generate(*rand.Rand) *workload.Request {
 func newServer(t *testing.T, app workload.App, workers int, frac func(*workload.Request) float64) *Server {
 	t.Helper()
 	g := cpu.DefaultGrid()
-	return New(Config{
-		App:        app,
-		Workers:    workers,
-		Grid:       g,
-		Power:      cpu.DefaultPowerModel(g),
-		Trans:      cpu.DefaultTransitionModel(),
-		Seed:       1,
-		Policy:     JoinShortestQueue,
-		Stage1Frac: frac,
+	s := New(Config{
+		App:     app,
+		Workers: workers,
+		Grid:    g,
+		Power:   cpu.DefaultPowerModel(g),
+		Trans:   cpu.DefaultTransitionModel(),
+		Seed:    1,
 	})
+	s.SetStage1Frac(frac)
+	return s
 }
 
 func mkReq(service sim.Duration, cf float64) *workload.Request {
@@ -112,25 +112,6 @@ func TestJSQSpreadsLoad(t *testing.T) {
 	e.Run(0.0101) // just past one service time
 	if count != 4 {
 		t.Fatalf("4 requests on 4 workers should finish in one service time; done=%d", count)
-	}
-}
-
-func TestRoundRobinDispatch(t *testing.T) {
-	app := fixedApp{service: 10 * sim.Millisecond, cf: 1}
-	g := cpu.DefaultGrid()
-	s := New(Config{App: app, Workers: 2, Grid: g, Power: cpu.DefaultPowerModel(g),
-		Trans: cpu.DefaultTransitionModel(), Seed: 1, Policy: RoundRobin})
-	e := sim.NewEngine()
-	for i := 0; i < 4; i++ {
-		r := mkReq(10*sim.Millisecond, 1)
-		e.At(0, "submit", func(en *sim.Engine) { r.Gen = en.Now(); s.Submit(en, r) })
-	}
-	e.Run(0.001)
-	// RR: 2 requests per worker → each worker has 1 running + 1 queued.
-	for _, w := range s.Workers() {
-		if w.Outstanding() != 2 {
-			t.Fatalf("worker %d outstanding = %d, want 2", w.ID, w.Outstanding())
-		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"regexp/syntax"
 	"sort"
 	"strconv"
 	"strings"
@@ -154,35 +155,42 @@ func gateLines(t *testing.T) []goTestLine {
 	return out
 }
 
-// topLevelAlternatives splits a regex at the `|`s outside any group or
-// class; only a test name's top level (before a `/`) is kept.
-func topLevelAlternatives(re string) []string {
-	var alts []string
-	depth, class, start := 0, false, 0
-	for i := 0; i < len(re); i++ {
-		switch c := re[i]; {
-		case c == '\\':
-			i++
-		case class:
-			class = c != ']'
-		case c == '[':
-			class = true
-		case c == '(':
-			depth++
-		case c == ')':
-			depth--
-		case c == '|' && depth == 0:
-			alts = append(alts, re[start:i])
-			start = i + 1
+// alternatives expands every alternation in a parsed regex, inside
+// groups too, into one regex per alternative: `A(B|C)D|E` gives ABD, ACD
+// and E. With alternation expanded, every leaf binds at least as tightly
+// as concatenation, so the leaves' own syntax concatenates safely. Parse
+// has already factored common prefixes, and alternatives that differ in
+// one character stay a character class.
+func alternatives(re *syntax.Regexp) []string {
+	switch re.Op {
+	case syntax.OpAlternate:
+		var out []string
+		for _, sub := range re.Sub {
+			out = append(out, alternatives(sub)...)
 		}
+		return out
+	case syntax.OpCapture:
+		return alternatives(re.Sub[0])
+	case syntax.OpConcat:
+		out := []string{""}
+		for _, sub := range re.Sub {
+			var next []string
+			for _, head := range out {
+				for _, tail := range alternatives(sub) {
+					next = append(next, head+tail)
+				}
+			}
+			out = next
+		}
+		return out
 	}
-	return append(alts, re[start:])
+	return []string{re.String()}
 }
 
 // TestGateRegexesNameTests: every alternative of every test selection in
-// the Makefile and the CI workflows names at least one test, benchmark or
-// fuzz function of the packages it runs, so renaming or moving a test
-// cannot silently drop it from its gate.
+// the Makefile and the CI workflows, grouped ones included, names at
+// least one test, benchmark or fuzz function of the packages it runs, so
+// renaming or moving a test cannot silently drop it from its gate.
 func TestGateRegexesNameTests(t *testing.T) {
 	lines := gateLines(t)
 	perFile := map[string]int{}
@@ -202,7 +210,13 @@ func TestGateRegexesNameTests(t *testing.T) {
 			continue
 		}
 		funcs := testFuncs(t, l.pkgs...)
-		for _, alt := range topLevelAlternatives(l.re) {
+		parsed, err := syntax.Parse(l.re, syntax.Perl)
+		if err != nil {
+			t.Errorf("%s: %s %q: %v", l.where, l.flag, l.re, err)
+			continue
+		}
+		for _, alt := range alternatives(parsed) {
+			// Only a test name's top level (before a `/`) names a function.
 			name, _, _ := strings.Cut(alt, "/")
 			re, err := regexp.Compile(name)
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"testing"
 	"time"
@@ -20,13 +21,14 @@ import (
 // smokeTargets lists the examples and the retail subcommands with the
 // arguments that give the fastest meaningful run (measured well under 10 s
 // each). A target with a check runs in a temporary directory, which
-// check then inspects; run invokes the same binary again there and
-// returns its output. exit is the status the target's own run must end with.
+// check then inspects along with the run's output; run invokes the same
+// binary again there and returns its output. exit is the status the
+// target's own run must end with.
 var smokeTargets = []struct {
 	pkg   string // package path relative to the module root
 	args  []string
 	exit  int
-	check func(t *testing.T, dir string, run func(args ...string) []byte)
+	check func(t *testing.T, dir string, out []byte, run func(args ...string) []byte)
 }{
 	{"./examples/quickstart", nil, 0, nil},
 	{"./examples/colocation", nil, 0, nil},
@@ -35,7 +37,7 @@ var smokeTargets = []struct {
 	{"./examples/replay", nil, 0, nil},
 	{"./examples/websearch", nil, 0, nil},
 	// With no subcommand, retail lists them and exits as on a usage error.
-	{"./cmd/retail", nil, 2, func(t *testing.T, dir string, run func(args ...string) []byte) {
+	{"./cmd/retail", nil, 2, func(t *testing.T, dir string, _ []byte, run func(args ...string) []byte) {
 		out := run("help")
 		for _, sub := range []string{"sim", "cluster", "tune", "chaos", "bench", "characterize", "live", "loadgen"} {
 			if !bytes.Contains(out, []byte("\n  "+sub+" ")) {
@@ -51,7 +53,7 @@ var smokeTargets = []struct {
 	{"./cmd/retail", []string{
 		"sim", "-workers", "4", "-rps", "400", "-duration", "1", "-samples", "200",
 		"-spec", "slo-mix", "-record", "t.trace",
-	}, 0, func(t *testing.T, dir string, run func(args ...string) []byte) {
+	}, 0, func(t *testing.T, dir string, _ []byte, run func(args ...string) []byte) {
 		out := run("sim", "-workers", "4", "-rps", "400", "-samples", "200", "-replay", "t.trace")
 		if !bytes.Contains(out, []byte("class        interactive")) {
 			t.Fatalf("replay of the recorded trace lost its class table:\n%s", out)
@@ -70,10 +72,17 @@ var smokeTargets = []struct {
 	{"./cmd/retail", []string{"characterize", "-quick"}, 0, nil},
 	{"./cmd/retail", []string{"bench", "-list"}, 0, nil},
 	// Exercises the full wall-clock path including the Prometheus
-	// exposition server (bound to an ephemeral port).
+	// exposition server (bound to an ephemeral port) and a fault plan,
+	// which must reach the predictor: predictor-skew's window opens 0.6 s
+	// into the load at the default -scale 0.2.
 	{"./cmd/retail", []string{
-		"live", "-rps", "200", "-duration", "500ms", "-metrics-addr", "127.0.0.1:0",
-	}, 0, nil},
+		"live", "-rps", "200", "-duration", "1s", "-metrics-addr", "127.0.0.1:0", "-fault-plan", "predictor-skew",
+	}, 0, func(t *testing.T, _ string, out []byte, _ func(...string) []byte) {
+		m := regexp.MustCompile(`injected (\d+) faults`).FindSubmatch(out)
+		if m == nil || string(m[1]) == "0" {
+			t.Fatalf("live -fault-plan predictor-skew injected no faults:\n%s", out)
+		}
+	}},
 	// Replays a compressed fault plan against the live runtime: injector,
 	// degradation machinery and the report path all run end-to-end.
 	{"./cmd/retail", []string{
@@ -91,7 +100,7 @@ var smokeTargets = []struct {
 	{"./cmd/retail", []string{"loadgen", "-selfhost", "-rps", "2000", "-duration", "300ms"}, 0, nil},
 	{"./cmd/retail", []string{
 		"loadgen", "-selfhost", "-spec", "slo-mix", "-rps", "2000", "-duration", "300ms", "-report", "report.json",
-	}, 0, func(t *testing.T, dir string, _ func(...string) []byte) {
+	}, 0, func(t *testing.T, dir string, _ []byte, _ func(...string) []byte) {
 		b, err := os.ReadFile(filepath.Join(dir, "report.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -158,9 +167,9 @@ func TestSmoke(t *testing.T) {
 				}
 				return out
 			}
-			run(tgt.exit, tgt.args...)
+			out := run(tgt.exit, tgt.args...)
 			if tgt.check != nil {
-				tgt.check(t, dir, func(args ...string) []byte { return run(0, args...) })
+				tgt.check(t, dir, out, func(args ...string) []byte { return run(0, args...) })
 			}
 		})
 	}
